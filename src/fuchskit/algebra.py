@@ -1,5 +1,6 @@
 """Exact arithmetic kernel: Gaussian rationals, dense polynomials, rational
-functions, truncated power series, and fraction-free matrix algebra.
+functions, their Taylor coefficients, and matrix algebra by field
+elimination, with Bareiss elimination for polynomial determinants.
 
 Every computation in this module is exact.  Floating point enters only in
 `poly_root_search`, where numeric root candidates are reconstructed as exact
@@ -8,7 +9,6 @@ escapes.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
@@ -141,11 +141,14 @@ def scalar(x: ScalarLike) -> GaussianRational:
         return x
     if isinstance(x, (int, Fraction)):
         return GaussianRational(Fraction(x), Fraction(0))
-    if isinstance(x, str):
-        return GaussianRational(Fraction(x.strip()), Fraction(0))
-    if isinstance(x, dict):
-        return GaussianRational(Fraction(str(x.get("re", 0)).strip()),
-                                Fraction(str(x.get("im", 0)).strip()))
+    try:
+        if isinstance(x, str):
+            return GaussianRational(Fraction(x.strip()), Fraction(0))
+        if isinstance(x, dict):
+            return GaussianRational(Fraction(str(x.get("re", 0)).strip()),
+                                    Fraction(str(x.get("im", 0)).strip()))
+    except (ZeroDivisionError, ValueError) as exc:
+        raise AlgebraError(f"cannot coerce {x!r} to a scalar: {exc}") from exc
     raise AlgebraError(f"cannot coerce {x!r} to a scalar")
 
 
@@ -328,12 +331,6 @@ class Polynomial:
             out = out * zc + Polynomial.constant(a)
         return out
 
-    def compose(self, q: "Polynomial") -> "Polynomial":
-        out = Polynomial.zero()
-        for a in reversed(self.coeffs):
-            out = out * q + Polynomial.constant(a)
-        return out
-
     def reversed_coeffs(self, upto: int | None = None) -> "Polynomial":
         """z^d * p(1/z) where d = upto (defaults to deg p)."""
         d = self.degree() if upto is None else upto
@@ -343,9 +340,6 @@ class Polynomial:
         for j, c in enumerate(self.coeffs):
             out[d - j] = c
         return Polynomial.from_list(out)
-
-    def is_real(self) -> bool:
-        return all(c.im == 0 for c in self.coeffs)
 
     def to_json(self) -> list:
         return [c.to_json() for c in self.coeffs]
@@ -425,40 +419,40 @@ class RationalFunction:
         return self.den.degree() == 0
 
     def __add__(self, other) -> "RationalFunction":
-        o = _as_rf(other)
+        o = as_rf(other)
         return RationalFunction.make(self.num * o.den + o.num * self.den,
                                      self.den * o.den)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "RationalFunction":
-        return self + (-_as_rf(other))
+        return self + (-as_rf(other))
 
     def __rsub__(self, other) -> "RationalFunction":
-        return _as_rf(other) - self
+        return as_rf(other) - self
 
     def __neg__(self) -> "RationalFunction":
         return RationalFunction(-self.num, self.den)
 
     def __mul__(self, other) -> "RationalFunction":
-        o = _as_rf(other)
+        o = as_rf(other)
         return RationalFunction.make(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "RationalFunction":
-        o = _as_rf(other)
+        o = as_rf(other)
         if o.is_zero():
             raise ZeroDivisionError("division by zero rational function")
         return RationalFunction.make(self.num * o.den, self.den * o.num)
 
     def __rtruediv__(self, other) -> "RationalFunction":
-        return _as_rf(other) / self
+        return as_rf(other) / self
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (RationalFunction, Polynomial, GaussianRational,
                               int, Fraction)):
-            o = _as_rf(other)
+            o = as_rf(other)
             return self.num == o.num and self.den == o.den
         return NotImplemented
 
@@ -496,7 +490,7 @@ class RationalFunction:
         for _ in range(e):
             rest = rest.exact_div(Polynomial.from_roots([p]))
         ser = series_of_rational(RationalFunction.make(self.num, rest), p, e - 1)
-        return ser.coeffs[e - 1]
+        return ser[e - 1]
 
     def subst_reciprocal(self) -> "RationalFunction":
         """f(1/z) as a rational function of z."""
@@ -519,76 +513,21 @@ class RationalFunction:
     __repr__ = __str__
 
 
-def _as_rf(x) -> RationalFunction:
+def as_rf(x) -> RationalFunction:
+    """Coerce a scalar, polynomial or rational function."""
     if isinstance(x, RationalFunction):
         return x
     return RationalFunction.make(_as_poly(x))
 
 
 # ---------------------------------------------------------------------------
-# truncated power series
+# Taylor coefficients
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """sum_j coeffs[j] (z - center)^j with an O((z-center)^{order+1}) tail.
-
-    Arithmetic truncates to the shorter operand, so order bookkeeping is
-    conservative and never overstates known coefficients.
-    """
-
-    center: GaussianRational
-    coeffs: tuple
-
-    @staticmethod
-    def make(center: ScalarLike, cs: Iterable) -> "TruncatedSeries":
-        return TruncatedSeries(scalar(center), tuple(scalar(c) for c in cs))
-
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def _check(self, o: "TruncatedSeries"):
-        if self.center != o.center:
-            raise AlgebraError("series centers differ")
-
-    def __add__(self, o: "TruncatedSeries") -> "TruncatedSeries":
-        self._check(o)
-        n = min(len(self.coeffs), len(o.coeffs))
-        return TruncatedSeries(self.center,
-                               tuple(self.coeffs[j] + o.coeffs[j] for j in range(n)))
-
-    def __sub__(self, o: "TruncatedSeries") -> "TruncatedSeries":
-        self._check(o)
-        n = min(len(self.coeffs), len(o.coeffs))
-        return TruncatedSeries(self.center,
-                               tuple(self.coeffs[j] - o.coeffs[j] for j in range(n)))
-
-    def __mul__(self, o: "TruncatedSeries") -> "TruncatedSeries":
-        self._check(o)
-        n = min(len(self.coeffs), len(o.coeffs))
-        out = [ZERO] * n
-        for i in range(n):
-            a = self.coeffs[i]
-            if a.is_zero():
-                continue
-            for j in range(n - i):
-                out[i + j] = out[i + j] + a * o.coeffs[j]
-        return TruncatedSeries(self.center, tuple(out))
-
-    def scale(self, c: ScalarLike) -> "TruncatedSeries":
-        c = scalar(c)
-        return TruncatedSeries(self.center, tuple(a * c for a in self.coeffs))
-
-    def valuation(self) -> int | None:
-        for j, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                return j
-        return None
-
-
 def series_of_rational(rf: RationalFunction, center: ScalarLike,
-                       order: int) -> TruncatedSeries:
-    """Taylor coefficients of rf at `center` through (z-center)^order.
+                       order: int) -> tuple:
+    """Taylor coefficients of rf at `center` through (z-center)^order, as a
+    tuple from the constant term up.
 
     Errors out when the (already gcd-reduced) denominator vanishes at the
     center, i.e. on expansion at a genuine pole.
@@ -606,7 +545,7 @@ def series_of_rational(rf: RationalFunction, center: ScalarLike,
         for t in range(1, j + 1):
             acc = acc - den.coeff(t) * out[j - t]
         out.append(acc * inv)
-    return TruncatedSeries(center, tuple(out))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -615,9 +554,10 @@ def series_of_rational(rf: RationalFunction, center: ScalarLike,
 
 @dataclass(frozen=True)
 class ExactMatrix:
-    """Dense matrix over an exact ring (scalars, polynomials, or rational
-    functions).  Determinant and rank use fraction-free Bareiss elimination;
-    the intermediate divisions are exact in the entry ring.
+    """Dense matrix over Q(i), Q(i)(z) or Q(i)[s]: scalar, rational function
+    or polynomial entries.  Field elimination; Bareiss for polynomial
+    determinants.  Only `det` accepts polynomial entries, since Q(i)[s] is
+    not a field.
     """
 
     rows: tuple
@@ -638,11 +578,6 @@ class ExactMatrix:
 
     def entry(self, i: int, j: int):
         return self.rows[i][j]
-
-    def transpose(self) -> "ExactMatrix":
-        m, n = self.shape()
-        return ExactMatrix(tuple(
-            tuple(self.rows[i][j] for i in range(m)) for j in range(n)))
 
     def map(self, fn: Callable) -> "ExactMatrix":
         return ExactMatrix(tuple(tuple(fn(e) for e in row) for row in self.rows))
@@ -679,96 +614,41 @@ class ExactMatrix:
         return out
 
     def det(self):
-        """Fraction-free (Bareiss) determinant; exact in the entry ring."""
+        """Determinant, exact in the entry ring: Gaussian elimination over
+        Q(i) or Q(i)(z), fraction-free Bareiss elimination over Q(i)[s]."""
         m, n = self.shape()
         if m != n:
             raise AlgebraError("determinant of a non-square matrix")
         if m == 0:
             return ONE
-        a = [list(r) for r in self.rows]
-        zero = a[0][0] - a[0][0]
-        sign = 1
-        prev = None
-        for r in range(m - 1):
-            if _entry_is_zero(a[r][r]):
-                for r2 in range(r + 1, m):
-                    if not _entry_is_zero(a[r2][r]):
-                        a[r], a[r2] = a[r2], a[r]
-                        sign = -sign
-                        break
-                else:
-                    return zero
-            for i in range(r + 1, m):
-                for j in range(r + 1, m):
-                    v = a[i][j] * a[r][r] - a[i][r] * a[r][j]
-                    a[i][j] = v if prev is None else _exact_div(v, prev)
-                a[i][r] = zero
-            prev = a[r][r]
-        d = a[m - 1][m - 1]
-        return d if sign == 1 else -d
+        rows = [list(r) for r in self.rows]
+        if _has_polynomial(rows):
+            return _bareiss_det(rows)
+        rows, pivots, sign = _eliminate(rows, n)
+        if len(pivots) < n:
+            return _units(self.rows[0][0])[0]
+        out = rows[0][0]
+        for i in range(1, n):
+            out = out * rows[i][i]
+        return out if sign == 1 else -out
 
     def rank(self) -> int:
-        """Row rank by fraction-free forward elimination."""
-        m, n = self.shape()
-        a = [list(r) for r in self.rows]
-        prev = None
-        rank = 0
-        row = 0
-        for col in range(n):
-            piv = None
-            for r in range(row, m):
-                if not _entry_is_zero(a[r][col]):
-                    piv = r
-                    break
-            if piv is None:
-                continue
-            a[row], a[piv] = a[piv], a[row]
-            for i in range(row + 1, m):
-                for j in range(col + 1, n):
-                    v = a[i][j] * a[row][col] - a[i][col] * a[row][j]
-                    a[i][j] = v if prev is None else _exact_div(v, prev)
-                a[i][col] = a[i][col] - a[i][col]
-            prev = a[row][col]
-            rank += 1
-            row += 1
-            if row == m:
-                break
-        return rank
+        """Row rank, by forward elimination over the entry field."""
+        return len(_eliminate([list(r) for r in self.rows], self.shape()[1])[1])
 
     def rref(self) -> tuple:
-        """Reduced row echelon form over a field; returns (matrix, pivot cols)."""
-        m, n = self.shape()
-        a = [list(r) for r in self.rows]
-        pivots = []
-        row = 0
-        for col in range(n):
-            piv = None
-            for r in range(row, m):
-                if not _entry_is_zero(a[r][col]):
-                    piv = r
-                    break
-            if piv is None:
-                continue
-            a[row], a[piv] = a[piv], a[row]
-            inv = a[row][col]
-            a[row] = [_field_div(e, inv) for e in a[row]]
-            for r in range(m):
-                if r != row and not _entry_is_zero(a[r][col]):
-                    f = a[r][col]
-                    a[r] = [e - f * p for e, p in zip(a[r], a[row])]
-            pivots.append(col)
-            row += 1
-            if row == m:
-                break
-        return ExactMatrix.from_rows(a), tuple(pivots)
+        """Reduced row echelon form over the entry field; returns (matrix,
+        pivot cols)."""
+        rows, pivots, _ = _eliminate([list(r) for r in self.rows],
+                                     self.shape()[1], reduce=True)
+        return ExactMatrix.from_rows(rows), pivots
 
     def nullspace(self) -> list:
         """Basis of the right nullspace (field entries), as column vectors."""
-        m, n = self.shape()
+        n = self.shape()[1]
         red, pivots = self.rref()
         free = [j for j in range(n) if j not in pivots]
-        zero = self.rows[0][0] - self.rows[0][0] if self.rows else ZERO
-        one = _ring_one(zero)
+        zero, one = _units(self.rows[0][0]) if self.rows else (ZERO, ONE)
         basis = []
         for f in free:
             vec = [zero] * n
@@ -782,8 +662,7 @@ class ExactMatrix:
         m, n = self.shape()
         if m != n:
             raise AlgebraError("inverse of a non-square matrix")
-        zero = self.rows[0][0] - self.rows[0][0]
-        one = _ring_one(zero)
+        zero, one = _units(self.rows[0][0])
         aug = ExactMatrix.from_rows(
             [list(self.rows[i]) + [one if j == i else zero for j in range(n)]
              for i in range(n)])
@@ -820,28 +699,85 @@ def _dot(row, col):
     return out
 
 
-def _entry_is_zero(e) -> bool:
-    return e.is_zero()
+def _has_polynomial(rows) -> bool:
+    return any(isinstance(e, Polynomial) for row in rows for e in row)
 
 
-def _exact_div(a, b):
-    if isinstance(a, Polynomial):
-        return a.exact_div(b)
-    return a / b
+def _units(e) -> tuple:
+    """(zero, one) of the field holding the entry e."""
+    if isinstance(e, RationalFunction):
+        return RationalFunction.zero(), RationalFunction.one()
+    return ZERO, ONE
 
 
-def _field_div(a, b):
-    if isinstance(a, Polynomial):
-        return a.exact_div(b)
-    return a / b
+def _eliminate(rows: list, ncols: int, reduce: bool = False) -> tuple:
+    """Gaussian elimination over a field, in place on a list of row lists.
+
+    The first nonzero entry of a column at or below the current row is its
+    pivot; the entries below it are cleared, which leaves a row echelon
+    form.  With reduce=True each pivot is also scaled to one and cleared
+    above, which leaves the reduced row echelon form.  Returns (rows,
+    pivot_cols, sign) with sign = (-1)^(row swaps).
+    """
+    if _has_polynomial(rows):
+        raise AlgebraError("elimination needs field entries; "
+                           "polynomial entries allow only det")
+    m = len(rows)
+    pivots = []
+    sign = 1
+    for col in range(ncols):
+        top = len(pivots)
+        if top == m:
+            break
+        piv = next((r for r in range(top, m) if not rows[r][col].is_zero()), None)
+        if piv is None:
+            continue
+        if piv != top:
+            rows[top], rows[piv] = rows[piv], rows[top]
+            sign = -sign
+        prow = rows[top]
+        zero, one = _units(prow[col])
+        inv = one / prow[col]
+        # only the pivot row's nonzero entries change the other rows
+        rest = [j for j in range(col + 1, ncols) if not prow[j].is_zero()]
+        if reduce:
+            for j in rest:
+                prow[j] = prow[j] * inv
+            prow[col] = one
+        for r in range(0 if reduce else top + 1, m):
+            row = rows[r]
+            if r == top or row[col].is_zero():
+                continue
+            f = row[col] if reduce else row[col] * inv
+            for j in rest:
+                row[j] = row[j] - f * prow[j]
+            row[col] = zero
+        pivots.append(col)
+    return rows, tuple(pivots), sign
 
 
-def _ring_one(zero):
-    if isinstance(zero, Polynomial):
-        return Polynomial.one()
-    if isinstance(zero, RationalFunction):
-        return RationalFunction.one()
-    return ONE
+def _bareiss_det(a: list) -> Polynomial:
+    """Fraction-free (Bareiss) determinant of a square polynomial matrix
+    given as row lists; every division is exact in Q(i)[s]."""
+    m = len(a)
+    sign = 1
+    prev = None
+    for r in range(m - 1):
+        if a[r][r].is_zero():
+            for r2 in range(r + 1, m):
+                if not a[r2][r].is_zero():
+                    a[r], a[r2] = a[r2], a[r]
+                    sign = -sign
+                    break
+            else:
+                return Polynomial.zero()
+        for i in range(r + 1, m):
+            for j in range(r + 1, m):
+                v = a[i][j] * a[r][r] - a[i][r] * a[r][j]
+                a[i][j] = v if prev is None else v.exact_div(prev)
+        prev = a[r][r]
+    d = a[m - 1][m - 1]
+    return d if sign == 1 else -d
 
 
 # ---------------------------------------------------------------------------

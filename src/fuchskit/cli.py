@@ -9,7 +9,6 @@ Output is deterministic: keys are sorted and no timestamps are emitted.
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .algebra import AlgebraError, scalar
@@ -42,20 +41,9 @@ from .monodromy import (
     isomonodromy_sweep,
     monodromy,
 )
-from .operator import DomainError, parse_operator, serialize_operator, validate_fuchsian
+from .operator import DomainError, parse_operator, validate_fuchsian
 
 SCHEMA = "fuchskit/1"
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    subcommand: str
-    input: str | None
-    output: str
-    rtol: float
-    atol: float
-    truncation: int | None
-    seed: int | None
 
 
 def _read_doc(raw: str, parser: argparse.ArgumentParser):
@@ -100,14 +88,14 @@ def _json_list(text: str, parser, flag: str):
 # --- subcommand bodies -----------------------------------------------------
 
 
-def _cmd_validate(cfg, args, parser):
+def _cmd_validate(args, parser):
     op = _operator_arg(args, parser)
     report = validate_fuchsian(op)
     return {"ok": report.ok, "report": report.to_json(),
-            "operator": serialize_operator(op)}
+            "operator": op.to_json()}
 
 
-def _cmd_companion(cfg, args, parser):
+def _cmd_companion(args, parser):
     op = _operator_arg(args, parser)
     conn = build_companion(op)
     out = {"connection": conn.to_json()}
@@ -119,7 +107,7 @@ def _cmd_companion(cfg, args, parser):
     return out
 
 
-def _cmd_exponents(cfg, args, parser):
+def _cmd_exponents(args, parser):
     op = _operator_arg(args, parser)
     conn = build_companion(op)
     wanted = list(conn.pole_points) + ["infinity"]
@@ -129,7 +117,7 @@ def _cmd_exponents(cfg, args, parser):
     return {"points": [exponent_data(conn, p).to_json() for p in wanted]}
 
 
-def _cmd_genericity(cfg, args, parser):
+def _cmd_genericity(args, parser):
     if args.exponents is not None:
         rows = _json_list(args.exponents, parser, "--exponents")
     else:
@@ -143,41 +131,41 @@ def _cmd_genericity(cfg, args, parser):
     return {"genericity": genericity_check(rows).to_json()}
 
 
-def _cmd_apparent(cfg, args, parser):
+def _cmd_apparent(args, parser):
     op = _operator_arg(args, parser)
     verdict = apparent_check(op, _scalar_arg(args.point), run_oracle=args.oracle)
     return {"point": _scalar_arg(args.point).to_json(), **verdict.to_json()}
 
 
-def _cmd_special_apparent(cfg, args, parser):
+def _cmd_special_apparent(args, parser):
     op = _operator_arg(args, parser)
     verdict = special_apparent_check(op, _scalar_arg(args.point))
     return {"point": _scalar_arg(args.point).to_json(), **verdict.to_json()}
 
 
-def _cmd_oracle(cfg, args, parser):
+def _cmd_oracle(args, parser):
     op = _operator_arg(args, parser)
     verdict = frobenius_oracle(op, _scalar_arg(args.point),
-                               truncation=cfg.truncation)
+                               truncation=args.truncation)
     return {"oracle": verdict.to_json()}
 
 
-def _cmd_annihilate(cfg, args, parser):
+def _cmd_annihilate(args, parser):
     doc = _read_doc(args.input, parser) if args.input else None
     if not isinstance(doc, dict) or "basis" not in doc:
         parser.error("annihilate expects --input with {\"basis\": [[...], ...]}")
     op = annihilator_from_solutions(doc["basis"])
-    return {"operator": serialize_operator(op),
+    return {"operator": op.to_json(),
             "validation": validate_fuchsian(op).to_json()}
 
 
-def _cmd_cyclic(cfg, args, parser):
+def _cmd_cyclic(args, parser):
     op = _operator_arg(args, parser)
     result = find_cyclic(build_companion(op))
     return {"cyclic": result.to_json(), "roundtrip": roundtrip_check(op).to_json()}
 
 
-def _cmd_dimensions(cfg, args, parser):
+def _cmd_dimensions(args, parser):
     report = dimensions(args.m, args.n, args.apparent)
     out = report.to_json()
     # short aliases for the headline numbers
@@ -186,7 +174,7 @@ def _cmd_dimensions(cfg, args, parser):
     return out
 
 
-def _cmd_constraints(cfg, args, parser):
+def _cmd_constraints(args, parser):
     points = [_scalar_arg(json.dumps(p)) for p in
               _json_list(args.points, parser, "--points")]
     app = [_scalar_arg(json.dumps(p)) for p in
@@ -195,7 +183,7 @@ def _cmd_constraints(cfg, args, parser):
     return {"system": system.to_json(), "rank": verify_rank(system).to_json()}
 
 
-def _cmd_vandermonde(cfg, args, parser):
+def _cmd_vandermonde(args, parser):
     points = [_scalar_arg(json.dumps(p)) for p in
               _json_list(args.points, parser, "--points")]
     plan = _json_list(args.plan, parser, "--plan")
@@ -205,7 +193,7 @@ def _cmd_vandermonde(cfg, args, parser):
             "agree": det == closed}
 
 
-def _cmd_hodge_params(cfg, args, parser):
+def _cmd_hodge_params(args, parser):
     exps = []
     if args.exponents is not None:
         exps = [_scalar_arg(json.dumps(e)) for e in
@@ -213,26 +201,26 @@ def _cmd_hodge_params(cfg, args, parser):
     return {"weights": hodge_parameters(args.m, args.n, exps).to_json()}
 
 
-def _cmd_monodromy(cfg, args, parser):
+def _cmd_monodromy(args, parser):
     op = _operator_arg(args, parser)
     conn = build_companion(op)
     base = complex(args.base) if args.base is not None else None
     if args.point is None:
         g = global_product(conn, base_point=base,
-                           rtol=cfg.rtol, atol=cfg.atol)
+                           rtol=args.rtol, atol=args.atol)
         return {"global": g.to_json()}
     point = _scalar_arg(args.point)
     if base is not None:
         res = anchored_monodromy(conn, point, base,
-                                 radius=args.radius, rtol=cfg.rtol, atol=cfg.atol)
+                                 radius=args.radius, rtol=args.rtol, atol=args.atol)
     else:
         res = monodromy(conn, point, radius=args.radius,
-                        rtol=cfg.rtol, atol=cfg.atol)
+                        rtol=args.rtol, atol=args.atol)
     return {"monodromy": res.to_json(),
             "apparent_numeric": is_apparent_numeric(res.matrix).to_json()}
 
 
-def _cmd_sweep(cfg, args, parser):
+def _cmd_sweep(args, parser):
     doc = _read_doc(args.input, parser) if args.input else None
     if not isinstance(doc, dict) or "operators" not in doc:
         parser.error("sweep expects --input with {\"operators\": [...]}")
@@ -242,7 +230,7 @@ def _cmd_sweep(cfg, args, parser):
         point = args.point
     if point is not None:
         point = _scalar_arg(point if isinstance(point, str) else json.dumps(point))
-    sw = isomonodromy_sweep(ops, point=point, rtol=cfg.rtol, atol=cfg.atol)
+    sw = isomonodromy_sweep(ops, point=point, rtol=args.rtol, atol=args.atol)
     return {"sweep": sw.to_json()}
 
 
@@ -265,9 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="absolute tolerance for numeric transport")
     common.add_argument("--truncation", type=int, default=None,
                         help="series depth override where a subcommand expands")
-    common.add_argument("--seed", type=int, default=None,
-                        help="recorded for reproducibility; current "
-                             "subcommands are fully deterministic")
 
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
@@ -352,25 +337,18 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse signalled usage (2) or --help (0)
         return int(exc.code or 0)
-    cfg = CliConfig(subcommand=args.command,
-                    input=getattr(args, "input", None),
-                    output=args.output,
-                    rtol=args.rtol,
-                    atol=args.atol,
-                    truncation=args.truncation,
-                    seed=args.seed)
     try:
-        payload = args.fn(cfg, args, parser)
+        payload = args.fn(args, parser)
     except SystemExit as exc:  # parser.error inside a handler
         return int(exc.code or 0)
     except (DomainError, AlgebraError, ValueError) as exc:
         _emit({"schema": SCHEMA, "command": args.command,
                "error": {"type": type(exc).__name__, "message": str(exc)}},
-              cfg.output)
+              args.output)
         return 1
     doc = {"schema": SCHEMA, "command": args.command}
     doc.update(payload)
-    _emit(doc, cfg.output)
+    _emit(doc, args.output)
     return 0
 
 

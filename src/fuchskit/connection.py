@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from .algebra import (
     AlgebraError,
     ExactMatrix,
-    GaussianRational,
     Polynomial,
     RationalFunction,
+    as_rf,
     poly_root_search,
     scalar,
 )
@@ -27,14 +27,6 @@ from .operator import DomainError, FuchsianOperator, psi_all, validate_fuchsian
 INFINITY = "infinity"
 
 SELECTION_GUARD = 10 ** 7
-
-
-def _rf(x) -> RationalFunction:
-    if isinstance(x, RationalFunction):
-        return x
-    if isinstance(x, Polynomial):
-        return RationalFunction.make(x)
-    return RationalFunction.make(Polynomial.constant(x))
 
 
 @dataclass(frozen=True)
@@ -48,7 +40,7 @@ class LogConnection:
         rows, cols = self.matrix.shape()
         if rows != self.size or cols != self.size:
             raise DomainError(f"matrix shape {rows}x{cols} does not match size {self.size}")
-        object.__setattr__(self, "matrix", self.matrix.map(_rf))
+        object.__setattr__(self, "matrix", self.matrix.map(as_rf))
         object.__setattr__(self, "pole_points", tuple(scalar(p) for p in self.pole_points))
 
     def to_json(self) -> dict:
@@ -114,7 +106,7 @@ def _pole_points_of(mat: ExactMatrix, candidates) -> tuple:
 def apply_gauge(conn: LogConnection, g: ExactMatrix) -> LogConnection:
     """New frame w~ = w.g; the coefficient matrix becomes
     g^{-1} . matrix . g + g^{-1} . g'."""
-    gm = g.map(_rf)
+    gm = g.map(as_rf)
     rows, cols = gm.shape()
     if rows != conn.size or cols != conn.size:
         raise DomainError("gauge matrix shape does not match the connection")

@@ -18,24 +18,16 @@ from .algebra import (
     ExactMatrix,
     Polynomial,
     RationalFunction,
+    as_rf,
     poly_root_search,
-    scalar,
 )
 from .connection import LogConnection
 from .operator import DomainError, FuchsianOperator
 
 
-def _rf(x) -> RationalFunction:
-    if isinstance(x, RationalFunction):
-        return x
-    if isinstance(x, Polynomial):
-        return RationalFunction.make(x, Polynomial.one())
-    return RationalFunction.make(Polynomial.constant(scalar(x)), Polynomial.one())
-
-
 def connection_derivative(conn: LogConnection, column) -> tuple:
     """d(v) = v' + B v on a column vector."""
-    cols = [_rf(c) for c in column]
+    cols = [as_rf(c) for c in column]
     if len(cols) != conn.size:
         raise DomainError("column length does not match the connection size")
     out = []
@@ -103,7 +95,7 @@ def find_cyclic(conn: LogConnection, candidates=None) -> CyclicResult:
     tried = 0
     for cand in cands:
         tried += 1
-        tower = [tuple(_rf(c) for c in cand)]
+        tower = [tuple(as_rf(c) for c in cand)]
         for _ in range(m):
             tower.append(connection_derivative(conn, tower[-1]))
         span = ExactMatrix.from_rows(
@@ -118,7 +110,7 @@ def find_cyclic(conn: LogConnection, candidates=None) -> CyclicResult:
         locus = tuple(r for r, _ in found.roots if r not in conn.pole_points)
         pts = tuple(conn.pole_points) + locus
         psi = Polynomial.from_roots(pts)
-        psi_rf = _rf(psi)
+        psi_rf = as_rf(psi)
         numerators = []
         for k, c in enumerate(coeffs_c, start=1):
             value = c

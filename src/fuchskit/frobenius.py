@@ -14,8 +14,7 @@ The resonance matrices come in two sign conventions.  The displayed form
 carries the f_l entries verbatim; the signed form negates every f_l with
 l >= 1, which makes its determinant equal the recursion obstruction (the
 displayed form does not, as direct series computation shows).  All
-apparency decisions use the signed form; see the decision notes shipped
-next to the repository.
+apparency decisions use the signed form for that reason.
 """
 
 from __future__ import annotations
@@ -75,8 +74,7 @@ def local_expansion(op: FuchsianOperator, point, truncation: int) -> LocalAnalys
     table = []
     for k in range(1, op.order + 1):
         rf = RationalFunction.make(op.coeffs[k - 1] * lin ** k, psi ** k)
-        ser = series_of_rational(rf, a, truncation + 1)
-        table.append(tuple(ser.coeffs))
+        table.append(series_of_rational(rf, a, truncation + 1))
     x = Polynomial.x()
     f0 = falling_factorial(x, op.order)
     for k in range(1, op.order + 1):

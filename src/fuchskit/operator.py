@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 from .algebra import (
     AlgebraError,
@@ -422,10 +422,6 @@ def parse_operator(doc: Union[str, Mapping]) -> FuchsianOperator:
             raise DomainError(f"bad JSON: {exc}") from exc
         return _parse_json_doc(loaded)
     return _parse_text(doc)
-
-
-def serialize_operator(op: FuchsianOperator) -> dict:
-    return op.to_json()
 
 
 def operator_to_text(op: FuchsianOperator) -> str:

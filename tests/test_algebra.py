@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from fuchskit.algebra import (
     ONE, ZERO, I, AlgebraError, ExactMatrix, GaussianRational, Polynomial,
-    RationalFunction, TruncatedSeries, falling_factorial, poly_gcd,
+    RationalFunction, falling_factorial, poly_gcd,
     poly_root_search, scalar, series_of_rational,
 )
 
@@ -195,8 +195,8 @@ class TestSeries:
         rf = RationalFunction.make(Polynomial.of(1, 1), Polynomial.of(6, -5, 1))
         got = series_of_rational(rf, 0, 5)
         frozen = ["1/6", "11/36", "49/216", "179/1296", "601/7776", "1931/46656"]
-        assert [c for c in got.coeffs] == [scalar(s) for s in frozen]
-        assert got.coeffs == tuple(_series_oracle(rf, ZERO, 5))
+        assert list(got) == [scalar(s) for s in frozen]
+        assert got == tuple(_series_oracle(rf, ZERO, 5))
 
     @given(small_polys, small_polys, st.sampled_from([0, 1, 2, 3]))
     @settings(max_examples=40, deadline=None)
@@ -208,24 +208,12 @@ class TestSeries:
         if rf.den(center).is_zero():
             return
         got = series_of_rational(rf, center, 4)
-        assert list(got.coeffs) == _series_oracle(rf, center, 4)
+        assert list(got) == _series_oracle(rf, center, 4)
 
     def test_pole_rejected(self):
         rf = RationalFunction.make(Polynomial.one(), Polynomial.of(0, 1))
         with pytest.raises(AlgebraError):
             series_of_rational(rf, 0, 3)
-
-    def test_product_truncation(self):
-        a = TruncatedSeries.make(0, [1, 1, 1, 1])
-        b = TruncatedSeries.make(0, [1, -1])
-        c = a * b
-        assert c.order() == 1
-        assert list(c.coeffs) == [ONE, ZERO]
-
-    def test_valuation(self):
-        s = TruncatedSeries.make(0, [0, 0, 3, 1])
-        assert s.valuation() == 2
-        assert TruncatedSeries.make(0, [0, 0]).valuation() is None
 
 
 # ----------------------------------------------------------------- matrices
@@ -249,6 +237,23 @@ matrices = st.integers(min_value=1, max_value=4).flatmap(
     lambda n: st.lists(st.lists(scalars, min_size=n, max_size=n),
                        min_size=n, max_size=n))
 
+# small rational functions with rational coefficients, zero included
+rf_entries = st.builds(
+    RationalFunction.make,
+    st.lists(rational_scalars, max_size=3).map(Polynomial.from_list),
+    st.lists(rational_scalars, min_size=1, max_size=3).map(Polynomial.from_list)
+    .filter(lambda p: not p.is_zero()))
+rf_matrices = st.integers(min_value=1, max_value=3).flatmap(
+    lambda n: st.lists(st.lists(rf_entries, min_size=n, max_size=n),
+                       min_size=n, max_size=n))
+
+# entries from a short list, so that rank-deficient draws are common
+rank_entries = st.sampled_from([ZERO, ZERO, ONE, -ONE, scalar(2), I, scalar("1/2")])
+rectangular = st.tuples(st.integers(1, 5), st.integers(1, 5)).filter(
+    lambda mn: mn[0] != mn[1]).flatmap(
+    lambda mn: st.lists(st.lists(rank_entries, min_size=mn[1], max_size=mn[1]),
+                        min_size=mn[0], max_size=mn[0]))
+
 
 class TestMatrix:
     @given(matrices)
@@ -265,15 +270,37 @@ class TestMatrix:
         a, b = ExactMatrix.from_rows(r1), ExactMatrix.from_rows(r2)
         assert (a * b).det() == a.det() * b.det()
 
+    @given(rf_matrices)
+    @settings(max_examples=25, deadline=None)
+    def test_rf_det_matches_cofactor_oracle(self, rows):
+        assert ExactMatrix.from_rows(rows).det() == _det_cofactor(rows)
+
     def test_polynomial_entries(self):
         z = Polynomial.x()
         m = ExactMatrix.from_rows([[z, z * z + 1], [Polynomial.one(), z]])
         assert m.det() == Polynomial.of(-1)
 
+    def test_polynomial_entries_allow_only_det(self):
+        z = Polynomial.x()
+        m = ExactMatrix.from_rows([[z, Polynomial.one()], [Polynomial.one(), z]])
+        for method in (m.rank, m.rref, m.inverse, m.nullspace):
+            with pytest.raises(AlgebraError):
+                method()
+
     def test_rank(self):
-        rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
-        m = ExactMatrix.from_rows([[scalar(e) for e in r] for r in rows])
-        assert m.rank() == 2
+        for rows in ([[1, 2, 3], [2, 4, 6], [0, 1, 1]],
+                     [[1, 2], [2, 4], [0, 1], [1, 3]]):
+            m = ExactMatrix.from_rows([[scalar(e) for e in r] for r in rows])
+            assert m.rank() == 2
+            assert ExactMatrix.from_rows(zip(*m.rows)).rank() == 2
+        assert ExactMatrix.from_rows([[ZERO] * 3] * 2).rank() == 0
+
+    @given(rectangular)
+    @settings(max_examples=60, deadline=None)
+    def test_rank_of_transpose(self, rows):
+        rank = ExactMatrix.from_rows(rows).rank()
+        assert rank == ExactMatrix.from_rows(zip(*rows)).rank()
+        assert rank <= min(len(rows), len(rows[0]))
 
     @given(matrices)
     @settings(max_examples=30, deadline=None)

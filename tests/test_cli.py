@@ -7,13 +7,11 @@ import pytest
 
 from fuchskit.cli import main
 from fuchskit.frobenius import annihilator_from_solutions
-from fuchskit.operator import serialize_operator
 from fuchskit.sampling import second_order_with_exponents
 
-APPARENT_OP = json.dumps(serialize_operator(
-    annihilator_from_solutions([[1], [0, 0, 1]])))
-TWO_POINT = json.dumps(serialize_operator(second_order_with_exponents(
-    (0, 1), (Fraction(1, 2), Fraction(1, 3)))))
+APPARENT_OP = json.dumps(annihilator_from_solutions([[1], [0, 0, 1]]).to_json())
+TWO_POINT = json.dumps(second_order_with_exponents(
+    (0, 1), (Fraction(1, 2), Fraction(1, 3))).to_json())
 
 
 def invoke(capsys, *argv):
@@ -49,6 +47,21 @@ class TestExitCodes:
 
     def test_invalid_inline_json(self, capsys):
         assert main(["validate", "--input", "{broken"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["apparent", "--input", APPARENT_OP, "--point", "1/0"],
+        ["apparent", "--input", APPARENT_OP, "--point", '{"re": "1/0"}'],
+        ["exponents", "--input", APPARENT_OP, "--point", '{"re": "0", "im": "2/0"}'],
+        ["constraints", "--m", "2", "--points", '["0", "1/0"]'],
+    ])
+    def test_bad_point_is_an_error_document(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        doc = json.loads(captured.out)
+        assert doc["schema"] == "fuchskit/1"
+        assert doc["error"]["type"] == "AlgebraError"
+        assert "Traceback" not in captured.err
 
 
 class TestOperatorCommands:
@@ -170,8 +183,8 @@ class TestNumericCommands:
         assert doc["global"]["closure_error"] < 1e-8
 
     def test_sweep(self, capsys):
-        fam = {"operators": [serialize_operator(
-            annihilator_from_solutions([[1], [0, 1], [0, 0, t, 1]]))
+        fam = {"operators": [
+            annihilator_from_solutions([[1], [0, 1], [0, 0, t, 1]]).to_json()
             for t in (1, 2, 3)]}
         code, doc = invoke(capsys, "sweep", "--input", json.dumps(fam))
         assert code == 0

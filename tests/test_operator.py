@@ -14,7 +14,6 @@ from fuchskit.operator import (
     parse_operator,
     parse_poly_expr,
     psi_all,
-    serialize_operator,
     validate_fuchsian,
 )
 from fuchskit.sampling import random_operator
@@ -207,13 +206,13 @@ class TestParseJson:
         rng = random.Random(seed)
         op = random_operator(rng, rng.randint(1, 4), rng.randint(1, 4),
                              rng.randint(0, 2), gaussian=True)
-        assert parse_operator(serialize_operator(op)) == op
+        assert parse_operator(op.to_json()) == op
 
     def test_round_trip_through_json_text(self):
         import json
         rng = random.Random(7)
         op = random_operator(rng, 3, 3, 1, gaussian=True)
-        assert parse_operator(json.dumps(serialize_operator(op))) == op
+        assert parse_operator(json.dumps(op.to_json())) == op
 
 
 class TestParseText:
