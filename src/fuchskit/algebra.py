@@ -2,6 +2,11 @@
 functions, their Taylor coefficients, and matrix algebra by field
 elimination, with Bareiss elimination for polynomial determinants.
 
+A rational function is always held in canonical form: numerator and
+denominator coprime, denominator monic.  Arithmetic keeps that form by
+cross-cancellation, taking gcds only of the parts that can share a factor,
+instead of reducing each result from scratch.
+
 Every computation in this module is exact.  Floating point enters only in
 `poly_root_search`, where numeric root candidates are reconstructed as exact
 scalars and then verified by exact substitution, so no unverified float ever
@@ -286,12 +291,13 @@ class Polynomial:
         rem = list(self.coeffs)
         quo = [ZERO] * max(0, len(rem) - len(o.coeffs) + 1)
         dlc = o.lc()
+        monic = dlc == ONE
         while len(rem) >= len(o.coeffs):
             while rem and rem[-1].is_zero():
                 rem.pop()
             if len(rem) < len(o.coeffs):
                 break
-            q = rem[-1] / dlc
+            q = rem[-1] if monic else rem[-1] / dlc
             shift = len(rem) - len(o.coeffs)
             quo[shift] = q
             for j, c in enumerate(o.coeffs):
@@ -306,7 +312,7 @@ class Polynomial:
         return q
 
     def monic(self) -> "Polynomial":
-        if self.is_zero():
+        if self.is_zero() or self.coeffs[-1] == ONE:
             return self
         inv = ONE / self.lc()
         return Polynomial(tuple(c * inv for c in self.coeffs))
@@ -323,13 +329,21 @@ class Polynomial:
         return out
 
     def shift(self, c: ScalarLike) -> "Polynomial":
-        """p(z + c), i.e. recenter the variable at -c."""
+        """p(z + c), i.e. recenter the variable at -c.
+
+        Taylor shift in place by repeated synthetic division (Knuth, TAOCP
+        vol. 2, 4.6.4): pass k leaves the coefficient of z^k final.  The
+        leading coefficient never changes, so the result stays normalised.
+        """
         c = scalar(c)
-        out = Polynomial.zero()
-        zc = Polynomial.from_list([c, ONE])
-        for a in reversed(self.coeffs):
-            out = out * zc + Polynomial.constant(a)
-        return out
+        if c.is_zero():
+            return self
+        a = list(self.coeffs)
+        top = len(a) - 1
+        for k in range(top):
+            for j in range(top - 1, k - 1, -1):
+                a[j] = a[j] + c * a[j + 1]
+        return Polynomial(tuple(a))
 
     def reversed_coeffs(self, upto: int | None = None) -> "Polynomial":
         """z^d * p(1/z) where d = upto (defaults to deg p)."""
@@ -371,10 +385,20 @@ def _as_poly(x) -> Polynomial:
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd via the Euclidean algorithm (coefficients form a field)."""
+    """Monic gcd via the Euclidean algorithm (coefficients form a field).
+
+    Every remainder is made monic (Brown, JACM 18, 1971), which keeps the
+    coefficients from swelling and lets each division skip the division by
+    the leading coefficient.  A zero or constant operand answers at once.
+    """
+    if a.is_zero() or b.is_zero():
+        return (b if a.is_zero() else a).monic()
+    if a.degree() == 0 or b.degree() == 0:
+        return Polynomial.one()
+    b = b.monic()
     while not b.is_zero():
-        a, b = b, divmod(a, b)[1]
-    return a.monic() if not a.is_zero() else a
+        a, b = b, divmod(a, b)[1].monic()
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +407,16 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 
 @dataclass(frozen=True)
 class RationalFunction:
-    """num/den in lowest terms with monic denominator."""
+    """num/den in canonical form: num and den coprime, den monic, so zero is
+    0/1.  The form is unique, which makes equality a comparison of parts.
+
+    `make` reduces an arbitrary pair with one gcd.  Arithmetic keeps the
+    form without reducing its result from scratch, by cross-cancellation
+    (Henrici; Knuth, TAOCP vol. 2, 4.5.1): a product cancels the cross gcds
+    gcd(a.num, b.den) and gcd(b.num, a.den), and a sum reduces by
+    g = gcd(a.den, b.den) and then by gcd(t, g) for the new numerator t.  A
+    constant denominator takes no gcd at all.
+    """
 
     num: Polynomial
     den: Polynomial
@@ -394,15 +427,11 @@ class RationalFunction:
         den = Polynomial.one() if den is None else _as_poly(den)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        g = poly_gcd(num, den)
-        if not g.is_zero() and g.degree() > 0:
-            num, den = num.exact_div(g), den.exact_div(g)
-        lc = den.lc()
-        if lc != ONE:
-            inv = ONE / lc
-            num = num * inv
-            den = den * inv
-        return RationalFunction(num, den)
+        if den.degree() > 0:
+            g = poly_gcd(num, den)
+            if g.degree() > 0:
+                num, den = num.exact_div(g), den.exact_div(g)
+        return _over_monic(num, den)
 
     @staticmethod
     def zero() -> "RationalFunction":
@@ -420,8 +449,17 @@ class RationalFunction:
 
     def __add__(self, other) -> "RationalFunction":
         o = as_rf(other)
-        return RationalFunction.make(self.num * o.den + o.num * self.den,
-                                     self.den * o.den)
+        if self.is_polynomial():
+            return RationalFunction(self.num * o.den + o.num, o.den)
+        if o.is_polynomial():
+            return RationalFunction(self.num + o.num * self.den, self.den)
+        g = poly_gcd(self.den, o.den)
+        if g.degree() == 0:
+            return RationalFunction(self.num * o.den + o.num * self.den,
+                                    self.den * o.den)
+        d1, d2 = self.den.exact_div(g), o.den.exact_div(g)
+        num, g = _cancel(self.num * d2 + o.num * d1, g)
+        return RationalFunction(num, d1 * d2 * g)
 
     __radd__ = __add__
 
@@ -436,7 +474,11 @@ class RationalFunction:
 
     def __mul__(self, other) -> "RationalFunction":
         o = as_rf(other)
-        return RationalFunction.make(self.num * o.num, self.den * o.den)
+        if self.is_zero() or o.is_zero():
+            return RationalFunction.zero()
+        n1, d2 = _cancel(self.num, o.den)
+        n2, d1 = _cancel(o.num, self.den)
+        return RationalFunction(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
 
@@ -444,7 +486,11 @@ class RationalFunction:
         o = as_rf(other)
         if o.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction.make(self.num * o.den, self.den * o.num)
+        if self.is_zero():
+            return self
+        n1, d2 = _cancel(self.num, o.num)
+        n2, d1 = _cancel(o.den, self.den)
+        return _over_monic(n1 * n2, d1 * d2)
 
     def __rtruediv__(self, other) -> "RationalFunction":
         return as_rf(other) / self
@@ -471,26 +517,28 @@ class RationalFunction:
             raise AlgebraError(f"evaluation at a pole: {x}")
         return self.num(x) / d
 
-    def pole_order_at(self, p: ScalarLike) -> int:
+    def order_and_residue_at(self, p: ScalarLike) -> tuple:
+        """(pole order, residue) at p from one Taylor shift of num and den.
+
+        den(z + p) = z^e r(z) with r(0) != 0 gives the order e, the
+        valuation of the shifted den; the residue is the coefficient of
+        z^(e-1) in num(z + p)/r(z), and zero when e = 0.
+        """
         p = scalar(p)
-        k = 0
-        den = self.den
-        while den.degree() >= 1 and den(p).is_zero():
-            den = den.exact_div(Polynomial.from_roots([p]))
-            k += 1
-        return k
+        den = self.den.shift(p).coeffs
+        e = 0
+        while den[e].is_zero():
+            e += 1
+        if e == 0:
+            return 0, ZERO
+        return e, _series_divide(self.num.shift(p).coeffs, den[e:], e - 1)[-1]
+
+    def pole_order_at(self, p: ScalarLike) -> int:
+        return self.order_and_residue_at(p)[0]
 
     def residue_at(self, p: ScalarLike) -> GaussianRational:
         """Coefficient of 1/(z-p) in the Laurent expansion at p."""
-        p = scalar(p)
-        e = self.pole_order_at(p)
-        if e == 0:
-            return ZERO
-        rest = self.den
-        for _ in range(e):
-            rest = rest.exact_div(Polynomial.from_roots([p]))
-        ser = series_of_rational(RationalFunction.make(self.num, rest), p, e - 1)
-        return ser[e - 1]
+        return self.order_and_residue_at(p)[1]
 
     def subst_reciprocal(self) -> "RationalFunction":
         """f(1/z) as a rational function of z."""
@@ -513,11 +561,31 @@ class RationalFunction:
     __repr__ = __str__
 
 
+def _over_monic(num: Polynomial, den: Polynomial) -> RationalFunction:
+    """num/den for coprime num and den, scaled so that den is monic."""
+    lc = den.lc()
+    if lc != ONE:
+        inv = ONE / lc
+        num, den = num * inv, den * inv
+    return RationalFunction(num, den)
+
+
+def _cancel(n: Polynomial, d: Polynomial) -> tuple:
+    """(n/g, d/g) for g = gcd(n, d); no gcd when either is a nonzero
+    constant.  g is monic, so d/g keeps the leading coefficient of d."""
+    if n.degree() == 0 or d.degree() == 0:
+        return n, d
+    g = poly_gcd(n, d)
+    if g.degree() == 0:
+        return n, d
+    return n.exact_div(g), d.exact_div(g)
+
+
 def as_rf(x) -> RationalFunction:
     """Coerce a scalar, polynomial or rational function."""
     if isinstance(x, RationalFunction):
         return x
-    return RationalFunction.make(_as_poly(x))
+    return RationalFunction(_as_poly(x), Polynomial.one())
 
 
 # ---------------------------------------------------------------------------
@@ -533,19 +601,23 @@ def series_of_rational(rf: RationalFunction, center: ScalarLike,
     center, i.e. on expansion at a genuine pole.
     """
     center = scalar(center)
-    num = rf.num.shift(center)
     den = rf.den.shift(center)
-    d0 = den.coeff(0)
-    if d0.is_zero():
+    if den.coeff(0).is_zero():
         raise AlgebraError(f"series expansion at a pole: {center}")
-    inv = ONE / d0
+    return tuple(_series_divide(rf.num.shift(center).coeffs, den.coeffs, order))
+
+
+def _series_divide(num: Sequence, den: Sequence, order: int) -> list:
+    """Coefficients 0..order of the power series num/den, both given as
+    coefficient sequences from the constant term up, with den[0] != 0."""
+    inv = ONE / den[0]
     out = []
     for j in range(order + 1):
-        acc = num.coeff(j)
-        for t in range(1, j + 1):
-            acc = acc - den.coeff(t) * out[j - t]
+        acc = num[j] if j < len(num) else ZERO
+        for t in range(1, min(j, len(den) - 1) + 1):
+            acc = acc - den[t] * out[j - t]
         out.append(acc * inv)
-    return tuple(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -624,13 +696,28 @@ class ExactMatrix:
         rows = [list(r) for r in self.rows]
         if _has_polynomial(rows):
             return _bareiss_det(rows)
-        rows, pivots, sign = _eliminate(rows, n)
-        if len(pivots) < n:
-            return _units(self.rows[0][0])[0]
-        out = rows[0][0]
-        for i in range(1, n):
-            out = out * rows[i][i]
-        return out if sign == 1 else -out
+        return _echelon_det(*_eliminate(rows, n), n)
+
+    def det_and_solve(self, rhs: Sequence) -> tuple:
+        """(det, x) with self . x = rhs, for a square matrix over a field and
+        a right-hand side given as a sequence, from one forward elimination
+        of [self | rhs] and back substitution; x is None when det is zero."""
+        n = self.shape()[0]
+        if self.shape()[1] != n or len(rhs) != n:
+            raise AlgebraError("det_and_solve needs a square matrix and a "
+                               "right-hand side of matching length")
+        rows, pivots, sign = _eliminate(
+            [list(r) + [b] for r, b in zip(self.rows, rhs)], n + 1)
+        det = _echelon_det(rows, pivots[:n], sign, n)
+        if det.is_zero():
+            return det, None
+        x = [None] * n
+        for i in range(n - 1, -1, -1):
+            acc = rows[i][n]
+            for j in range(i + 1, n):
+                acc = acc - rows[i][j] * x[j]
+            x[i] = acc / rows[i][i]
+        return det, tuple(x)
 
     def rank(self) -> int:
         """Row rank, by forward elimination over the entry field."""
@@ -708,6 +795,17 @@ def _units(e) -> tuple:
     if isinstance(e, RationalFunction):
         return RationalFunction.zero(), RationalFunction.one()
     return ZERO, ONE
+
+
+def _echelon_det(rows: list, pivots: tuple, sign: int, n: int):
+    """Determinant of the leading n x n block from its row echelon form:
+    sign times the diagonal product, or zero when a pivot is missing."""
+    if pivots != tuple(range(n)):
+        return _units(rows[0][0])[0]
+    out = rows[0][0]
+    for i in range(1, n):
+        out = out * rows[i][i]
+    return out if sign == 1 else -out
 
 
 def _eliminate(rows: list, ncols: int, reduce: bool = False) -> tuple:
@@ -844,7 +942,10 @@ def _numeric_candidates(sf: Polynomial, denominator_bound: int) -> list:
         return []
     if sf.degree() == 1:
         return [-sf.coeff(0) / sf.coeff(1)]
-    digits = max(60, 4 * _coeff_digits(sf))
+    # telling apart fractions with denominators up to the bound needs an
+    # error below 1/(2 bound^2), i.e. about 2 log10(bound) digits plus margin
+    recon = 2 * len(str(denominator_bound)) + 10
+    digits = max(60, 4 * _coeff_digits(sf), recon)
     with mpmath.workdps(digits):
         cs = [_to_mpc(c) for c in reversed(sf.coeffs)]
         try:
@@ -853,8 +954,8 @@ def _numeric_candidates(sf: Polynomial, denominator_bound: int) -> list:
             return []
         out = []
         for r in approx:
-            fre = _reconstruct(mpmath.re(r), denominator_bound)
-            fim = _reconstruct(mpmath.im(r), denominator_bound)
+            fre = _reconstruct(mpmath.re(r), recon, denominator_bound)
+            fim = _reconstruct(mpmath.im(r), recon, denominator_bound)
             out.append(GaussianRational(fre, fim))
         return out
 
@@ -872,8 +973,8 @@ def _to_mpc(c: GaussianRational):
                       mpmath.mpf(c.im.numerator) / c.im.denominator)
 
 
-def _reconstruct(x, bound: int) -> Fraction:
-    s = mpmath.nstr(x, 40)
+def _reconstruct(x, digits: int, bound: int) -> Fraction:
+    s = mpmath.nstr(x, digits)
     try:
         f = Fraction(s)
     except ValueError:

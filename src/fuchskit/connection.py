@@ -191,14 +191,14 @@ def exponent_data(conn: LogConnection, point) -> ExponentData:
     if conn.chart != "affine":
         raise DomainError("exponent_data expects an affine-chart connection")
     if isinstance(point, str) and point.lower() in ("infinity", "inf", "oo"):
-        zeta = infinity_chart_matrix(conn)
-        res = zeta.map(lambda e: e.residue_at(0))
-        ordinary = all(e.pole_order_at(0) == 0 for row in zeta.rows for e in row)
-        return _residue_data(INFINITY, res, ordinary)
-    p = scalar(point)
-    res = conn.matrix.map(lambda e: e.residue_at(p))
-    ordinary = all(e.pole_order_at(p) == 0 for row in conn.matrix.rows for e in row)
-    return _residue_data(p, res, ordinary)
+        label, p, mat = INFINITY, scalar(0), infinity_chart_matrix(conn)
+    else:
+        label = p = scalar(point)
+        mat = conn.matrix
+    polar = [[e.order_and_residue_at(p) for e in row] for row in mat.rows]
+    res = ExactMatrix.from_rows([[r for _, r in row] for row in polar])
+    ordinary = all(k == 0 for row in polar for k, _ in row)
+    return _residue_data(label, res, ordinary)
 
 
 @dataclass(frozen=True)

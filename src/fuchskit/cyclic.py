@@ -100,12 +100,10 @@ def find_cyclic(conn: LogConnection, candidates=None) -> CyclicResult:
             tower.append(connection_derivative(conn, tower[-1]))
         span = ExactMatrix.from_rows(
             [[tower[j][i] for j in range(m)] for i in range(m)])
-        det = span.det()
+        det, solved = span.det_and_solve(tower[m])
         if det.is_zero():
             continue
-        target = ExactMatrix.from_rows([[tower[m][i]] for i in range(m)])
-        solved = span.inverse() * target
-        coeffs_c = tuple(solved.entry(m - k, 0) for k in range(1, m + 1))
+        coeffs_c = tuple(solved[m - k] for k in range(1, m + 1))
         found = poly_root_search(det.num)
         locus = tuple(r for r, _ in found.roots if r not in conn.pole_points)
         pts = tuple(conn.pole_points) + locus

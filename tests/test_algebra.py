@@ -7,7 +7,7 @@ against the code under test.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fuchskit.algebra import (
     ONE, ZERO, I, AlgebraError, ExactMatrix, GaussianRational, Polynomial,
@@ -19,6 +19,13 @@ fractions = st.fractions(min_value=-40, max_value=40, max_denominator=12)
 scalars = st.builds(GaussianRational, fractions, fractions)
 rational_scalars = st.builds(GaussianRational, fractions, st.just(Fraction(0)))
 small_polys = st.lists(scalars, min_size=0, max_size=5).map(Polynomial.from_list)
+# products of linear factors from a short list, so that common factors are
+# frequent
+shared_roots = st.sampled_from([ZERO, ONE, -ONE, I, scalar("1/2")])
+factored_polys = st.tuples(
+    st.lists(shared_roots, max_size=3),
+    st.sampled_from([ZERO, ONE, scalar(2), scalar("-1/3"), I]),
+).map(lambda rc: Polynomial.from_roots(rc[0]) * rc[1])
 
 
 # ------------------------------------------------------------------ scalars
@@ -110,6 +117,28 @@ class TestPolynomial:
         for x in [scalar(0), scalar(2), I]:
             assert p.shift(c)(x) == p(x + c)
 
+    @given(small_polys, scalars)
+    @settings(max_examples=40, deadline=None)
+    def test_shift_matches_naive_expansion(self, p, c):
+        # sum a_k (z + c)^k, expanded by repeated polynomial products
+        zc = Polynomial.of(c, 1)
+        naive = Polynomial.zero()
+        for k, a in enumerate(p.coeffs):
+            naive = naive + (zc ** k) * a
+        assert p.shift(c) == naive
+
+    @given(st.lists(scalars, max_size=3), st.lists(scalars, max_size=3),
+           st.lists(scalars, max_size=3), scalars, scalars)
+    @settings(max_examples=40, deadline=None)
+    def test_gcd_recovers_planted_factor(self, common, only_a, only_b, ca, cb):
+        only_b = [r for r in only_b if r not in only_a]
+        if ca.is_zero() or cb.is_zero():
+            return
+        factor = Polynomial.from_roots(common)
+        a = factor * Polynomial.from_roots(only_a) * ca
+        b = factor * Polynomial.from_roots(only_b) * cb
+        assert poly_gcd(a, b) == factor
+
     def test_derivative(self):
         p = Polynomial.of(4, 0, 3, 1)   # 4 + 3z^2 + z^3
         assert p.derivative() == Polynomial.of(0, 6, 3)
@@ -145,6 +174,43 @@ class TestRationalFunction:
         assert (x + y) - y == x
         if not y.is_zero():
             assert (x / y) * y == x
+
+    @given(*[st.one_of(small_polys, factored_polys)] * 4)
+    # 1/(z(z-1)) + 1/(z(z+1)) = 2/(z^2-1): the sum's numerator 2z shares z
+    # with gcd(a.den, b.den)
+    @example(Polynomial.one(), Polynomial.of(0, -1, 1),
+             Polynomial.one(), Polynomial.of(0, 1, 1))
+    @settings(max_examples=60, deadline=None)
+    def test_arithmetic_matches_make(self, an, ad, bn, bd):
+        # each operation against a full reduction of the naive num/den
+        if ad.is_zero() or bd.is_zero():
+            return
+        a, b = RationalFunction.make(an, ad), RationalFunction.make(bn, bd)
+        make = RationalFunction.make
+        assert a + b == make(a.num * b.den + b.num * a.den, a.den * b.den)
+        assert a - b == make(a.num * b.den - b.num * a.den, a.den * b.den)
+        assert a * b == make(a.num * b.num, a.den * b.den)
+        if not b.is_zero():
+            assert a / b == make(a.num * b.den, a.den * b.num)
+        for r in (a + b, a - b, a * b):
+            assert r.den.lc() == ONE
+            assert poly_gcd(r.num, r.den) == Polynomial.one()
+
+    @given(small_polys, small_polys, st.integers(min_value=0, max_value=3),
+           st.sampled_from([ZERO, ONE, scalar(-2), I, scalar("1/3")]))
+    @settings(max_examples=40, deadline=None)
+    def test_order_and_residue_against_series_oracle(self, num, den, e, p):
+        # num/(den (z-p)^e) with num(p), den(p) != 0 has a pole of order e
+        # at p, and its residue is coefficient e-1 of num/den at p
+        if num(p).is_zero() or den(p).is_zero():
+            return
+        lin = Polynomial.of(-p, 1)
+        rf = RationalFunction.make(num, den * lin ** e)
+        order, residue = rf.order_and_residue_at(p)
+        assert order == e == rf.pole_order_at(p)
+        want = _series_oracle(RationalFunction.make(num, den), p, e - 1)[-1] \
+            if e else ZERO
+        assert residue == want == rf.residue_at(p)
 
     def test_derivative_quotient_rule(self):
         r = RationalFunction.make(Polynomial.of(1, 1), Polynomial.of(-1, 1))
@@ -309,6 +375,22 @@ class TestMatrix:
         full = not m.det().is_zero()
         assert (m.rank() == len(rows)) == full
 
+    @given(st.integers(min_value=1, max_value=4).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(rank_entries, min_size=n, max_size=n),
+                 min_size=n, max_size=n),
+        st.lists(scalars, min_size=n, max_size=n))))
+    @settings(max_examples=40, deadline=None)
+    def test_det_and_solve(self, rows_rhs):
+        rows, rhs = rows_rhs
+        m = ExactMatrix.from_rows(rows)
+        det, x = m.det_and_solve(rhs)
+        assert det == _det_cofactor(rows)
+        if det.is_zero():
+            assert x is None
+        else:
+            assert m * ExactMatrix.from_rows([[v] for v in x]) == \
+                ExactMatrix.from_rows([[b] for b in rhs])
+
     def test_inverse(self):
         m = ExactMatrix.from_rows([[scalar(1), I], [scalar(2), scalar(3)]])
         assert m * m.inverse() == ExactMatrix.identity(2)
@@ -362,6 +444,18 @@ class TestRootSearch:
         assert not res.complete
         assert res.roots == ((scalar(5), 1),)
         assert res.remainder == Polynomial.of(-2, 0, 1)
+
+    @pytest.mark.parametrize("root", [
+        Fraction(10 ** 19 + 3, 10 ** 20 + 7),
+        Fraction(7 * 10 ** 22 + 1, 10 ** 23 + 9),
+        Fraction(-31415926535897932384626, 99999999999999999989),
+    ])
+    def test_large_denominator_within_bound(self, root):
+        # denominators near 10^20 lie well inside the default bound 10^24
+        p = Polynomial.from_roots([scalar(root), scalar(3), scalar("2/7")])
+        res = poly_root_search(p)
+        assert res.complete
+        assert {r for r, _ in res.roots} == {scalar(root), scalar(3), scalar("2/7")}
 
     @given(st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=5))
     @settings(max_examples=40, deadline=None)
