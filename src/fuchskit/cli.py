@@ -34,13 +34,6 @@ from .moduli import (
     vdm_closed_form,
     verify_rank,
 )
-from .monodromy import (
-    anchored_monodromy,
-    global_product,
-    is_apparent_numeric,
-    isomonodromy_sweep,
-    monodromy,
-)
 from .operator import DomainError, parse_operator, validate_fuchsian
 
 SCHEMA = "fuchskit/1"
@@ -201,7 +194,18 @@ def _cmd_hodge_params(args, parser):
     return {"weights": hodge_parameters(args.m, args.n, exps).to_json()}
 
 
+# The numeric commands import .monodromy (numpy and scipy) on first use, so
+# the exact commands start without them.
+
+
 def _cmd_monodromy(args, parser):
+    from .monodromy import (
+        anchored_monodromy,
+        global_product,
+        is_apparent_numeric,
+        monodromy,
+    )
+
     op = _operator_arg(args, parser)
     conn = build_companion(op)
     base = complex(args.base) if args.base is not None else None
@@ -221,6 +225,8 @@ def _cmd_monodromy(args, parser):
 
 
 def _cmd_sweep(args, parser):
+    from .monodromy import isomonodromy_sweep
+
     doc = _read_doc(args.input, parser) if args.input else None
     if not isinstance(doc, dict) or "operators" not in doc:
         parser.error("sweep expects --input with {\"operators\": [...]}")

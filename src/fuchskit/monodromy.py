@@ -6,9 +6,18 @@ is integrated with a high-order Runge-Kutta scheme along circles and
 anchored loops.  Counterclockwise transport around a point with local
 exponent mu produces the eigenvalue exp(+2 pi i mu).
 
+The right-hand side is evaluated from one common-denominator stack.  The
+numeric view writes B = N / L exactly, where L is the monic lcm of the
+entry denominators (for a companion connection it divides psi) and N is a
+polynomial matrix.  The coefficients of N are kept as one complex array of
+shape (deg N + 1, m, m), highest power first and already transposed, so an
+evaluation of B(z)^T is one Horner pass over that stack, one scalar Horner
+pass for L(z) and one division.
+
 Each result carries a self-diagnosed error estimate: the determinant of the
 transport matrix is compared against the exponential of the exact trace
-residue, which the exact layer supplies for free.
+residues of every pole inside the loop, which the exact layer supplies for
+free.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .algebra import RationalFunction, scalar
+from .algebra import Polynomial, poly_gcd, scalar
 from .connection import LogConnection
 from .operator import DomainError
 
@@ -33,46 +42,48 @@ def _to_complex(g) -> complex:
 
 
 class _NumericConnection:
-    """Complex-coefficient view of the connection matrix, Horner-ready."""
+    """Complex-coefficient view of the connection matrix over one common
+    denominator, Horner-ready (see the module docstring)."""
 
     def __init__(self, conn: LogConnection):
-        self.size = conn.size
-        self.poles = [_to_complex(p) for p in conn.pole_points]
-        self.num_coeffs = []
-        self.den_coeffs = []
-        for i in range(conn.size):
-            nrow, drow = [], []
-            for j in range(conn.size):
-                rf = conn.matrix.entry(i, j)
-                if not isinstance(rf, RationalFunction):
-                    raise DomainError("connection matrix must be rational")
-                nrow.append(np.array(
-                    [_to_complex(c) for c in reversed(rf.num.coeffs)] or [0j]))
-                drow.append(np.array(
-                    [_to_complex(c) for c in reversed(rf.den.coeffs)] or [1 + 0j]))
-            self.num_coeffs.append(nrow)
-            self.den_coeffs.append(drow)
+        m = self.size = conn.size
+        entries = [conn.matrix.entry(i, j) for i in range(m) for j in range(m)]
+        den = Polynomial.one()
+        for rf in entries:
+            den = den * rf.den.exact_div(poly_gcd(den, rf.den))
+        nums = [rf.num * den.exact_div(rf.den) for rf in entries]
+        deg = max(max(n.degree() for n in nums), 0)
+        stack = np.zeros((deg + 1, m, m), dtype=complex)
+        for idx, n in enumerate(nums):
+            i, j = divmod(idx, m)
+            for k, c in enumerate(n.coeffs):
+                stack[deg - k, j, i] = _to_complex(c)
+        self._stack = stack
+        self._den = [_to_complex(c) for c in reversed(den.coeffs)]
 
     def at(self, z: complex) -> np.ndarray:
-        m = self.size
-        out = np.empty((m, m), dtype=complex)
-        for i in range(m):
-            for j in range(m):
-                out[i, j] = np.polyval(self.num_coeffs[i][j], z) / \
-                    np.polyval(self.den_coeffs[i][j], z)
-        return out
+        """B(z)^T, the matrix of the column form u' = B^T u."""
+        den = 0j
+        for c in self._den:
+            den = den * z + c
+        if den == 0 or not cmath.isfinite(den):
+            raise DomainError(f"transport path meets a pole or overflows at {z}")
+        acc = self._stack[0]
+        for c in self._stack[1:]:
+            acc = acc * z + c
+        return acc / den
 
 
 def _transport(num: _NumericConnection, segments, rtol: float, atol: float) -> np.ndarray:
     """Chain the fundamental solution of u' = B^T u along parametrized
-    segments; each segment is (z(t), dz/dt(t)) over t in [0, 1]."""
+    segments; each segment maps t in [0, 1] to (z(t), dz/dt(t))."""
     m = num.size
     u = np.eye(m, dtype=complex).reshape(-1)
 
-    for zfun, dzfun in segments:
+    for path in segments:
         def rhs(t, y):
-            mat = num.at(zfun(t)).T * dzfun(t)
-            return (mat @ y.reshape(m, m)).reshape(-1)
+            z, dz = path(t)
+            return (num.at(z) @ y.reshape(m, m)).reshape(-1) * dz
 
         sol = solve_ivp(rhs, (0.0, 1.0), u, method="DOP853",
                         rtol=rtol, atol=atol)
@@ -83,17 +94,22 @@ def _transport(num: _NumericConnection, segments, rtol: float, atol: float) -> n
 
 
 def _line(z0: complex, z1: complex):
-    return (lambda t: z0 + t * (z1 - z0), lambda t: z1 - z0)
+    d = z1 - z0
+    return lambda t: (z0 + t * d, d)
 
 
 def _circle(center: complex, radius: float, start_angle: float):
-    def zfun(t):
-        return center + radius * cmath.exp(1j * (start_angle + 2 * math.pi * t))
+    def path(t):
+        e = radius * cmath.exp(1j * (start_angle + 2 * math.pi * t))
+        return center + e, 2j * math.pi * e
 
-    def dzfun(t):
-        return 2j * math.pi * radius * cmath.exp(1j * (start_angle + 2 * math.pi * t))
+    return path
 
-    return (zfun, dzfun)
+
+def _check_tolerances(rtol: float, atol: float) -> None:
+    for name, tol in (("rtol", rtol), ("atol", atol)):
+        if not (math.isfinite(tol) and tol > 0):
+            raise DomainError(f"{name} must be finite and positive, got {tol}")
 
 
 @dataclass(frozen=True)
@@ -133,27 +149,52 @@ class MonodromyResult:
         }
 
 
-def _det_reference(conn: LogConnection, enclosed) -> complex:
-    """exp of the loop integral of tr B, from exact residues."""
+def _det_reference(conn: LogConnection, loop: LoopSpec) -> complex:
+    """exp of the loop integral of tr B, from the exact residues at every
+    pole strictly inside the loop's circle."""
     total = scalar(0)
-    for i in range(conn.size):
-        rf = conn.matrix.entry(i, i)
-        for p in enclosed:
-            total = total + rf.residue_at(p)
+    for p in conn.pole_points:
+        if abs(_to_complex(p) - loop.center) < loop.radius:
+            for i in range(conn.size):
+                total = total + conn.matrix.entry(i, i).residue_at(p)
     return cmath.exp(2j * math.pi * _to_complex(total))
 
 
-def _default_radius(conn: LogConnection, point) -> float:
-    p = scalar(point)
+def _default_radius(conn: LogConnection, p) -> float:
     z = _to_complex(p)
     dists = [abs(z - _to_complex(q)) for q in conn.pole_points if q != p]
     return min(dists) / 2.0 if dists else 1.0
 
 
-def _finish(conn: LogConnection, enclosed, loop: LoopSpec,
+def _loop_geometry(conn: LogConnection, point, radius) -> tuple:
+    """The complex value of the pole to encircle and the checked radius."""
+    p = scalar(point)
+    if p not in conn.pole_points:
+        raise DomainError(f"{p} is not a pole of the connection")
+    r = _default_radius(conn, p) if radius is None else float(radius)
+    if not (math.isfinite(r) and r > 0):
+        raise DomainError(f"radius must be finite and positive, got {r}")
+    return _to_complex(p), r
+
+
+def _base(base_point) -> complex:
+    b = complex(base_point)
+    if not cmath.isfinite(b):
+        raise DomainError(f"base point must be finite, got {b}")
+    return b
+
+
+def _lollipop(center: complex, radius: float, b: complex) -> list:
+    """Segments from b straight to the circle, once around, and back."""
+    d = b - center
+    start = center + radius * d / abs(d)
+    return [_line(b, start), _circle(center, radius, cmath.phase(d)),
+            _line(start, b)]
+
+
+def _finish(conn: LogConnection, loop: LoopSpec,
             mat: np.ndarray) -> MonodromyResult:
-    ref = _det_reference(conn, enclosed)
-    err = abs(complex(np.linalg.det(mat)) - ref)
+    err = abs(complex(np.linalg.det(mat)) - _det_reference(conn, loop))
     return MonodromyResult(loop=loop, matrix=mat,
                            char_poly=np.poly(mat),
                            eigenvalues=np.linalg.eigvals(mat),
@@ -167,40 +208,31 @@ def monodromy(conn: LogConnection, point, radius: float | None = None,
     The default radius is half the distance to the nearest other pole, so
     the circle encloses nothing else.
     """
-    p = scalar(point)
-    if p not in conn.pole_points:
-        raise DomainError(f"{p} is not a pole of the connection")
-    r = _default_radius(conn, p) if radius is None else float(radius)
-    if r <= 0:
-        raise DomainError("radius must be positive")
-    num = _NumericConnection(conn)
-    center = _to_complex(p)
-    mat = _transport(num, [_circle(center, r, 0.0)], rtol, atol)
+    _check_tolerances(rtol, atol)
+    center, r = _loop_geometry(conn, point, radius)
+    mat = _transport(_NumericConnection(conn), [_circle(center, r, 0.0)],
+                     rtol, atol)
     # transpose back to the row-section action
-    mat = mat.T
-    return _finish(conn, [p], LoopSpec(center=center, radius=r), mat)
+    return _finish(conn, LoopSpec(center=center, radius=r), mat.T)
 
 
 def anchored_monodromy(conn: LogConnection, point, base_point: complex,
                        radius: float | None = None,
-                       rtol: float = _RTOL, atol: float = _ATOL) -> MonodromyResult:
-    """Loop from the base point: straight in, once around, straight back."""
-    p = scalar(point)
-    if p not in conn.pole_points:
-        raise DomainError(f"{p} is not a pole of the connection")
-    r = _default_radius(conn, p) if radius is None else float(radius)
-    center = _to_complex(p)
-    b = complex(base_point)
-    d = b - center
-    if abs(d) <= r:
+                       rtol: float = _RTOL, atol: float = _ATOL, *,
+                       numeric: _NumericConnection | None = None) -> MonodromyResult:
+    """Loop from the base point: straight in, once around, straight back.
+
+    `numeric` is a numeric view of `conn` built by the caller, so that
+    several loops on one connection share it.
+    """
+    _check_tolerances(rtol, atol)
+    center, r = _loop_geometry(conn, point, radius)
+    b = _base(base_point)
+    if abs(b - center) <= r:
         raise DomainError("base point sits inside the loop")
-    start = center + r * d / abs(d)
-    num = _NumericConnection(conn)
-    segs = [_line(b, start),
-            _circle(center, r, cmath.phase(d)),
-            _line(start, b)]
-    mat = _transport(num, segs, rtol, atol).T
-    return _finish(conn, [p], LoopSpec(center=center, radius=r, base_point=b), mat)
+    num = _NumericConnection(conn) if numeric is None else numeric
+    mat = _transport(num, _lollipop(center, r, b), rtol, atol).T
+    return _finish(conn, LoopSpec(center=center, radius=r, base_point=b), mat)
 
 
 @dataclass(frozen=True)
@@ -304,18 +336,23 @@ def global_product(conn: LogConnection, base_point: complex | None = None,
     For a connection with no pole at infinity the two transports agree up
     to integration error; `closure_error` reports the gap.
     """
+    _check_tolerances(rtol, atol)
     if not conn.pole_points:
         raise DomainError("connection has no finite poles to encircle")
     poles = [_to_complex(p) for p in conn.pole_points]
     if base_point is not None:
-        b = complex(base_point)
+        b = _base(base_point)
         radii = [_default_radius(conn, p) for p in conn.pole_points]
     else:
         b, radii = _plan_loops(poles)
-    results = []
-    for p, r in zip(conn.pole_points, radii):
-        results.append(anchored_monodromy(conn, p, b, radius=r,
-                                          rtol=rtol, atol=atol))
+    center = complex(sum(poles) / len(poles))
+    outer_radius = max(abs(p - center) for p in poles) + 1.0
+    if abs(b - center) <= outer_radius:
+        raise DomainError("base point sits inside the outer loop")
+    num = _NumericConnection(conn)
+    results = [anchored_monodromy(conn, p, b, radius=r, rtol=rtol, atol=atol,
+                                  numeric=num)
+               for p, r in zip(conn.pole_points, radii)]
     order = sorted(range(len(poles)),
                    key=lambda i: cmath.phase(poles[i] - b))
     # rows compose left-to-right along the path, so the smallest departure
@@ -323,19 +360,9 @@ def global_product(conn: LogConnection, base_point: complex | None = None,
     product = np.eye(conn.size, dtype=complex)
     for i in order:
         product = product @ results[i].matrix
-    center = complex(sum(poles) / len(poles))
-    outer_radius = max(abs(p - center) for p in poles) + 1.0
-    if abs(b - center) <= outer_radius:
-        raise DomainError("base point sits inside the outer loop")
-    num = _NumericConnection(conn)
-    d = b - center
-    start = center + outer_radius * d / abs(d)
-    segs = [_line(b, start), _circle(center, outer_radius, cmath.phase(d)),
-            _line(start, b)]
-    outer_mat = _transport(num, segs, rtol, atol).T
-    outer = _finish(conn, list(conn.pole_points),
-                    LoopSpec(center=center, radius=outer_radius, base_point=b),
-                    outer_mat)
+    outer_mat = _transport(num, _lollipop(center, outer_radius, b), rtol, atol).T
+    outer = _finish(conn, LoopSpec(center=center, radius=outer_radius,
+                                   base_point=b), outer_mat)
     ordered = tuple(int(i) for i in order)
     closure = float(np.max(np.abs(product - outer.matrix)))
     scale = max([float(np.max(np.abs(r.matrix))) for r in results]
@@ -375,6 +402,7 @@ def isomonodromy_sweep(operators, point=None, rtol: float = _RTOL,
     """
     from .connection import build_companion
 
+    _check_tolerances(rtol, atol)
     ops = list(operators)
     if not ops:
         raise DomainError("empty operator family")

@@ -1,10 +1,15 @@
 """End-to-end checks of the JSON command line surface."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import fuchskit.cli
 from fuchskit.cli import main
 from fuchskit.frobenius import annihilator_from_solutions
 from fuchskit.sampling import second_order_with_exponents
@@ -197,6 +202,34 @@ class TestNumericCommands:
         assert code == 1
         assert doc["error"]["type"] == "DomainError"
 
+    @pytest.mark.parametrize("extra", [
+        ["--radius", "nan"],
+        ["--radius", "inf"],
+        ["--radius", "0", "--base=-3"],
+        ["--radius", "-1", "--base=-3"],
+        ["--base", "nan"],
+        ["--base", "inf"],
+        ["--rtol", "0", "--atol", "0"],
+        ["--rtol", "-1"],
+        ["--rtol", "nan"],
+        ["--atol", "inf"],
+    ])
+    def test_bad_numeric_parameter_is_an_error_document(self, capsys, extra):
+        code, doc = invoke(capsys, "monodromy", "--input", TWO_POINT,
+                           "--point", "0", *extra)
+        assert code == 1
+        assert doc["schema"] == "fuchskit/1"
+        assert doc["error"]["type"] == "DomainError"
+
+    def test_bad_tolerance_in_global_product_and_sweep(self, capsys):
+        code, doc = invoke(capsys, "monodromy", "--input", TWO_POINT,
+                           "--atol", "0")
+        assert code == 1 and doc["error"]["type"] == "DomainError"
+        fam = {"operators": [json.loads(TWO_POINT)]}
+        code, doc = invoke(capsys, "sweep", "--input", json.dumps(fam),
+                           "--rtol", "-1")
+        assert code == 1 and doc["error"]["type"] == "DomainError"
+
 
 class TestPlumbing:
     def test_deterministic_output(self, capsys):
@@ -227,6 +260,15 @@ class TestPlumbing:
             main(argv)
             doc = json.loads(capsys.readouterr().out)
             assert doc["schema"] == "fuchskit/1"
+
+    def test_exact_commands_load_no_numeric_stack(self):
+        code = ("import fuchskit.cli, sys; "
+                "assert 'scipy' not in sys.modules and 'numpy' not in sys.modules")
+        src = str(Path(fuchskit.cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

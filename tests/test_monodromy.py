@@ -1,14 +1,17 @@
 """Numeric transport: local loops, apparency detection, global closure."""
 
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from fuchskit.connection import build_companion
+from fuchskit.algebra import ExactMatrix, Polynomial, RationalFunction, scalar
+from fuchskit.connection import LogConnection, build_companion
 from fuchskit.frobenius import annihilator_from_solutions
 from fuchskit.monodromy import (
+    _NumericConnection,
     anchored_monodromy,
     global_product,
     is_apparent_numeric,
@@ -74,6 +77,88 @@ class TestSingleLoop:
             monodromy(conn, 0, radius=0.0)
 
 
+def _random_entry(rng, factors):
+    """A Gaussian-rational numerator over a random product of factors."""
+    def gauss():
+        return scalar({"re": Fraction(rng.randint(-9, 9), rng.randint(1, 7)),
+                       "im": Fraction(rng.randint(-9, 9), rng.randint(1, 7))})
+
+    num = Polynomial.from_list([gauss() for _ in range(rng.randint(1, 4))])
+    den = Polynomial.one()
+    for f in factors:
+        den = den * f ** rng.randint(0, 2)
+    return RationalFunction.make(num, den)
+
+
+class TestNumericView:
+    POLES = (0, 1, {"re": 0, "im": 1}, {"re": -2, "im": "1/2"})
+    POINTS = ({"re": "1/2", "im": "3/10"}, {"re": "-17/10", "im": "9/10"},
+              {"re": "5/2", "im": "-6/5"}, {"re": "1/10", "im": -2},
+              {"re": 7, "im": 4})
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_at_matches_exact_entries(self, m, seed):
+        rng = random.Random(100 * m + seed)
+        factors = [Polynomial.of(-scalar(p), 1) for p in self.POLES]
+        rows = [[_random_entry(rng, factors) for _ in range(m)]
+                for _ in range(m)]
+        rows[0][m - 1] = RationalFunction.zero()   # a zero entry
+        rows[m - 1][0] = _random_entry(rng, [])    # a polynomial entry
+        dens = {rows[i][j].den.degree() for i in range(m) for j in range(m)}
+        assert m == 1 or len(dens) > 1
+        conn = LogConnection(size=m, matrix=ExactMatrix.from_rows(rows),
+                             pole_points=self.POLES)
+        num = _NumericConnection(conn)
+        for pt in self.POINTS:
+            z = scalar(pt)
+            want = np.array([[complex(rows[i][j](z)) for i in range(m)]
+                             for j in range(m)])   # B(z)^T
+            got = num.at(complex(z))
+            assert got.shape == (m, m)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_path_through_a_pole_is_refused(self):
+        # the circle of radius 1 about 0 passes through the pole 1
+        with pytest.raises(DomainError, match="meets a pole"):
+            monodromy(conn_of(TWO_POINT), 0, radius=1.0)
+
+
+class TestNumericParameters:
+    """Non-finite or non-positive numeric parameters used to hang the
+    integrator or be clamped by it; every entry point refuses them."""
+
+    BAD = (0.0, -1.0, math.nan, math.inf)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_radius(self, bad):
+        conn = conn_of(TWO_POINT)
+        with pytest.raises(DomainError, match="radius"):
+            monodromy(conn, 0, radius=bad)
+        with pytest.raises(DomainError, match="radius"):
+            anchored_monodromy(conn, 0, base_point=-3, radius=bad)
+
+    @pytest.mark.parametrize("bad", [complex(math.nan, 0), complex(0, math.inf)])
+    def test_base_point(self, bad):
+        conn = conn_of(TWO_POINT)
+        with pytest.raises(DomainError, match="base point"):
+            anchored_monodromy(conn, 0, base_point=bad)
+        with pytest.raises(DomainError, match="base point"):
+            global_product(conn, base_point=bad)
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("which", ["rtol", "atol"])
+    def test_tolerances(self, bad, which):
+        conn = conn_of(TWO_POINT)
+        kw = {which: bad}
+        for call in (lambda: monodromy(conn, 0, **kw),
+                     lambda: anchored_monodromy(conn, 0, base_point=-3, **kw),
+                     lambda: global_product(conn, **kw),
+                     lambda: isomonodromy_sweep([TWO_POINT], point=0, **kw)):
+            with pytest.raises(DomainError, match=which):
+                call()
+
+
 class TestApparentNumeric:
     def test_trivial_at_apparent_point(self):
         op = annihilator_from_solutions([[1], [0, 1], [0, 0, 0, 1]])
@@ -104,6 +189,14 @@ class TestAnchoredLoops:
         plain = monodromy(conn, 0)
         anchored = anchored_monodromy(conn, 0, base_point=-0.7 - 1.3j)
         assert np.max(np.abs(plain.char_poly - anchored.char_poly)) < 1e-8
+
+    def test_est_error_sums_every_enclosed_pole(self):
+        # radius 5 about 0 also encloses the pole 1; the determinant
+        # reference must include its trace residue too
+        conn = conn_of(TWO_POINT)
+        anchored = anchored_monodromy(conn, 0, base_point=-20 - 3j, radius=5.0)
+        assert anchored.est_error < 1e-8
+        assert monodromy(conn, 0, radius=5.0).est_error < 1e-8
 
     def test_base_inside_loop_rejected(self):
         conn = conn_of(TWO_POINT)
