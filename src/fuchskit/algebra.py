@@ -950,8 +950,8 @@ def _numeric_candidates(sf: Polynomial, denominator_bound: int) -> list:
         cs = [_to_mpc(c) for c in reversed(sf.coeffs)]
         try:
             approx = mpmath.polyroots(cs, maxsteps=200, extraprec=digits * 4)
-        except Exception:
-            return []
+        except mpmath.libmp.NoConvergence:
+            return []  # no candidates: the caller reports complete=False
         out = []
         for r in approx:
             fre = _reconstruct(mpmath.re(r), recon, denominator_bound)

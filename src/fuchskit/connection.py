@@ -11,6 +11,7 @@ local exponents as eigenvalues.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .algebra import (
@@ -26,7 +27,7 @@ from .operator import DomainError, FuchsianOperator, psi_all, validate_fuchsian
 
 INFINITY = "infinity"
 
-SELECTION_GUARD = 10 ** 7
+RESIDUE_GUARD = 10 ** 6  # residue keys one genericity_check may form
 
 
 @dataclass(frozen=True)
@@ -245,8 +246,26 @@ def _witness_json(w):
 
 def genericity_check(exponents) -> GenericityReport:
     """Fail if two exponents at one point differ by an integer, or if some
-    choice of k of the m exponents at every point (1 <= k < m) has integer
-    grand total.  Enumeration refuses above SELECTION_GUARD selections."""
+    choice of k of the m exponents at every point (1 <= k < m) has an
+    integer grand total.
+
+    The integer differences are scanned first.  Whether a total is an
+    integer depends only on its residue key (re mod 1, im), kept as a pair
+    of integers over the common denominators of the table.  For each k,
+    every k-combination at every point is mapped to its key, and the
+    suffix sets R[j] of the key sums reachable from points j..n-1 are built
+    from the last point back, R[n] = {(0, 0)}.  The witness is then picked
+    from point 0 on: at point j, the first combination in
+    `itertools.combinations` order whose remaining need lies in R[j+1].
+    That is the first integer selection in `itertools.product` order at the
+    smallest k, the one an enumeration of every selection would report;
+    its total is summed from the chosen exponents.  The cost follows the
+    number of combinations and of distinct residues, not of selections.
+    Every key formed counts against RESIDUE_GUARD, for the whole call: one
+    per combination and one per sum in a suffix set.  The cost of each step
+    is checked before the step runs, and a call that would form more keys
+    than the guard raises DomainError.
+    """
     table = [[scalar(v) for v in row] for row in exponents]
     if not table:
         raise DomainError("no exponent data supplied")
@@ -263,33 +282,66 @@ def genericity_check(exponents) -> GenericityReport:
                         "indices": (i, j),
                         "difference": row[i] - row[j],
                     })
-    npts = len(table)
+    d_re = math.lcm(*(v.re.denominator for row in table for v in row))
+    d_im = math.lcm(*(v.im.denominator for row in table for v in row))
+    keys = [[(int(v.re * d_re) % d_re, int(v.im * d_im)) for v in row]
+            for row in table]
+    spent = 0
     for k in range(1, m):
-        per_point = []
-        for row in table:
-            combos = []
-            for idx in itertools.combinations(range(m), k):
-                s = scalar(0)
-                for i in idx:
-                    s = s + row[i]
-                combos.append((idx, s))
-            per_point.append(combos)
-        count = len(per_point[0]) ** npts
-        if count > SELECTION_GUARD:
-            raise DomainError(
-                f"selection count {count} exceeds the enumeration guard {SELECTION_GUARD}")
-        for choice in itertools.product(*per_point):
+        spent = _spend(spent, len(table) * math.comb(m, k))
+        picks, spent = _first_integer_selection(keys, k, d_re, spent)
+        if picks is not None:
             total = scalar(0)
-            for _, s in choice:
-                total = total + s
-            if total.is_integer():
-                return GenericityReport(passes=False, witness={
-                    "kind": "integer-sum",
-                    "k": k,
-                    "selection": [list(idx) for idx, _ in choice],
-                    "total": total,
-                })
+            for row, idx in zip(table, picks):
+                for i in idx:
+                    total = total + row[i]
+            return GenericityReport(passes=False, witness={
+                "kind": "integer-sum",
+                "k": k,
+                "selection": [list(idx) for idx in picks],
+                "total": total,
+            })
     return GenericityReport(passes=True, witness=None)
+
+
+def _spend(spent: int, cost: int) -> int:
+    if spent + cost > RESIDUE_GUARD:
+        raise DomainError(f"genericity check needs more than the residue guard "
+                          f"of {RESIDUE_GUARD} keys")
+    return spent + cost
+
+
+def _combination_keys(point, k: int, d_re: int):
+    """(combination, residue key) for every k-combination of the keys at
+    one point, in `itertools.combinations` order."""
+    for idx in itertools.combinations(range(len(point)), k):
+        yield idx, (sum(point[i][0] for i in idx) % d_re,
+                    sum(point[i][1] for i in idx))
+
+
+def _first_integer_selection(keys, k: int, d_re: int, spent: int):
+    """The suffix sets and the pick of `genericity_check`: the first choice
+    of one k-combination per point, in `itertools.product` order, whose
+    keys sum to (0 mod d_re, 0), or None; and `spent` plus the keys formed
+    by the suffix sets.  Only distinct keys are kept, never the
+    combinations themselves."""
+    suffix = [{(0, 0)}]  # R[n], R[n-1], ..., R[1]
+    for point in reversed(keys[1:]):
+        row = {key for _, key in _combination_keys(point, k, d_re)}
+        spent = _spend(spent, len(row) * len(suffix[-1]))
+        suffix.append({((a + x) % d_re, b + y)
+                       for a, b in row for x, y in suffix[-1]})
+    need, picks = (0, 0), []
+    for point, later in zip(keys, reversed(suffix)):
+        for idx, (a, b) in _combination_keys(point, k, d_re):
+            rest = ((need[0] - a) % d_re, need[1] - b)
+            if rest in later:
+                picks.append(idx)
+                need = rest
+                break
+        else:
+            return None, spent  # reached only at point 0
+    return picks, spent
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,8 @@ from .operator import DomainError
 
 _RTOL = 1e-11
 _ATOL = 1e-13
+_RTOL_FLOOR = 100 * sys.float_info.epsilon  # scipy clamps any smaller rtol
+_CLEARANCE = 1e-9  # closest a straight leg may pass to a pole
 
 
 def _to_complex(g) -> complex:
@@ -110,6 +113,9 @@ def _check_tolerances(rtol: float, atol: float) -> None:
     for name, tol in (("rtol", rtol), ("atol", atol)):
         if not (math.isfinite(tol) and tol > 0):
             raise DomainError(f"{name} must be finite and positive, got {tol}")
+    if rtol < _RTOL_FLOOR:
+        raise DomainError(f"rtol must be at least {_RTOL_FLOOR:.3g}, the "
+                          f"integrator's floor of 100 machine epsilons, got {rtol}")
 
 
 @dataclass(frozen=True)
@@ -184,10 +190,26 @@ def _base(base_point) -> complex:
     return b
 
 
-def _lollipop(center: complex, radius: float, b: complex) -> list:
-    """Segments from b straight to the circle, once around, and back."""
+def _segment_distance(b: complex, end: complex, q: complex) -> float:
+    seg = end - b
+    if seg == 0:
+        return abs(q - b)
+    t = max(0.0, min(1.0, ((q - b) * seg.conjugate()).real / abs(seg) ** 2))
+    return abs(b + t * seg - q)
+
+
+def _lollipop(center: complex, radius: float, b: complex, poles) -> list:
+    """Segments from b straight to the circle, once around, and back.
+    Refuses a base point inside the circle and a straight leg passing
+    within _CLEARANCE of one of `poles`."""
     d = b - center
+    if abs(d) <= radius:
+        raise DomainError("base point sits inside the loop")
     start = center + radius * d / abs(d)
+    for q in poles:
+        if _segment_distance(b, start, q) <= _CLEARANCE:
+            raise DomainError(f"the straight leg from the base point {b} to the "
+                              f"loop around {center} passes through the pole {q}")
     return [_line(b, start), _circle(center, radius, cmath.phase(d)),
             _line(start, b)]
 
@@ -219,19 +241,21 @@ def monodromy(conn: LogConnection, point, radius: float | None = None,
 def anchored_monodromy(conn: LogConnection, point, base_point: complex,
                        radius: float | None = None,
                        rtol: float = _RTOL, atol: float = _ATOL, *,
-                       numeric: _NumericConnection | None = None) -> MonodromyResult:
+                       numeric: _NumericConnection | None = None,
+                       path: list | None = None) -> MonodromyResult:
     """Loop from the base point: straight in, once around, straight back.
 
     `numeric` is a numeric view of `conn` built by the caller, so that
-    several loops on one connection share it.
+    several loops on one connection share it; `path` is this loop's
+    `_lollipop`, built and checked by the caller.
     """
     _check_tolerances(rtol, atol)
     center, r = _loop_geometry(conn, point, radius)
     b = _base(base_point)
-    if abs(b - center) <= r:
-        raise DomainError("base point sits inside the loop")
+    if path is None:
+        path = _lollipop(center, r, b, [_to_complex(q) for q in conn.pole_points])
     num = _NumericConnection(conn) if numeric is None else numeric
-    mat = _transport(num, _lollipop(center, r, b), rtol, atol).T
+    mat = _transport(num, path, rtol, atol).T
     return _finish(conn, LoopSpec(center=center, radius=r, base_point=b), mat)
 
 
@@ -292,14 +316,6 @@ class GlobalMonodromy:
         }
 
 
-def _segment_distance(b: complex, end: complex, q: complex) -> float:
-    seg = end - b
-    if seg == 0:
-        return abs(q - b)
-    t = max(0.0, min(1.0, ((q - b) * seg.conjugate()).real / abs(seg) ** 2))
-    return abs(b + t * seg - q)
-
-
 def _plan_loops(poles) -> tuple:
     """Base point plus one loop radius per pole, with every sight line from
     the base staying clear of every other loop (so the composed lollipops
@@ -320,7 +336,7 @@ def _plan_loops(poles) -> tuple:
             for k, q in enumerate(poles):
                 if k != i:
                     clearance[k] = min(clearance[k], _segment_distance(b, p, q))
-        if all(c > 1e-9 for c in clearance):
+        if all(c > _CLEARANCE for c in clearance):
             radii = [min(0.4 * nearest[i], 0.45 * clearance[i])
                      for i in range(len(poles))]
             return b, radii
@@ -349,10 +365,12 @@ def global_product(conn: LogConnection, base_point: complex | None = None,
     outer_radius = max(abs(p - center) for p in poles) + 1.0
     if abs(b - center) <= outer_radius:
         raise DomainError("base point sits inside the outer loop")
+    # every leg is checked here, before any transport
+    paths = [_lollipop(p, r, b, poles) for p, r in zip(poles, radii)]
     num = _NumericConnection(conn)
     results = [anchored_monodromy(conn, p, b, radius=r, rtol=rtol, atol=atol,
-                                  numeric=num)
-               for p, r in zip(conn.pole_points, radii)]
+                                  numeric=num, path=path)
+               for p, r, path in zip(conn.pole_points, radii, paths)]
     order = sorted(range(len(poles)),
                    key=lambda i: cmath.phase(poles[i] - b))
     # rows compose left-to-right along the path, so the smallest departure
@@ -360,7 +378,9 @@ def global_product(conn: LogConnection, base_point: complex | None = None,
     product = np.eye(conn.size, dtype=complex)
     for i in order:
         product = product @ results[i].matrix
-    outer_mat = _transport(num, _lollipop(center, outer_radius, b), rtol, atol).T
+    # every pole lies inside the outer circle, so its leg passes none
+    outer_mat = _transport(num, _lollipop(center, outer_radius, b, ()),
+                           rtol, atol).T
     outer = _finish(conn, LoopSpec(center=center, radius=outer_radius,
                                    base_point=b), outer_mat)
     ordered = tuple(int(i) for i in order)

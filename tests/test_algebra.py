@@ -6,6 +6,7 @@ against the code under test.
 """
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -456,6 +457,26 @@ class TestRootSearch:
         res = poly_root_search(p)
         assert res.complete
         assert {r for r, _ in res.roots} == {scalar(root), scalar(3), scalar("2/7")}
+
+    def test_no_convergence_is_incomplete(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise mpmath.libmp.NoConvergence("no convergence")
+
+        monkeypatch.setattr(mpmath, "polyroots", fail)
+        p = Polynomial.from_roots([scalar(2), scalar("-1/3")])
+        res = poly_root_search(p)
+        assert not res.complete
+        assert res.roots == ()
+        assert res.remainder == p
+
+    def test_other_root_finder_errors_propagate(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError("broken root finder")
+
+        monkeypatch.setattr(mpmath, "polyroots", fail)
+        p = Polynomial.from_roots([scalar(2), scalar("-1/3")])
+        with pytest.raises(ValueError, match="broken root finder"):
+            poly_root_search(p)
 
     @given(st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=5))
     @settings(max_examples=40, deadline=None)

@@ -147,6 +147,19 @@ class TestCountingCommands:
         assert doc["genericity"]["passes"] is False
         assert doc["genericity"]["witness"] is not None
 
+    @pytest.mark.parametrize("table", [
+        # imaginary parts 2^j make every one of the 2^20 k = 1 totals distinct
+        [["1/3", {"re": "1/3", "im": str(2 ** j)}] for j in range(20)],
+        # few residues, but C(30, k) combinations at each point
+        [[{"re": f"{j}/31", "im": "1"} for j in range(1, 31)]] * 2,
+    ])
+    def test_genericity_residue_guard_is_an_error_document(self, capsys, table):
+        code, doc = invoke(capsys, "genericity", "--exponents", json.dumps(table))
+        assert code == 1
+        assert doc["schema"] == "fuchskit/1"
+        assert doc["error"]["type"] == "DomainError"
+        assert "residue guard" in doc["error"]["message"]
+
     def test_genericity_passes(self, capsys):
         code, doc = invoke(capsys, "genericity", "--exponents",
                            '[["1/5", "2/7"], ["1/3", "1/2"]]')
@@ -220,6 +233,28 @@ class TestNumericCommands:
         assert code == 1
         assert doc["schema"] == "fuchskit/1"
         assert doc["error"]["type"] == "DomainError"
+
+    def test_rtol_below_integrator_floor(self, capsys):
+        code = main(["monodromy", "--input", TWO_POINT, "--point", "0",
+                     "--rtol", "1e-300", "--atol", "1e-300"])
+        out, err = capsys.readouterr()
+        doc = json.loads(out)
+        assert code == 1
+        assert doc["schema"] == "fuchskit/1"
+        assert doc["error"]["type"] == "DomainError"
+        assert "floor" in doc["error"]["message"]
+        assert "Warning" not in err
+
+    @pytest.mark.parametrize("extra", [
+        ["--point", "0", "--base=2", "--radius", "0.5"],  # anchored loop
+        ["--base=-3"],                                    # global product
+    ])
+    def test_leg_through_pole_is_an_error_document(self, capsys, extra):
+        code, doc = invoke(capsys, "monodromy", "--input", TWO_POINT, *extra)
+        assert code == 1
+        assert doc["schema"] == "fuchskit/1"
+        assert doc["error"]["type"] == "DomainError"
+        assert "passes through the pole" in doc["error"]["message"]
 
     def test_bad_tolerance_in_global_product_and_sweep(self, capsys):
         code, doc = invoke(capsys, "monodromy", "--input", TWO_POINT,

@@ -45,6 +45,17 @@ PRESCRIBED_M3 = {"order": 3, "real_points": ["0", "-1"], "apparent_points": [],
                  "coeffs": [["3", "-2/3"], ["-3", "0", "-1"], ["0", "1", "-1", "4"]]}
 
 
+# exponent tables: one generic, one with an integer difference at its
+# second point, one whose first integer sum needs k = 2 and a Gaussian pair
+GENERIC_M3 = [["1/5", "2/7", "-1/3"],
+              ["1/11", {"re": "1/2", "im": "1/3"}, "3/13"],
+              ["-2/9", "5/17", {"re": "1/4", "im": "-1/3"}]]
+DIFFERENCE_M2 = [["1/2", {"re": "1/4", "im": "1"}],
+                 [{"re": "3/4", "im": "1"}, {"re": "-1/4", "im": "1"}]]
+GAUSSIAN_SUM_M3 = [["1/2", {"re": "-2/3", "im": "-1/2"}, "3/4"],
+                   ["-5/4", "2", {"re": "1/6", "im": "1/2"}]]
+
+
 def _op(doc):
     return json.dumps(doc)
 
@@ -76,6 +87,11 @@ CASES = {
     "companion_random_m3": ["companion", "--input", _op(RANDOM_M3)],
     "cyclic_two_point": ["cyclic", "--input", _op(TWO_POINT)],
     "cyclic_random_m2": ["cyclic", "--input", _op(RANDOM_M2)],
+    "genericity_passes_m3": ["genericity", "--exponents", _op(GENERIC_M3)],
+    "genericity_integer_difference": ["genericity", "--exponents",
+                                      _op(DIFFERENCE_M2)],
+    "genericity_gaussian_sum_k2": ["genericity", "--exponents",
+                                   _op(GAUSSIAN_SUM_M3)],
 }
 
 

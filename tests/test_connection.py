@@ -1,12 +1,22 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuchskit.algebra import ExactMatrix, Polynomial, RationalFunction, scalar
+from fuchskit.algebra import (
+    ExactMatrix,
+    GaussianRational,
+    Polynomial,
+    RationalFunction,
+    scalar,
+)
+from fuchskit import connection
 from fuchskit.connection import (
     INFINITY,
+    GenericityReport,
     apply_gauge,
     build_companion,
     bundle_type,
@@ -247,6 +257,55 @@ class TestGauge:
         assert one_step.matrix == two_step.matrix
 
 
+def _brute_force(table) -> GenericityReport:
+    """Test oracle: the integer-difference scan, then every k-selection at
+    every point in itertools.product order, smallest k first."""
+    table = [[scalar(v) for v in row] for row in table]
+    m = len(table[0])
+    for pt_idx, row in enumerate(table):
+        for i, j in itertools.combinations(range(m), 2):
+            if (row[i] - row[j]).is_integer():
+                return GenericityReport(passes=False, witness={
+                    "kind": "integer-difference", "point_index": pt_idx,
+                    "indices": (i, j), "difference": row[i] - row[j]})
+    for k in range(1, m):
+        per_point = [list(itertools.combinations(range(m), k)) for _ in table]
+        for choice in itertools.product(*per_point):
+            total = scalar(0)
+            for row, idx in zip(table, choice):
+                for i in idx:
+                    total = total + row[i]
+            if total.is_integer():
+                return GenericityReport(passes=False, witness={
+                    "kind": "integer-sum", "k": k,
+                    "selection": [list(idx) for idx in choice], "total": total})
+    return GenericityReport(passes=True, witness=None)
+
+
+@st.composite
+def exponent_tables(draw):
+    """Up to 4 points of up to 4 exponents, over one shared real
+    denominator or a denominator per entry, some with imaginary parts; half
+    the tables with m >= 3 get a planted k = 2 integer total."""
+    pts = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 4))
+    shared = draw(st.sampled_from([None, 4, 6, 12]))
+    rows = []
+    for _ in range(pts):
+        row = []
+        for _ in range(m):
+            den = shared or draw(st.sampled_from([2, 3, 4, 5, 6, 12]))
+            re = Fraction(draw(st.integers(-12, 12)), den)
+            im = Fraction(draw(st.integers(-2, 2)), draw(st.sampled_from([1, 2, 3])))
+            row.append(GaussianRational(re, im if draw(st.booleans()) else Fraction(0)))
+        rows.append(row)
+    if m >= 3 and draw(st.booleans()):
+        # plant an integer total on the selection {0, 1} at every point
+        rest = sum((row[0] + row[1] for row in rows[:-1]), scalar(0))
+        rows[-1][1] = scalar(draw(st.integers(-2, 2))) - rest - rows[-1][0]
+    return rows
+
+
 class TestGenericity:
     def test_half_integer_sum_fails(self):
         rep = genericity_check([["0", "1/2"]] * 3)
@@ -271,9 +330,41 @@ class TestGenericity:
         assert not rep.passes
 
     def test_enumeration_guard(self):
-        table = [["1/5", "1/7"]] * 24  # 2^24 selections
-        with pytest.raises(DomainError, match="guard"):
+        # 2^24 selections, once refused by an enumeration guard, but only
+        # 35 residues: the first integer total takes 1/5 ten times, then
+        # 1/7 fourteen times
+        rep = genericity_check([["1/5", "1/7"]] * 24)
+        assert not rep.passes
+        assert rep.witness["kind"] == "integer-sum"
+        assert rep.witness["k"] == 1
+        assert rep.witness["selection"] == [[0]] * 10 + [[1]] * 14
+        assert rep.witness["total"] == scalar(4)
+
+    @pytest.mark.parametrize("table", [
+        # imaginary parts 2^j make all 2^20 k = 1 totals distinct
+        [["1/3", {"re": "1/3", "im": str(2 ** j)}] for j in range(20)],
+        # at most 31 residues per k, but C(30, k) combinations per point
+        [[{"re": f"{j}/31", "im": "1"} for j in range(1, 31)]] * 2,
+        [[{"re": f"{j}/31", "im": "1"} for j in range(1, 31)]],
+    ])
+    def test_residue_guard(self, table):
+        with pytest.raises(DomainError, match="residue guard"):
             genericity_check(table)
+
+    def test_residue_guard_counts_before_forming(self, monkeypatch):
+        # k = 1 only: 6 combination keys, then suffix sets of 2 * 1 and
+        # 2 * 2 key sums, 12 keys in all
+        table = [["1/5", "2/5"], ["1/7", "2/7"], ["1/11", "2/11"]]
+        monkeypatch.setattr(connection, "RESIDUE_GUARD", 12)
+        assert genericity_check(table).passes
+        monkeypatch.setattr(connection, "RESIDUE_GUARD", 11)
+        with pytest.raises(DomainError, match="residue guard of 11 keys"):
+            genericity_check(table)
+
+    @given(exponent_tables())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force(self, table):
+        assert genericity_check(table).to_json() == _brute_force(table).to_json()
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=25, deadline=None)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import fuchskit.monodromy
 from fuchskit.algebra import ExactMatrix, Polynomial, RationalFunction, scalar
 from fuchskit.connection import LogConnection, build_companion
 from fuchskit.frobenius import annihilator_from_solutions
@@ -157,6 +158,39 @@ class TestNumericParameters:
                      lambda: isomonodromy_sweep([TWO_POINT], point=0, **kw)):
             with pytest.raises(DomainError, match=which):
                 call()
+
+
+    def test_rtol_below_integrator_floor(self):
+        # scipy would clamp it to 100 eps with a warning and then fail
+        conn = conn_of(TWO_POINT)
+        for call in (lambda: monodromy(conn, 0, rtol=1e-15),
+                     lambda: anchored_monodromy(conn, 0, base_point=-3, rtol=1e-15),
+                     lambda: global_product(conn, rtol=1e-15),
+                     lambda: isomonodromy_sweep([TWO_POINT], point=0, rtol=1e-15)):
+            with pytest.raises(DomainError, match="floor"):
+                call()
+
+
+class TestLegClearance:
+    """A straight leg through another pole used to run the integrator for
+    seconds before failing; it is refused before any transport starts."""
+
+    @pytest.fixture(autouse=True)
+    def no_transport(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("transport started")
+
+        monkeypatch.setattr(fuchskit.monodromy, "solve_ivp", fail)
+
+    def test_anchored_leg_through_pole(self):
+        with pytest.raises(DomainError, match="passes through the pole"):
+            anchored_monodromy(conn_of(TWO_POINT), 0, base_point=2, radius=0.5)
+
+    def test_global_product_leg_through_pole(self):
+        # the leg from -3 to the loop around 0 is clear, the one to the
+        # loop around 1 runs through the pole 0
+        with pytest.raises(DomainError, match="passes through the pole"):
+            global_product(conn_of(TWO_POINT), base_point=-3)
 
 
 class TestApparentNumeric:
