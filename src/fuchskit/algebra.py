@@ -93,17 +93,8 @@ class GaussianRational:
     def __hash__(self):
         return hash((self.re, self.im))
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def norm2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
-
-    def is_rational(self) -> bool:
-        return self.im == 0
 
     def is_integer(self) -> bool:
         return self.im == 0 and self.re.denominator == 1
@@ -140,10 +131,12 @@ def scalar(x: ScalarLike) -> GaussianRational:
     """Coerce int/Fraction/str/dict into a GaussianRational.
 
     Strings follow the serialization convention: 'p/q' is rational; complex
-    values travel as {'re': 'p/q', 'im': 'r/s'}.
+    values travel as {'re': 'p/q', 'im': 'r/s'}.  A bool is not a number.
     """
     if isinstance(x, GaussianRational):
         return x
+    if isinstance(x, bool):
+        raise AlgebraError(f"cannot coerce {x!r} to a scalar")
     if isinstance(x, (int, Fraction)):
         return GaussianRational(Fraction(x), Fraction(0))
     try:

@@ -13,6 +13,7 @@ from pathlib import Path
 
 from .algebra import AlgebraError, scalar
 from .connection import (
+    INFINITY_NAMES,
     build_companion,
     bundle_type,
     companion_rigidity_check,
@@ -61,6 +62,7 @@ def _operator_arg(args, parser):
 
 
 def _scalar_arg(text: str):
+    """A scalar from a flag: JSON text, or a bare fraction such as 1/2."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError:
@@ -105,7 +107,7 @@ def _cmd_exponents(args, parser):
     conn = build_companion(op)
     wanted = list(conn.pole_points) + ["infinity"]
     if args.point is not None:
-        wanted = [args.point if args.point.lower() in ("infinity", "inf", "oo")
+        wanted = [args.point if args.point.lower() in INFINITY_NAMES
                   else _scalar_arg(args.point)]
     return {"points": [exponent_data(conn, p).to_json() for p in wanted]}
 
@@ -126,14 +128,16 @@ def _cmd_genericity(args, parser):
 
 def _cmd_apparent(args, parser):
     op = _operator_arg(args, parser)
-    verdict = apparent_check(op, _scalar_arg(args.point), run_oracle=args.oracle)
-    return {"point": _scalar_arg(args.point).to_json(), **verdict.to_json()}
+    point = _scalar_arg(args.point)
+    verdict = apparent_check(op, point, run_oracle=args.oracle)
+    return {"point": point.to_json(), **verdict.to_json()}
 
 
 def _cmd_special_apparent(args, parser):
     op = _operator_arg(args, parser)
-    verdict = special_apparent_check(op, _scalar_arg(args.point))
-    return {"point": _scalar_arg(args.point).to_json(), **verdict.to_json()}
+    point = _scalar_arg(args.point)
+    verdict = special_apparent_check(op, point)
+    return {"point": point.to_json(), **verdict.to_json()}
 
 
 def _cmd_oracle(args, parser):
@@ -168,17 +172,14 @@ def _cmd_dimensions(args, parser):
 
 
 def _cmd_constraints(args, parser):
-    points = [_scalar_arg(json.dumps(p)) for p in
-              _json_list(args.points, parser, "--points")]
-    app = [_scalar_arg(json.dumps(p)) for p in
-           _json_list(args.apparent_points, parser, "--apparent-points")]
+    points = _json_list(args.points, parser, "--points")
+    app = _json_list(args.apparent_points, parser, "--apparent-points")
     system = build_constraints(args.m, points, app)
     return {"system": system.to_json(), "rank": verify_rank(system).to_json()}
 
 
 def _cmd_vandermonde(args, parser):
-    points = [_scalar_arg(json.dumps(p)) for p in
-              _json_list(args.points, parser, "--points")]
+    points = _json_list(args.points, parser, "--points")
     plan = _json_list(args.plan, parser, "--plan")
     det = gen_vandermonde(points, plan).det()
     closed = vdm_closed_form(points, plan)
@@ -189,8 +190,7 @@ def _cmd_vandermonde(args, parser):
 def _cmd_hodge_params(args, parser):
     exps = []
     if args.exponents is not None:
-        exps = [_scalar_arg(json.dumps(e)) for e in
-                _json_list(args.exponents, parser, "--exponents")]
+        exps = _json_list(args.exponents, parser, "--exponents")
     return {"weights": hodge_parameters(args.m, args.n, exps).to_json()}
 
 
@@ -231,11 +231,9 @@ def _cmd_sweep(args, parser):
     if not isinstance(doc, dict) or "operators" not in doc:
         parser.error("sweep expects --input with {\"operators\": [...]}")
     ops = [parse_operator(d) for d in doc["operators"]]
-    point = doc.get("point")
-    if args.point is not None:
-        point = args.point
+    point = doc.get("point") if args.point is None else args.point
     if point is not None:
-        point = _scalar_arg(point if isinstance(point, str) else json.dumps(point))
+        point = _scalar_arg(point) if isinstance(point, str) else scalar(point)
     sw = isomonodromy_sweep(ops, point=point, rtol=args.rtol, atol=args.atol)
     return {"sweep": sw.to_json()}
 
@@ -253,17 +251,16 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", default="-",
                         help="output path, or - for standard output (default)")
-    common.add_argument("--rtol", type=float, default=1e-11,
-                        help="relative tolerance for numeric transport")
-    common.add_argument("--atol", type=float, default=1e-13,
-                        help="absolute tolerance for numeric transport")
-    common.add_argument("--truncation", type=int, default=None,
-                        help="series depth override where a subcommand expands")
+    numeric = argparse.ArgumentParser(add_help=False)
+    numeric.add_argument("--rtol", type=float, default=1e-11,
+                         help="relative tolerance for numeric transport")
+    numeric.add_argument("--atol", type=float, default=1e-13,
+                         help="absolute tolerance for numeric transport")
 
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def add(name, fn, help_text, needs_input=True):
-        p = sub.add_parser(name, help=help_text, parents=[common])
+    def add(name, fn, help_text, needs_input=True, parents=()):
+        p = sub.add_parser(name, help=help_text, parents=[common, *parents])
         p.set_defaults(fn=fn)
         if needs_input:
             p.add_argument("--input", default=None,
@@ -290,6 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", required=True)
     p = add("oracle", _cmd_oracle, "series solutions and obstruction scan")
     p.add_argument("--point", required=True)
+    p.add_argument("--truncation", type=int, default=None,
+                   help="series depth; raised to cover every resonance")
     add("annihilate", _cmd_annihilate,
         "smallest monic operator annihilating a polynomial basis")
     add("cyclic", _cmd_cyclic, "cyclic vector search and roundtrip report")
@@ -319,12 +318,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--exponents", default=None, help="JSON array of exponents")
     p = add("monodromy", _cmd_monodromy,
-            "numeric loop transport; global product when no point is given")
+            "numeric loop transport; global product when no point is given",
+            parents=[numeric])
     p.add_argument("--point", default=None)
     p.add_argument("--radius", type=float, default=None)
     p.add_argument("--base", default=None,
                    help="base point as a Python complex literal, e.g. '-2-3j'")
-    p = add("sweep", _cmd_sweep, "characteristic-polynomial drift over a family")
+    p = add("sweep", _cmd_sweep, "characteristic-polynomial drift over a family",
+            parents=[numeric])
     p.add_argument("--point", default=None)
     return parser
 

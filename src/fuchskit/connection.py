@@ -26,6 +26,7 @@ from .algebra import (
 from .operator import DomainError, FuchsianOperator, psi_all, validate_fuchsian
 
 INFINITY = "infinity"
+INFINITY_NAMES = (INFINITY, "inf", "oo")  # accepted spellings, any case
 
 RESIDUE_GUARD = 10 ** 6  # residue keys one genericity_check may form
 
@@ -35,7 +36,6 @@ class LogConnection:
     size: int
     matrix: ExactMatrix  # RationalFunction entries, acting on row vectors
     pole_points: tuple
-    chart: str = "affine"
 
     def __post_init__(self):
         rows, cols = self.matrix.shape()
@@ -47,7 +47,7 @@ class LogConnection:
     def to_json(self) -> dict:
         return {
             "size": self.size,
-            "chart": self.chart,
+            "chart": "affine",
             "pole_points": [p.to_json() for p in self.pole_points],
             "matrix": self.matrix.to_json(),
         }
@@ -118,8 +118,7 @@ def apply_gauge(conn: LogConnection, g: ExactMatrix) -> LogConnection:
     gprime = gm.map(lambda e: e.derivative())
     new = ginv * conn.matrix * gm + ginv * gprime
     return LogConnection(size=conn.size, matrix=new,
-                         pole_points=_pole_points_of(new, conn.pole_points),
-                         chart=conn.chart)
+                         pole_points=_pole_points_of(new, conn.pole_points))
 
 
 @dataclass(frozen=True)
@@ -189,9 +188,7 @@ def infinity_chart_matrix(conn: LogConnection) -> ExactMatrix:
 
 def exponent_data(conn: LogConnection, point) -> ExponentData:
     """Residue matrix and its eigenvalue data at a finite point or INFINITY."""
-    if conn.chart != "affine":
-        raise DomainError("exponent_data expects an affine-chart connection")
-    if isinstance(point, str) and point.lower() in ("infinity", "inf", "oo"):
+    if isinstance(point, str) and point.lower() in INFINITY_NAMES:
         label, p, mat = INFINITY, scalar(0), infinity_chart_matrix(conn)
     else:
         label = p = scalar(point)

@@ -19,7 +19,7 @@ apparency decisions use the signed form for that reason.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .algebra import (
     ExactMatrix,
@@ -102,14 +102,9 @@ class ResonanceMatrix:
     signed: bool
     symbolic: ExactMatrix       # Polynomial entries in the exponent variable
     determinant: Polynomial
-    rho: GaussianRational | None
-    evaluated: ExactMatrix | None
-
-    def det_at(self, rho) -> GaussianRational:
-        return self.determinant(scalar(rho))
 
 
-def f_matrices(analysis: LocalAnalysis, nu: int, rho=None,
+def f_matrices(analysis: LocalAnalysis, nu: int,
                signed: bool = False) -> ResonanceMatrix:
     """nu x nu resonance matrix.  First row f_1(s+nu-1) ... f_nu(s); below,
     f_0 runs down the subdiagonal with shorter f-rows to its right.  With
@@ -132,13 +127,7 @@ def f_matrices(analysis: LocalAnalysis, nu: int, rho=None,
     det = sym.det()
     if not isinstance(det, Polynomial):
         det = Polynomial.constant(det)
-    evaluated = None
-    r_val = None
-    if rho is not None:
-        r_val = scalar(rho)
-        evaluated = sym.map(lambda p: p(r_val))
-    return ResonanceMatrix(nu=nu, signed=signed, symbolic=sym,
-                           determinant=det, rho=r_val, evaluated=evaluated)
+    return ResonanceMatrix(nu=nu, signed=signed, symbolic=sym, determinant=det)
 
 
 @dataclass(frozen=True)
@@ -197,18 +186,23 @@ def apparent_check(op: FuchsianOperator, point,
                    run_oracle: bool = False) -> ApparentVerdict:
     """Determinant-ladder apparency test.  For exponents r_1 > ... > r_m the
     condition indexed (mu, kappa) is that the signed resonance determinant of
-    size r_{mu-kappa} - r_mu vanishes at r_mu to order kappa."""
+    size r_{mu-kappa} - r_mu vanishes at r_mu to order kappa.  With
+    run_oracle, `oracle_agrees` records whether the series oracle reaches
+    the same verdict."""
+    verdict = _ladder_verdict(op, point)
+    if run_oracle:
+        oracle = frobenius_oracle(op, point)
+        verdict = replace(verdict,
+                          oracle_agrees=oracle.is_apparent == verdict.is_apparent)
+    return verdict
+
+
+def _ladder_verdict(op: FuchsianOperator, point) -> ApparentVerdict:
     first = local_expansion(op, point, 1)
     exps, reason = _integer_exponents(first)
     if exps is None:
-        verdict = ApparentVerdict(False, False, tuple(first.exponent_list()),
-                                  (), reason=reason)
-        if run_oracle:
-            oracle = frobenius_oracle(op, point)
-            verdict = ApparentVerdict(False, False, verdict.exponents, (),
-                                      oracle_agrees=oracle.is_apparent is False,
-                                      reason=reason)
-        return verdict
+        return ApparentVerdict(False, False, tuple(first.exponent_list()),
+                               (), reason=reason)
     m = op.order
     spread = exps[0].as_int() - exps[-1].as_int()
     analysis = local_expansion(op, point, spread + 2)
@@ -232,16 +226,10 @@ def apparent_check(op: FuchsianOperator, point,
                                                value=value,
                                                required_order=kappa))
     special = exps == special_exponents(m)
-    verdict = ApparentVerdict(is_apparent=all_ok,
-                              is_special_apparent=all_ok and special,
-                              exponents=exps,
-                              condition_residuals=tuple(residuals))
-    if run_oracle:
-        oracle = frobenius_oracle(op, point)
-        verdict = ApparentVerdict(verdict.is_apparent, verdict.is_special_apparent,
-                                  verdict.exponents, verdict.condition_residuals,
-                                  oracle_agrees=oracle.is_apparent == all_ok)
-    return verdict
+    return ApparentVerdict(is_apparent=all_ok,
+                           is_special_apparent=all_ok and special,
+                           exponents=exps,
+                           condition_residuals=tuple(residuals))
 
 
 def special_apparent_check(op: FuchsianOperator, point) -> ApparentVerdict:
@@ -349,7 +337,7 @@ def frobenius_oracle(op: FuchsianOperator, point, truncation: int | None = None)
 
 
 # ---------------------------------------------------------------------------
-# instance generation and the index-1 value
+# instance generation
 
 
 def annihilator_from_solutions(basis) -> FuchsianOperator:
@@ -391,14 +379,3 @@ def annihilator_from_solutions(basis) -> FuchsianOperator:
                            coeffs=tuple(coeffs))
     assert validate_fuchsian(out).ok
     return out
-
-
-def index1_integrality(op: FuchsianOperator, point) -> int:
-    """Value of the depth-0 expansion coefficient at index 1; integral at an
-    apparent point.  (Returned with its sign; the special pattern gives +1.)"""
-    analysis = local_expansion(op, point, 1)
-    value = analysis.table[0][0]
-    if not value.is_integer():
-        raise DomainError(
-            f"index-1 coefficient {value} at {scalar(point)} is not an integer")
-    return value.as_int()

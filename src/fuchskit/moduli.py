@@ -19,8 +19,19 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import ExactMatrix, GaussianRational, falling_factorial, scalar
-from .operator import DomainError, degree_budget
+from .algebra import ExactMatrix, GaussianRational, ZERO, scalar
+from .operator import DomainError, check_order, degree_budget
+
+
+def _check_points(num_real: int) -> None:
+    if num_real < 2:
+        raise DomainError("need at least two finite singular points")
+
+
+def _condition_count(m: int, n: int, extra: int) -> int:
+    """Linear conditions on an order-m family with n real and `extra`
+    apparent points: (n+1)m - 1, plus m(m+1)/2 per apparent point."""
+    return (n + 1) * m - 1 + extra * m * (m + 1) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -55,15 +66,12 @@ def dimensions(order: int, num_real: int, num_apparent: int = 0) -> DimensionRep
     The net is independent of the number of apparent points: every extra
     such point brings exactly as many conditions as it brings coefficients.
     """
-    if not isinstance(order, int) or order < 1:
-        raise DomainError(f"order must be a positive integer, got {order!r}")
-    if num_real < 2:
-        raise DomainError("need at least two finite singular points")
-    if num_apparent < 0:
+    m, n, extra = check_order(order), num_real, num_apparent
+    _check_points(n)
+    if extra < 0:
         raise DomainError("number of apparent points cannot be negative")
-    m, n, extra = order, num_real, num_apparent
     params = degree_budget(m, n, extra).total
-    conditions = (n + 1) * m - 1 + extra * m * (m + 1) // 2
+    conditions = _condition_count(m, n, extra)
     net = params - conditions
     assert net == 1 - m * m + m * (m - 1) * (n + 1) // 2  # closed form, no extra
     return DimensionReport(order=m, num_real=n, num_apparent=extra,
@@ -123,15 +131,14 @@ def build_constraints(order: int, real_points, apparent_points=()) -> Constraint
     value row per finite point, one top-coefficient row, and jet rows of
     orders 1..k-1 at each apparent point.  Blocks do not interact.
     """
-    m = order
+    m = check_order(order)
     real = tuple(scalar(p) for p in real_points)
     app = tuple(scalar(a) for a in apparent_points)
     pts = real + app
     if len(set(pts)) != len(pts):
         raise DomainError("points not distinct")
     n, extra = len(real), len(app)
-    if n < 2:
-        raise DomainError("need at least two finite singular points")
+    _check_points(n)
     budget = degree_budget(m, n, extra)
     col_blocks = []
     start = 0
@@ -140,7 +147,6 @@ def build_constraints(order: int, real_points, apparent_points=()) -> Constraint
         col_blocks.append((start, start + width))
         start += width
     total_cols = start
-    zero = scalar(0)
     rows: list = []
     tags: list = []
     row_blocks = []
@@ -150,7 +156,7 @@ def build_constraints(order: int, real_points, apparent_points=()) -> Constraint
         block_start = len(rows)
 
         def emit(entries, tag):
-            row = [zero] * total_cols
+            row = [ZERO] * total_cols
             row[lo:hi] = entries
             rows.append(row)
             tags.append(tag)
@@ -158,16 +164,15 @@ def build_constraints(order: int, real_points, apparent_points=()) -> Constraint
         for p in pts:
             emit([p ** s for s in range(width)],
                  ConstraintTag(k=k, kind="exponent", point=str(p)))
-        emit([zero] * (width - 1) + [scalar(1)],
+        emit([ZERO] * (width - 1) + [scalar(1)],
              ConstraintTag(k=k, kind="top-coefficient", point="infinity"))
         for a in app:
             for l in range(1, k):
-                emit([falling_factorial(scalar(s), l) * a ** (s - l)
-                      if s >= l else zero for s in range(width)],
+                emit(_jet_row(a, l, width),
                      ConstraintTag(k=k, kind="derivative", point=str(a),
                                    derivative_order=l))
         row_blocks.append((block_start, len(rows)))
-    expected = (n + 1) * m - 1 + extra * m * (m + 1) // 2
+    expected = _condition_count(m, n, extra)
     return ConstraintSystem(order=m, real_points=real, apparent_points=app,
                             matrix=ExactMatrix.from_rows(rows),
                             tags=tuple(tags),
@@ -223,6 +228,25 @@ def verify_rank(system: ConstraintSystem) -> RankReport:
 # jet interpolation determinants
 
 
+def _jet_row(b, l: int, width: int) -> list:
+    """(d/dz)^l z^s at z = b for the powers s = 0..width-1."""
+    return [b ** (s - l) * math.perm(s, l) if s >= l else ZERO
+            for s in range(width)]
+
+
+def _jet_plan(points, plan) -> tuple:
+    """Points as scalars and the plan as positive ints, one per point."""
+    pts = tuple(scalar(b) for b in points)
+    plan = tuple(plan)
+    if any(isinstance(u, bool) or not isinstance(u, int) for u in plan):
+        raise DomainError(f"multiplicities must be integers, got {list(plan)!r}")
+    if len(pts) != len(plan):
+        raise DomainError("plan must give one multiplicity per point")
+    if any(u < 1 for u in plan):
+        raise DomainError("multiplicities must be positive")
+    return pts, plan
+
+
 def gen_vandermonde(points, plan) -> ExactMatrix:
     """Square jet-interpolation matrix.
 
@@ -230,29 +254,18 @@ def gen_vandermonde(points, plan) -> ExactMatrix:
     for l = 0..u-1; columns run over the powers s = 0..sum(plan)-1.  Rows
     are grouped by point, in the order given.
     """
-    pts = tuple(scalar(b) for b in points)
-    plan = tuple(int(u) for u in plan)
-    if len(pts) != len(plan):
-        raise DomainError("plan must give one multiplicity per point")
-    if any(u < 1 for u in plan):
-        raise DomainError("multiplicities must be positive")
+    pts, plan = _jet_plan(points, plan)
     # coincident points are allowed: they duplicate row blocks and the
     # determinant degenerates to 0, matching the closed form
     size = sum(plan)
-    zero = scalar(0)
-    rows = []
-    for b, u in zip(pts, plan):
-        for l in range(u):
-            rows.append([falling_factorial(scalar(s), l) * b ** (s - l)
-                         if s >= l else zero for s in range(size)])
-    return ExactMatrix.from_rows(rows)
+    return ExactMatrix.from_rows([_jet_row(b, l, size)
+                                  for b, u in zip(pts, plan) for l in range(u)])
 
 
 def vdm_closed_form(points, plan) -> GaussianRational:
     """Determinant of gen_vandermonde in closed form:
     prod over points of prod_{l<u} l!, times prod_{i<j} (b_j-b_i)^(u_i u_j)."""
-    pts = tuple(scalar(b) for b in points)
-    plan = tuple(int(u) for u in plan)
+    pts, plan = _jet_plan(points, plan)
     out = scalar(1)
     for u in plan:
         for l in range(u):
@@ -306,10 +319,8 @@ def hodge_parameters(order: int, num_real: int, exponents=()) -> WeightData:
     beta is the shape constant (n-1)(m-1)/(2(n+1)); each exponent mu gets
     the half-shifted weight (mu-beta)/2 and the residue of its real part
     mod 1."""
-    if not isinstance(order, int) or order < 1:
-        raise DomainError(f"order must be a positive integer, got {order!r}")
-    if num_real < 2:
-        raise DomainError("need at least two finite singular points")
+    check_order(order)
+    _check_points(num_real)
     beta = Fraction((num_real - 1) * (order - 1), 2 * (num_real + 1))
     entries = []
     for raw in exponents:

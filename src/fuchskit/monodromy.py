@@ -40,8 +40,9 @@ _RTOL_FLOOR = 100 * sys.float_info.epsilon  # scipy clamps any smaller rtol
 _CLEARANCE = 1e-9  # closest a straight leg may pass to a pole
 
 
-def _to_complex(g) -> complex:
-    return complex(float(g.re), float(g.im))
+def _cx(v) -> list:
+    """A complex number as its JSON pair [re, im]."""
+    return [float(np.real(v)), float(np.imag(v))]
 
 
 class _NumericConnection:
@@ -60,9 +61,9 @@ class _NumericConnection:
         for idx, n in enumerate(nums):
             i, j = divmod(idx, m)
             for k, c in enumerate(n.coeffs):
-                stack[deg - k, j, i] = _to_complex(c)
+                stack[deg - k, j, i] = complex(c)
         self._stack = stack
-        self._den = [_to_complex(c) for c in reversed(den.coeffs)]
+        self._den = [complex(c) for c in reversed(den.coeffs)]
 
     def at(self, z: complex) -> np.ndarray:
         """B(z)^T, the matrix of the column form u' = B^T u."""
@@ -125,10 +126,9 @@ class LoopSpec:
     base_point: complex | None = None
 
     def to_json(self) -> dict:
-        out = {"center": [self.center.real, self.center.imag],
-               "radius": self.radius}
+        out = {"center": _cx(self.center), "radius": self.radius}
         if self.base_point is not None:
-            out["base_point"] = [self.base_point.real, self.base_point.imag]
+            out["base_point"] = _cx(self.base_point)
         return out
 
 
@@ -141,14 +141,11 @@ class MonodromyResult:
     est_error: float
 
     def to_json(self) -> dict:
-        def cx(v):
-            return [float(np.real(v)), float(np.imag(v))]
-
         return {
             "loop": self.loop.to_json(),
-            "matrix": [[cx(v) for v in row] for row in self.matrix],
-            "char_poly": [cx(v) for v in self.char_poly],
-            "eigenvalues": [cx(v) for v in sorted(
+            "matrix": [[_cx(v) for v in row] for row in self.matrix],
+            "char_poly": [_cx(v) for v in self.char_poly],
+            "eigenvalues": [_cx(v) for v in sorted(
                 self.eigenvalues, key=lambda w: (round(np.real(w), 9),
                                                  round(np.imag(w), 9)))],
             "est_error": self.est_error,
@@ -160,15 +157,15 @@ def _det_reference(conn: LogConnection, loop: LoopSpec) -> complex:
     pole strictly inside the loop's circle."""
     total = scalar(0)
     for p in conn.pole_points:
-        if abs(_to_complex(p) - loop.center) < loop.radius:
+        if abs(complex(p) - loop.center) < loop.radius:
             for i in range(conn.size):
                 total = total + conn.matrix.entry(i, i).residue_at(p)
-    return cmath.exp(2j * math.pi * _to_complex(total))
+    return cmath.exp(2j * math.pi * complex(total))
 
 
 def _default_radius(conn: LogConnection, p) -> float:
-    z = _to_complex(p)
-    dists = [abs(z - _to_complex(q)) for q in conn.pole_points if q != p]
+    z = complex(p)
+    dists = [abs(z - complex(q)) for q in conn.pole_points if q != p]
     return min(dists) / 2.0 if dists else 1.0
 
 
@@ -180,7 +177,7 @@ def _loop_geometry(conn: LogConnection, point, radius) -> tuple:
     r = _default_radius(conn, p) if radius is None else float(radius)
     if not (math.isfinite(r) and r > 0):
         raise DomainError(f"radius must be finite and positive, got {r}")
-    return _to_complex(p), r
+    return complex(p), r
 
 
 def _base(base_point) -> complex:
@@ -253,7 +250,7 @@ def anchored_monodromy(conn: LogConnection, point, base_point: complex,
     center, r = _loop_geometry(conn, point, radius)
     b = _base(base_point)
     if path is None:
-        path = _lollipop(center, r, b, [_to_complex(q) for q in conn.pole_points])
+        path = _lollipop(center, r, b, [complex(q) for q in conn.pole_points])
     num = _NumericConnection(conn) if numeric is None else numeric
     mat = _transport(num, path, rtol, atol).T
     return _finish(conn, LoopSpec(center=center, radius=r, base_point=b), mat)
@@ -302,14 +299,11 @@ class GlobalMonodromy:
                               # makes closure_error meaningful only against it
 
     def to_json(self) -> dict:
-        def cx(v):
-            return [float(np.real(v)), float(np.imag(v))]
-
         return {
-            "base_point": [self.base_point.real, self.base_point.imag],
+            "base_point": _cx(self.base_point),
             "order_of_loops": list(self.order_of_loops),
             "loops": [r.to_json() for r in self.loops],
-            "product": [[cx(v) for v in row] for row in self.product],
+            "product": [[_cx(v) for v in row] for row in self.product],
             "outer": self.outer.to_json(),
             "closure_error": self.closure_error,
             "scale": self.scale,
@@ -355,7 +349,7 @@ def global_product(conn: LogConnection, base_point: complex | None = None,
     _check_tolerances(rtol, atol)
     if not conn.pole_points:
         raise DomainError("connection has no finite poles to encircle")
-    poles = [_to_complex(p) for p in conn.pole_points]
+    poles = [complex(p) for p in conn.pole_points]
     if base_point is not None:
         b = _base(base_point)
         radii = [_default_radius(conn, p) for p in conn.pole_points]
@@ -371,8 +365,11 @@ def global_product(conn: LogConnection, base_point: complex | None = None,
     results = [anchored_monodromy(conn, p, b, radius=r, rtol=rtol, atol=atol,
                                   numeric=num, path=path)
                for p, r, path in zip(conn.pole_points, radii, paths)]
+    # departure angles are measured from the direction of the outer center:
+    # the base sees the whole outer circle, and so every pole, within a
+    # quarter turn of it, far from the branch cut of the phase at +-pi
     order = sorted(range(len(poles)),
-                   key=lambda i: cmath.phase(poles[i] - b))
+                   key=lambda i: cmath.phase((poles[i] - b) / (center - b)))
     # rows compose left-to-right along the path, so the smallest departure
     # angle sits leftmost and the rightmost factor acts first
     product = np.eye(conn.size, dtype=complex)
@@ -404,11 +401,8 @@ class SweepResult:
     max_drift: float          # largest deviation from the first sample
 
     def to_json(self) -> dict:
-        def cx(v):
-            return [float(np.real(v)), float(np.imag(v))]
-
         return {"count": self.count, "point": self.point,
-                "char_polys": [[cx(v) for v in cp] for cp in self.char_polys],
+                "char_polys": [[_cx(v) for v in cp] for cp in self.char_polys],
                 "max_drift": self.max_drift}
 
 

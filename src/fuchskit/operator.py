@@ -29,6 +29,13 @@ class DomainError(ValueError):
     """Invalid operator data or an operation outside its domain."""
 
 
+def check_order(order) -> int:
+    """The order of an operator or family: a positive int, never a bool."""
+    if isinstance(order, bool) or not isinstance(order, int) or order < 1:
+        raise DomainError(f"order must be a positive integer, got {order!r}")
+    return order
+
+
 def _as_points(pts) -> tuple:
     try:
         return tuple(scalar(p) for p in pts)
@@ -52,8 +59,7 @@ class FuchsianOperator:
     coeffs: tuple  # numerator polynomials, index k-1 pairs with psi^k
 
     def __post_init__(self):
-        if not isinstance(self.order, int) or self.order < 1:
-            raise DomainError(f"order must be a positive integer, got {self.order!r}")
+        check_order(self.order)
         object.__setattr__(self, "real_points", _as_points(self.real_points))
         object.__setattr__(self, "apparent_points", _as_points(self.apparent_points))
         try:
@@ -175,11 +181,6 @@ def degree_budget(order: int, num_real: int, num_apparent: int) -> AccessoryDegr
     total = order + order * (order + 1) * d // 2
     assert total == sum(b + 1 for b in degrees)
     return AccessoryDegrees(degrees=degrees, total=total)
-
-
-def accessory_degrees(op: FuchsianOperator) -> AccessoryDegrees:
-    """Per-coefficient degree allowance and the total parameter count."""
-    return degree_budget(op.order, op.num_real, op.num_apparent)
 
 
 # ---------------------------------------------------------------------------
@@ -394,10 +395,7 @@ def _parse_json_doc(doc: Mapping) -> FuchsianOperator:
     for key in ("order", "real_points", "coeffs"):
         if key not in doc:
             raise DomainError(f"missing key {key!r}")
-    order = doc["order"]
-    if not isinstance(order, int):
-        raise DomainError(f"order must be an integer, got {order!r}")
-    return FuchsianOperator(order=order,
+    return FuchsianOperator(order=doc["order"],
                             real_points=tuple(doc["real_points"]),
                             apparent_points=tuple(doc.get("apparent_points", ())),
                             coeffs=tuple(doc["coeffs"]))

@@ -1,7 +1,7 @@
 """Deterministic random instance generators.
 
-Used by the experiment scripts and the property-test suite.  Everything is
-driven by a caller-supplied random.Random so runs are reproducible.
+Used by the property-test suite and the benchmark.  Everything is driven
+by a caller-supplied random.Random so runs are reproducible.
 """
 
 from __future__ import annotations

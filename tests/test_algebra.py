@@ -43,16 +43,16 @@ class TestScalar:
         for x in [scalar(3), scalar("-7/2"), GaussianRational(Fraction(1, 3), Fraction(-2))]:
             assert scalar(x.to_json()) == x
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_is_not_a_scalar(self, flag):
+        with pytest.raises(AlgebraError):
+            scalar(flag)
+
     def test_integrality(self):
         assert scalar(5).is_integer()
         assert not scalar("5/2").is_integer()
         assert not I.is_integer()
         assert scalar(-3).as_int() == -3
-
-    def test_conjugate_norm(self):
-        a = GaussianRational(Fraction(3), Fraction(-4))
-        assert a * a.conjugate() == scalar(a.norm2())
-        assert a.norm2() == 25
 
     @given(scalars, scalars, scalars)
     @settings(max_examples=60)

@@ -1,5 +1,6 @@
 """End-to-end checks of the JSON command line surface."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import fuchskit.cli
-from fuchskit.cli import main
+from fuchskit.cli import build_parser, main
 from fuchskit.frobenius import annihilator_from_solutions
 from fuchskit.sampling import second_order_with_exponents
 
@@ -52,6 +53,51 @@ class TestExitCodes:
 
     def test_invalid_inline_json(self, capsys):
         assert main(["validate", "--input", "{broken"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["dimensions", "--m", "3", "--n", "3"],
+        ["apparent", "--input", APPARENT_OP, "--point", "0"],
+        ["exponents", "--input", APPARENT_OP],
+    ])
+    @pytest.mark.parametrize("flag", [
+        ["--rtol", "1e-8"],
+        ["--atol", "nan"],
+        ["--truncation", "5"],
+    ])
+    def test_flag_the_command_does_not_read_is_a_usage_error(self, capsys,
+                                                            argv, flag):
+        assert main(argv + flag) == 2
+
+    @pytest.mark.parametrize("argv", [
+        # a JSON true is neither an order nor a coefficient
+        ["exponents", "--input", '{"order": true, "real_points": ["0", "1"], '
+                                 '"coeffs": [[true, "1"]]}'],
+        ["exponents", "--input", '{"order": 1, "real_points": ["0", "1"], '
+                                 '"coeffs": [[true, "1"]]}'],
+        ["hodge-params", "--m", "2", "--n", "3", "--exponents", "[true]"],
+        # multiplicities are integers, never rounded
+        ["vandermonde", "--points", "[0, 1, 2]", "--plan", "[1.9, 2.2, 1]"],
+        ["vandermonde", "--points", "[0, 1]", "--plan", "[true, 1]"],
+    ])
+    def test_non_number_is_an_error_document(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        doc = json.loads(captured.out)
+        assert doc["schema"] == "fuchskit/1"
+        assert doc["error"]["type"] in ("DomainError", "AlgebraError")
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("m", ["-2", "0"])
+    def test_constraints_order_below_one(self, capsys, m):
+        code = main(["constraints", "--m", m, "--points", "[0, 1]"])
+        captured = capsys.readouterr()
+        assert code == 1
+        doc = json.loads(captured.out)
+        assert doc["schema"] == "fuchskit/1"
+        assert doc["error"]["type"] == "DomainError"
+        assert "order must be a positive integer" in doc["error"]["message"]
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("argv", [
         ["apparent", "--input", APPARENT_OP, "--point", "1/0"],
@@ -264,6 +310,39 @@ class TestNumericCommands:
         code, doc = invoke(capsys, "sweep", "--input", json.dumps(fam),
                            "--rtol", "-1")
         assert code == 1 and doc["error"]["type"] == "DomainError"
+
+
+class TestOptions:
+    """Every option of every subcommand is read by its handler; a flag that
+    nothing reads must not come back."""
+
+    COMMON = ["--help", "--output", "-h"]
+    OPTIONS = {
+        "validate": ["--input"],
+        "companion": ["--against", "--input"],
+        "exponents": ["--input", "--point"],
+        "genericity": ["--exponents", "--input"],
+        "apparent": ["--input", "--oracle", "--point"],
+        "special-apparent": ["--input", "--point"],
+        "oracle": ["--input", "--point", "--truncation"],
+        "annihilate": ["--input"],
+        "cyclic": ["--input"],
+        "dimensions": ["--apparent", "--m", "--n"],
+        "constraints": ["--apparent-points", "--m", "--points"],
+        "vandermonde": ["--plan", "--points"],
+        "hodge-params": ["--exponents", "--m", "--n"],
+        "monodromy": ["--atol", "--base", "--input", "--point", "--radius",
+                      "--rtol"],
+        "sweep": ["--atol", "--input", "--point", "--rtol"],
+    }
+
+    def test_option_strings_of_every_subcommand(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        got = {name: sorted(s for a in p._actions for s in a.option_strings)
+               for name, p in sub.choices.items()}
+        assert got == {name: sorted(self.COMMON + opts)
+                       for name, opts in self.OPTIONS.items()}
 
 
 class TestPlumbing:

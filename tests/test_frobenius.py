@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from fuchskit.algebra import Polynomial, falling_factorial, scalar
@@ -14,7 +14,6 @@ from fuchskit.frobenius import (
     apparent_check,
     f_matrices,
     frobenius_oracle,
-    index1_integrality,
     local_expansion,
     special_apparent_check,
     special_exponents,
@@ -106,15 +105,9 @@ class TestResonanceMatrices:
 
     def test_signed_determinant_is_the_obstruction(self):
         assert f_matrices(local_expansion(OP_BLOCKED, 0, 2), 2,
-                          signed=True).det_at(0) == scalar(1)
+                          signed=True).determinant(scalar(0)) == scalar(1)
         assert f_matrices(local_expansion(OP_MODEL, 0, 2), 2,
-                          signed=True).det_at(0).is_zero()
-
-    def test_evaluation_at_rho(self):
-        la = local_expansion(OP_BLOCKED, 0, 2)
-        fm = f_matrices(la, 2, rho=0, signed=True)
-        assert fm.evaluated is not None
-        assert fm.evaluated.entry(1, 1) == scalar(1)  # -f_1(0)
+                          signed=True).determinant(scalar(0)).is_zero()
 
     def test_depth_guard(self):
         la = local_expansion(OP_MODEL, 0, 1)
@@ -323,21 +316,23 @@ class TestAnnihilator:
 
 
 class TestIndexOne:
+    """The depth-0 coefficient at index 1, table[0][0], is an integer at an
+    apparent point; the special exponent pattern makes it +1."""
+
+    @staticmethod
+    def index1(op):
+        return local_expansion(op, 0, 1).table[0][0]
+
     def test_model_value(self):
-        assert index1_integrality(OP_MODEL, 0) == 1
+        assert self.index1(OP_MODEL) == scalar(1)
 
     def test_special_instances_give_plus_one(self):
         for basis in (BASIS_CUBIC, BASIS_QUARTIC):
-            op = annihilator_from_solutions(basis)
-            assert index1_integrality(op, 0) == 1
+            value = self.index1(annihilator_from_solutions(basis))
+            assert value.is_integer() and value == scalar(1)
 
     def test_zero_for_trivial_first_order(self):
-        assert index1_integrality(_op(1, (0,), ([0],)), 0) == 0
-
-    def test_non_integral_rejected(self):
-        op = _op(2, (0, 1), ([Fraction(1, 2)], [0]))
-        with pytest.raises(DomainError, match="not an integer"):
-            index1_integrality(op, 0)
+        assert self.index1(_op(1, (0,), ([0],))) == scalar(0)
 
 
 @given(st.integers(min_value=1, max_value=9))

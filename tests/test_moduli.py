@@ -60,6 +60,14 @@ class TestDimensions:
         with pytest.raises(DomainError):
             dimensions(2, 3, -1)
 
+    @pytest.mark.parametrize("order", [0, -2, True, 2.0])
+    def test_order_must_be_a_positive_int(self, order):
+        for call in (lambda: dimensions(order, 3),
+                     lambda: build_constraints(order, (0, 1)),
+                     lambda: hodge_parameters(order, 3)):
+            with pytest.raises(DomainError, match="positive integer"):
+                call()
+
 
 class TestConstraintMatrix:
     def test_shape_and_rank_plain(self):
@@ -184,6 +192,19 @@ class TestJetDeterminants:
             gen_vandermonde((0, 1), (1,))
         with pytest.raises(DomainError, match="positive"):
             gen_vandermonde((0, 1), (1, 0))
+
+    @pytest.mark.parametrize("plan, message", [
+        ((1,), "one multiplicity"),
+        ((1, 2, 1), "one multiplicity"),
+        ((1, 0), "positive"),
+        ((1.9, 2.2), "integers"),
+        ((True, 1), "integers"),
+        ((Fraction(2), 1), "integers"),
+    ])
+    def test_both_forms_share_the_plan_checks(self, plan, message):
+        for form in (gen_vandermonde, vdm_closed_form):
+            with pytest.raises(DomainError, match=message):
+                form((0, 1), plan)
 
     def test_coincident_points_degenerate_to_zero(self):
         assert gen_vandermonde((0, 0), (1, 1)).det() == scalar(0)

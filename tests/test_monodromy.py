@@ -256,6 +256,25 @@ class TestGlobalProduct:
         assert len(g.loops) == 3
         assert sorted(g.order_of_loops) == [0, 1, 2]
 
+    # poles i, -i and 2: from a base to the right of them, the phase of
+    # pole - base jumps across the branch cut at +-pi
+    STRADDLED = second_order_with_exponents(
+        ({"re": 0, "im": 1}, {"re": 0, "im": -1}, 2),
+        (Fraction(1, 2), Fraction(1, 3), Fraction(-1, 4)),
+        quadratic_part=Fraction(1, 8))
+
+    @pytest.mark.parametrize("base, order", [
+        (None, (2, 0, 1)),  # the planned base, below every pole
+        (-5, (1, 2, 0)),
+        (5, (0, 2, 1)),
+        (5 + 0.2j, (0, 2, 1)),
+        (5 - 0.2j, (0, 2, 1)),
+    ])
+    def test_loop_order_from_any_base(self, base, order):
+        g = global_product(conn_of(self.STRADDLED), base_point=base)
+        assert g.order_of_loops == order
+        assert g.closure_error <= 1e-5 * g.scale
+
     def test_no_poles(self):
         flat = FuchsianOperator(order=2, real_points=(), apparent_points=(),
                                 coeffs=([0], [0]))

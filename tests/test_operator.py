@@ -8,7 +8,6 @@ from fuchskit.algebra import Polynomial, scalar
 from fuchskit.operator import (
     DomainError,
     FuchsianOperator,
-    accessory_degrees,
     degree_budget,
     operator_to_text,
     parse_operator,
@@ -43,6 +42,11 @@ class TestConstruction:
     def test_order_must_be_positive(self):
         with pytest.raises(DomainError):
             make(0, (0,), ())
+
+    @pytest.mark.parametrize("order", [True, 1.0, "1"])
+    def test_order_must_be_an_int(self, order):
+        with pytest.raises(DomainError, match="positive integer"):
+            make(order, (0,), ([0],))
 
     def test_coercion(self):
         op = make(1, ("1/2",), ([1, "2/3"],))
@@ -96,10 +100,6 @@ class TestDegrees:
                 for N in range(0, 3):
                     b = degree_budget(m, n, N)
                     assert b.total == sum(d + 1 for d in b.degrees)
-
-    def test_on_operator(self):
-        op = make(2, (0, 1, 2), (Polynomial.zero(), Polynomial.zero()), apparent=(3,))
-        assert accessory_degrees(op) == degree_budget(2, 3, 1)
 
 
 class TestValidate:
