@@ -2,10 +2,13 @@
 functions, their Taylor coefficients, and matrix algebra by field
 elimination, with Bareiss elimination for polynomial determinants.
 
-A rational function is always held in canonical form: numerator and
-denominator coprime, denominator monic.  Arithmetic keeps that form by
-cross-cancellation, taking gcds only of the parts that can share a factor,
-instead of reducing each result from scratch.
+A polynomial is held, like FLINT's fmpq_poly (Hart, ICMS 2010), as
+Gaussian-integer numerators over one positive integer denominator, so its
+arithmetic, Euclid and Bareiss run on Python ints; `GaussianRational` stays
+the scalar type at the interface.  A rational function is held in canonical
+form: numerator and denominator coprime, denominator monic.  Arithmetic
+keeps that form by cross-cancellation, taking gcds only of the parts that
+can share a factor, instead of reducing each result from scratch.
 
 Every computation in this module is exact.  Floating point enters only in
 `poly_root_search`, where numeric root candidates are reconstructed as exact
@@ -14,8 +17,11 @@ escapes.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, mul, sub
 from typing import Callable, Iterable, Sequence, Union
 
 import mpmath
@@ -169,15 +175,35 @@ def falling_factorial(x, k: int):
 # polynomials
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Polynomial:
     """Dense univariate polynomial over Q(i), coefficients lowest degree first.
 
-    Invariant: no trailing zero coefficients; the zero polynomial has an
-    empty coefficient tuple and degree -1.
+    Coefficient j is (re[j] + i im[j]) / den.  The form is canonical: no
+    trailing zero coefficient, den > 0, and den and all numerator parts
+    coprime, so zero is ((), (), 1) and equality compares parts.  `coeffs`
+    is the GaussianRational view, built on first use.
     """
 
-    coeffs: tuple
+    __slots__ = ("re", "im", "den", "_coeffs")
+
+    def __init__(self, re: Sequence[int], im: Sequence[int], den: int = 1):
+        """The canonical form of (re + i im)/den, for den > 0."""
+        n = len(re)
+        while n and not (re[n - 1] or im[n - 1]):
+            n -= 1
+        re, im = re[:n], im[:n]
+        g = gcd(den, *re, *im)
+        if g > 1:
+            re, im, den = [x // g for x in re], [x // g for x in im], den // g
+        self.re, self.im, self.den, self._coeffs = tuple(re), tuple(im), den, None
+
+    @property
+    def coeffs(self) -> tuple:
+        if self._coeffs is None:
+            self._coeffs = tuple(
+                GaussianRational(Fraction(a, self.den), Fraction(b, self.den))
+                for a, b in zip(self.re, self.im))
+        return self._coeffs
 
     @staticmethod
     def of(*cs) -> "Polynomial":
@@ -185,26 +211,26 @@ class Polynomial:
 
     @staticmethod
     def from_list(cs: Iterable) -> "Polynomial":
-        lst = [scalar(c) for c in cs]
-        while lst and lst[-1].is_zero():
-            lst.pop()
-        return Polynomial(tuple(lst))
+        cs = [scalar(c) for c in cs]
+        den = lcm(*(f.denominator for c in cs for f in (c.re, c.im)))
+        return Polynomial([c.re.numerator * (den // c.re.denominator) for c in cs],
+                          [c.im.numerator * (den // c.im.denominator) for c in cs], den)
 
     @staticmethod
     def zero() -> "Polynomial":
-        return Polynomial(())
+        return Polynomial((), ())
 
     @staticmethod
     def one() -> "Polynomial":
-        return Polynomial((ONE,))
+        return Polynomial((1,), (0,))
 
     @staticmethod
     def x() -> "Polynomial":
-        return Polynomial((ZERO, ONE))
+        return Polynomial((0, 1), (0, 0))
 
     @staticmethod
     def constant(c) -> "Polynomial":
-        return Polynomial.from_list([scalar(c)])
+        return Polynomial.from_list([c])
 
     @staticmethod
     def from_roots(roots: Sequence[ScalarLike]) -> "Polynomial":
@@ -214,10 +240,10 @@ class Polynomial:
         return p
 
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.re) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.re
 
     def lc(self) -> GaussianRational:
         if self.is_zero():
@@ -225,13 +251,18 @@ class Polynomial:
         return self.coeffs[-1]
 
     def coeff(self, j: int) -> GaussianRational:
-        return self.coeffs[j] if 0 <= j < len(self.coeffs) else ZERO
+        return self.coeffs[j] if 0 <= j < len(self.re) else ZERO
 
     def __add__(self, other) -> "Polynomial":
         o = _as_poly(other)
-        n = max(len(self.coeffs), len(o.coeffs))
-        return Polynomial.from_list(
-            [self.coeff(j) + o.coeff(j) for j in range(n)])
+        g = gcd(self.den, o.den)
+        n = max(len(self.re), len(o.re))
+        re, im = [0] * n, [0] * n
+        for p, f in ((self, o.den // g), (o, self.den // g)):
+            for j, (a, b) in enumerate(zip(p.re, p.im)):
+                re[j] += a * f
+                im[j] += b * f
+        return Polynomial(re, im, self.den // g * o.den)
 
     __radd__ = __add__
 
@@ -242,19 +273,17 @@ class Polynomial:
         return _as_poly(other) - self
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coeffs))
+        return Polynomial([-x for x in self.re], [-x for x in self.im], self.den)
 
     def __mul__(self, other) -> "Polynomial":
         o = _as_poly(other)
-        if self.is_zero() or o.is_zero():
-            return Polynomial.zero()
-        out = [ZERO] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(o.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Polynomial.from_list(out)
+        n = len(self.re) + len(o.re) - 1
+        re, im = [0] * n, [0] * n
+        for i, (a, b) in enumerate(zip(self.re, self.im)):
+            for j, (c, d) in enumerate(zip(o.re, o.im)):
+                re[i + j] += a * c - b * d
+                im[i + j] += a * d + b * c
+        return Polynomial(re, im, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -271,32 +300,42 @@ class Polynomial:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (Polynomial, GaussianRational, int, Fraction)):
-            return self.coeffs == _as_poly(other).coeffs
+            o = _as_poly(other)
+            return self.den == o.den and self.re == o.re and self.im == o.im
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.re, self.im, self.den))
 
     def __divmod__(self, other):
+        """Long division on integers: for self = A/a and other = B/b the loop
+        keeps f*A = Q*B + R, s = f*a, giving Q*b/s and R/s.  Each quotient
+        coefficient is R's top coefficient t over L = lc(B), t*conj(L)/|L|^2;
+        Q and R are first scaled by the part of |L|^2 that t*conj(L) does
+        not cancel, so f = 1 when B divides A in Z[i][z]."""
         o = _as_poly(other)
         if o.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        quo = [ZERO] * max(0, len(rem) - len(o.coeffs) + 1)
-        dlc = o.lc()
-        monic = dlc == ONE
-        while len(rem) >= len(o.coeffs):
-            while rem and rem[-1].is_zero():
-                rem.pop()
-            if len(rem) < len(o.coeffs):
-                break
-            q = rem[-1] if monic else rem[-1] / dlc
-            shift = len(rem) - len(o.coeffs)
-            quo[shift] = q
-            for j, c in enumerate(o.coeffs):
-                rem[shift + j] = rem[shift + j] - q * c
-            rem.pop()
-        return Polynomial.from_list(quo), Polynomial.from_list(rem)
+        br, bi, m = o.re, o.im, o.degree()
+        lr, li = br[-1], bi[-1]
+        cr, ci, n = (lr, -li, lr * lr + li * li) if li else (1 if lr > 0 else -1, 0, abs(lr))
+        rr, ri = list(self.re), list(self.im)
+        qr, qi = [0] * (len(rr) - m), [0] * (len(rr) - m)
+        s = self.den
+        for k in range(len(rr) - m - 1, -1, -1):
+            tr, ti = rr[k + m] * cr - ri[k + m] * ci, rr[k + m] * ci + ri[k + m] * cr
+            g = gcd(tr, ti, n)
+            if g != n:
+                f = n // g
+                s *= f
+                rr, ri = [x * f for x in rr], [x * f for x in ri]
+                qr, qi = [x * f for x in qr], [x * f for x in qi]
+            tr, ti = qr[k], qi[k] = tr // g, ti // g
+            for j in range(m):
+                rr[k + j] -= tr * br[j] - ti * bi[j]
+                ri[k + j] -= tr * bi[j] + ti * br[j]
+        return (Polynomial([x * o.den for x in qr], [x * o.den for x in qi], s),
+                Polynomial(rr[:m], ri[:m], s))
 
     def exact_div(self, other) -> "Polynomial":
         q, r = divmod(self, other)
@@ -305,48 +344,58 @@ class Polynomial:
         return q
 
     def monic(self) -> "Polynomial":
-        if self.is_zero() or self.coeffs[-1] == ONE:
+        """Numerators times conj(L) over |L|^2, L the top numerator: the
+        primitive integer vector over its own (positive) top coefficient."""
+        if self.is_zero():
             return self
-        inv = ONE / self.lc()
-        return Polynomial(tuple(c * inv for c in self.coeffs))
+        lr, li = self.re[-1], self.im[-1]
+        return Polynomial([a * lr + b * li for a, b in zip(self.re, self.im)],
+                          [b * lr - a * li for a, b in zip(self.re, self.im)],
+                          lr * lr + li * li)
 
     def derivative(self) -> "Polynomial":
-        return Polynomial.from_list(
-            [c * j for j, c in enumerate(self.coeffs)][1:])
+        return Polynomial([j * a for j, a in enumerate(self.re)][1:],
+                          [j * b for j, b in enumerate(self.im)][1:], self.den)
 
     def __call__(self, x: ScalarLike) -> GaussianRational:
-        x = scalar(x)
-        out = ZERO
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
+        """Horner's rule on integers: d^(n-1) p(x) for x = X/d, w = d^n."""
+        x = Polynomial.constant(x)
+        if self.is_zero() or x.is_zero():
+            return self.coeff(0)
+        xr, xi, d = x.re[0], x.im[0], x.den
+        ur = ui = 0
+        w = 1
+        for a, b in zip(reversed(self.re), reversed(self.im)):
+            ur, ui = ur * xr - ui * xi + a * w, ur * xi + ui * xr + b * w
+            w *= d
+        q = self.den * w // d
+        return GaussianRational(Fraction(ur, q), Fraction(ui, q))
 
     def shift(self, c: ScalarLike) -> "Polynomial":
-        """p(z + c), i.e. recenter the variable at -c.
-
-        Taylor shift in place by repeated synthetic division (Knuth, TAOCP
-        vol. 2, 4.6.4): pass k leaves the coefficient of z^k final.  The
-        leading coefficient never changes, so the result stays normalised.
-        """
-        c = scalar(c)
-        if c.is_zero():
+        """p(z + c) by synthetic division (Knuth, TAOCP vol. 2, 4.6.4) on
+        integers: for c = C/d and n = deg p, shifting the numerators of
+        d^n p(u/d) by C leaves d^(n-j) times coefficient j of p(z + c)."""
+        c, n = Polynomial.constant(c), len(self.re) - 1
+        if n < 1 or c.is_zero():
             return self
-        a = list(self.coeffs)
-        top = len(a) - 1
-        for k in range(top):
-            for j in range(top - 1, k - 1, -1):
-                a[j] = a[j] + c * a[j + 1]
-        return Polynomial(tuple(a))
+        cr, ci, d = c.re[0], c.im[0], c.den
+        ar = [a * d ** (n - j) for j, a in enumerate(self.re)]
+        ai = [b * d ** (n - j) for j, b in enumerate(self.im)]
+        for k in range(n):
+            for j in range(n - 1, k - 1, -1):
+                ar[j], ai[j] = (ar[j] + cr * ar[j + 1] - ci * ai[j + 1],
+                                ai[j] + cr * ai[j + 1] + ci * ar[j + 1])
+        return Polynomial([a * d ** j for j, a in enumerate(ar)],
+                          [b * d ** j for j, b in enumerate(ai)], self.den * d ** n)
 
     def reversed_coeffs(self, upto: int | None = None) -> "Polynomial":
         """z^d * p(1/z) where d = upto (defaults to deg p)."""
         d = self.degree() if upto is None else upto
         if d < self.degree():
             raise AlgebraError("reversal degree below polynomial degree")
-        out = [ZERO] * (d + 1)
-        for j, c in enumerate(self.coeffs):
-            out[d - j] = c
-        return Polynomial.from_list(out)
+        pad = [0] * (d - self.degree())
+        return Polynomial(pad + list(self.re[::-1]), pad + list(self.im[::-1]),
+                          self.den)
 
     def to_json(self) -> list:
         return [c.to_json() for c in self.coeffs]
@@ -372,18 +421,14 @@ class Polynomial:
 
 
 def _as_poly(x) -> Polynomial:
-    if isinstance(x, Polynomial):
-        return x
-    return Polynomial.from_list([scalar(x)])
+    return x if isinstance(x, Polynomial) else Polynomial.constant(x)
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd via the Euclidean algorithm (coefficients form a field).
-
-    Every remainder is made monic (Brown, JACM 18, 1971), which keeps the
-    coefficients from swelling and lets each division skip the division by
-    the leading coefficient.  A zero or constant operand answers at once.
-    """
+    """Monic gcd by Euclid.  Each remainder is made monic (Brown, JACM 18,
+    1971), which holds it as its primitive integer vector over its top
+    coefficient (Knuth, TAOCP vol. 2, 4.6.1): the loop runs on primitive
+    integer remainders.  A zero or constant operand answers at once."""
     if a.is_zero() or b.is_zero():
         return (b if a.is_zero() else a).monic()
     if a.degree() == 0 or b.degree() == 0:
@@ -517,14 +562,14 @@ class RationalFunction:
         valuation of the shifted den; the residue is the coefficient of
         z^(e-1) in num(z + p)/r(z), and zero when e = 0.
         """
-        p = scalar(p)
-        den = self.den.shift(p).coeffs
+        den = self.den.shift(p)
         e = 0
-        while den[e].is_zero():
+        while not (den.re[e] or den.im[e]):
             e += 1
         if e == 0:
             return 0, ZERO
-        return e, _series_divide(self.num.shift(p).coeffs, den[e:], e - 1)[-1]
+        rest = Polynomial(den.re[e:], den.im[e:], den.den)
+        return e, _series_divide(self.num.shift(p), rest, e - 1)[-1]
 
     def pole_order_at(self, p: ScalarLike) -> int:
         return self.order_and_residue_at(p)[0]
@@ -535,13 +580,11 @@ class RationalFunction:
 
     def subst_reciprocal(self) -> "RationalFunction":
         """f(1/z) as a rational function of z."""
-        dn, dd = self.num.degree(), self.den.degree()
         if self.is_zero():
             return self
-        d = max(dn, dd)
-        num = self.num.reversed_coeffs(d)
-        den = self.den.reversed_coeffs(d)
-        return RationalFunction.make(num, den)
+        d = max(self.num.degree(), self.den.degree())
+        return RationalFunction.make(self.num.reversed_coeffs(d),
+                                     self.den.reversed_coeffs(d))
 
     def to_json(self) -> dict:
         return {"num": self.num.to_json(), "den": self.den.to_json()}
@@ -556,11 +599,8 @@ class RationalFunction:
 
 def _over_monic(num: Polynomial, den: Polynomial) -> RationalFunction:
     """num/den for coprime num and den, scaled so that den is monic."""
-    lc = den.lc()
-    if lc != ONE:
-        inv = ONE / lc
-        num, den = num * inv, den * inv
-    return RationalFunction(num, den)
+    inv = ONE / den.lc()
+    return RationalFunction(num * inv, den * inv)
 
 
 def _cancel(n: Polynomial, d: Polynomial) -> tuple:
@@ -595,22 +635,18 @@ def series_of_rational(rf: RationalFunction, center: ScalarLike,
     """
     center = scalar(center)
     den = rf.den.shift(center)
-    if den.coeff(0).is_zero():
+    if not (den.re[0] or den.im[0]):
         raise AlgebraError(f"series expansion at a pole: {center}")
-    return tuple(_series_divide(rf.num.shift(center).coeffs, den.coeffs, order))
+    return tuple(_series_divide(rf.num.shift(center), den, order))
 
 
-def _series_divide(num: Sequence, den: Sequence, order: int) -> list:
-    """Coefficients 0..order of the power series num/den, both given as
-    coefficient sequences from the constant term up, with den[0] != 0."""
-    inv = ONE / den[0]
-    out = []
-    for j in range(order + 1):
-        acc = num[j] if j < len(num) else ZERO
-        for t in range(1, min(j, len(den) - 1) + 1):
-            acc = acc - den[t] * out[j - t]
-        out.append(acc * inv)
-    return out
+def _series_divide(num: Polynomial, den: Polynomial, order: int) -> list:
+    """Coefficients 0..order of the power series num/den, den(0) != 0: by
+    the reversal z^d p(1/z), they are the quotient coefficients, top first,
+    of the long division of num reversed at order + deg den by den reversed."""
+    num = Polynomial(num.re[:order + 1], num.im[:order + 1], num.den)
+    q = divmod(num.reversed_coeffs(order + den.degree()), den.reversed_coeffs())[0]
+    return [q.coeff(order - j) for j in range(order + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -648,23 +684,19 @@ class ExactMatrix:
         return ExactMatrix(tuple(tuple(fn(e) for e in row) for row in self.rows))
 
     def __add__(self, o: "ExactMatrix") -> "ExactMatrix":
-        return ExactMatrix(tuple(
-            tuple(a + b for a, b in zip(r1, r2))
-            for r1, r2 in zip(self.rows, o.rows)))
+        return ExactMatrix(tuple(tuple(map(add, r1, r2))
+                                 for r1, r2 in zip(self.rows, o.rows)))
 
     def __sub__(self, o: "ExactMatrix") -> "ExactMatrix":
-        return ExactMatrix(tuple(
-            tuple(a - b for a, b in zip(r1, r2))
-            for r1, r2 in zip(self.rows, o.rows)))
+        return ExactMatrix(tuple(tuple(map(sub, r1, r2))
+                                 for r1, r2 in zip(self.rows, o.rows)))
 
     def __mul__(self, o: "ExactMatrix") -> "ExactMatrix":
-        m, k = self.shape()
-        k2, n = o.shape()
-        if k != k2:
+        if self.shape()[1] != o.shape()[0]:
             raise AlgebraError("matrix shape mismatch")
-        return ExactMatrix(tuple(
-            tuple(_dot(self.rows[i], [o.rows[t][j] for t in range(k)])
-                  for j in range(n)) for i in range(m)))
+        cols = list(zip(*o.rows))
+        return ExactMatrix(tuple(tuple(functools.reduce(add, map(mul, row, col)) for col in cols)
+                                 for row in self.rows))
 
     def scale(self, c) -> "ExactMatrix":
         return self.map(lambda e: e * c)
@@ -673,10 +705,7 @@ class ExactMatrix:
         m, n = self.shape()
         if m != n:
             raise AlgebraError("trace of a non-square matrix")
-        out = self.rows[0][0]
-        for i in range(1, m):
-            out = out + self.rows[i][i]
-        return out
+        return functools.reduce(add, (self.rows[i][i] for i in range(m)))
 
     def det(self):
         """Determinant, exact in the entry ring: Gaussian elimination over
@@ -770,15 +799,6 @@ class ExactMatrix:
         return [[enc(e) for e in row] for row in self.rows]
 
 
-def _dot(row, col):
-    it = iter(zip(row, col))
-    a, b = next(it)
-    out = a * b
-    for a, b in it:
-        out = out + a * b
-    return out
-
-
 def _has_polynomial(rows) -> bool:
     return any(isinstance(e, Polynomial) for row in rows for e in row)
 
@@ -795,9 +815,7 @@ def _echelon_det(rows: list, pivots: tuple, sign: int, n: int):
     sign times the diagonal product, or zero when a pivot is missing."""
     if pivots != tuple(range(n)):
         return _units(rows[0][0])[0]
-    out = rows[0][0]
-    for i in range(1, n):
-        out = out * rows[i][i]
+    out = functools.reduce(mul, (rows[i][i] for i in range(n)))
     return out if sign == 1 else -out
 
 
@@ -849,8 +867,15 @@ def _eliminate(rows: list, ncols: int, reduce: bool = False) -> tuple:
 
 def _bareiss_det(a: list) -> Polynomial:
     """Fraction-free (Bareiss) determinant of a square polynomial matrix
-    given as row lists; every division is exact in Q(i)[s]."""
+    given as row lists.  Each row is first scaled by the lcm of its
+    denominators, so elimination runs over Z[i][s], every exact_div is an
+    integer division, and the product of the row scales divides out last."""
     m = len(a)
+    scale = 1
+    for i, row in enumerate(a):
+        d = lcm(*(_as_poly(e).den for e in row))
+        a[i] = [_as_poly(e) * d for e in row]
+        scale *= d
     sign = 1
     prev = None
     for r in range(m - 1):
@@ -867,8 +892,8 @@ def _bareiss_det(a: list) -> Polynomial:
                 v = a[i][j] * a[r][r] - a[i][r] * a[r][j]
                 a[i][j] = v if prev is None else v.exact_div(prev)
         prev = a[r][r]
-    d = a[m - 1][m - 1]
-    return d if sign == 1 else -d
+    d = a[m - 1][m - 1] if sign == 1 else -a[m - 1][m - 1]
+    return Polynomial(d.re, d.im, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -882,10 +907,7 @@ class RootSearchResult:
     complete: bool
 
     def root_list(self) -> list:
-        out = []
-        for r, mult in self.roots:
-            out.extend([r] * mult)
-        return out
+        return [r for r, mult in self.roots for _ in range(mult)]
 
 
 def poly_root_search(p: Polynomial, denominator_bound: int = 10 ** 24) -> RootSearchResult:
@@ -899,14 +921,9 @@ def poly_root_search(p: Polynomial, denominator_bound: int = 10 ** 24) -> RootSe
     """
     if p.is_zero():
         raise AlgebraError("root search on the zero polynomial")
-    roots = []
-    work = p
-    zmult = 0
-    while work.degree() >= 1 and work.coeff(0).is_zero():
-        work = work.exact_div(Polynomial.x())
-        zmult += 1
-    if zmult:
-        roots.append((ZERO, zmult))
+    zmult = next(j for j, c in enumerate(zip(p.re, p.im)) if any(c))
+    work = Polynomial(p.re[zmult:], p.im[zmult:], p.den)
+    roots = [(ZERO, zmult)] if zmult else []
     if work.degree() >= 1:
         sf = work.exact_div(poly_gcd(work, work.derivative())) \
             if work.degree() >= 2 else work
@@ -915,19 +932,12 @@ def poly_root_search(p: Polynomial, denominator_bound: int = 10 ** 24) -> RootSe
                 continue
             if not work(cand).is_zero():
                 continue
-            mult = 0
-            lin = Polynomial.from_roots([cand])
-            while True:
-                qq, r = divmod(work, lin)
-                if not r.is_zero():
-                    break
-                work = qq
-                mult += 1
-            if mult:
-                roots.append((cand, mult))
+            lin, mult = Polynomial.from_roots([cand]), 0
+            while (qr := divmod(work, lin))[1].is_zero():
+                work, mult = qr[0], mult + 1
+            roots.append((cand, mult))
     roots.sort(key=lambda t: t[0].sort_key())
-    complete = work.degree() <= 0
-    return RootSearchResult(tuple(roots), work, complete)
+    return RootSearchResult(tuple(roots), work, work.degree() <= 0)
 
 
 def _numeric_candidates(sf: Polynomial, denominator_bound: int) -> list:
@@ -945,12 +955,9 @@ def _numeric_candidates(sf: Polynomial, denominator_bound: int) -> list:
             approx = mpmath.polyroots(cs, maxsteps=200, extraprec=digits * 4)
         except mpmath.libmp.NoConvergence:
             return []  # no candidates: the caller reports complete=False
-        out = []
-        for r in approx:
-            fre = _reconstruct(mpmath.re(r), recon, denominator_bound)
-            fim = _reconstruct(mpmath.im(r), recon, denominator_bound)
-            out.append(GaussianRational(fre, fim))
-        return out
+        return [GaussianRational(_reconstruct(mpmath.re(r), recon, denominator_bound),
+                                 _reconstruct(mpmath.im(r), recon, denominator_bound))
+                for r in approx]
 
 
 def _coeff_digits(p: Polynomial) -> int:

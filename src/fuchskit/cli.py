@@ -22,12 +22,14 @@ from .connection import (
 )
 from .cyclic import find_cyclic, roundtrip_check
 from .frobenius import (
+    MAX_TRUNCATION,
     annihilator_from_solutions,
     apparent_check,
     frobenius_oracle,
     special_apparent_check,
 )
 from .moduli import (
+    MAX_JET_SIZE,
     build_constraints,
     dimensions,
     gen_vandermonde,
@@ -288,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("oracle", _cmd_oracle, "series solutions and obstruction scan")
     p.add_argument("--point", required=True)
     p.add_argument("--truncation", type=int, default=None,
-                   help="series depth; raised to cover every resonance")
+                   help=f"series depth, at most {MAX_TRUNCATION}; raised to "
+                        "cover every resonance")
     add("annihilate", _cmd_annihilate,
         "smallest monic operator annihilating a polynomial basis")
     add("cyclic", _cmd_cyclic, "cyclic vector search and roundtrip report")
@@ -311,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
             needs_input=False)
     p.add_argument("--points", required=True, help="JSON array of points")
     p.add_argument("--plan", required=True,
-                   help="JSON array of row counts per point")
+                   help="JSON array of row counts per point, summing to "
+                        f"at most {MAX_JET_SIZE}")
     p = add("hodge-params", _cmd_hodge_params,
             "weight bookkeeping for an exponent list", needs_input=False)
     p.add_argument("--m", type=int, required=True)

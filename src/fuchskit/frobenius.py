@@ -34,6 +34,10 @@ from .algebra import (
 )
 from .operator import DomainError, FuchsianOperator, psi_all, validate_fuchsian
 
+# Deepest series expansion.  The expansion and the oracle's recursion on it
+# cost O(N^2) in the depth N; the tests, goldens and benchmark need N <= 10.
+MAX_TRUNCATION = 100
+
 
 @dataclass(frozen=True)
 class LocalAnalysis:
@@ -68,6 +72,9 @@ class LocalAnalysis:
 def local_expansion(op: FuchsianOperator, point, truncation: int) -> LocalAnalysis:
     if truncation < 1:
         raise DomainError("truncation must be at least 1")
+    if truncation > MAX_TRUNCATION:
+        raise DomainError(f"truncation {truncation} exceeds the cap of "
+                          f"{MAX_TRUNCATION}")
     a = scalar(point)
     psi = psi_all(op)
     lin = Polynomial.of(-a, 1)

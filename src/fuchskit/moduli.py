@@ -22,6 +22,10 @@ from fractions import Fraction
 from .algebra import ExactMatrix, GaussianRational, ZERO, scalar
 from .operator import DomainError, check_order, degree_budget
 
+# Largest sum(plan).  The jet matrix is sum(plan) square, and its exact
+# elimination costs about the cube of that size in ever longer fractions.
+MAX_JET_SIZE = 64
+
 
 def _check_points(num_real: int) -> None:
     if num_real < 2:
@@ -244,6 +248,9 @@ def _jet_plan(points, plan) -> tuple:
         raise DomainError("plan must give one multiplicity per point")
     if any(u < 1 for u in plan):
         raise DomainError("multiplicities must be positive")
+    if sum(plan) > MAX_JET_SIZE:
+        raise DomainError(f"sum(plan) = {sum(plan)} exceeds the cap of "
+                          f"{MAX_JET_SIZE}")
     return pts, plan
 
 

@@ -4,6 +4,7 @@ Derived expected values are checked against independent oracles implemented
 here (cofactor determinants, quotient-rule differentiation for series), not
 against the code under test.
 """
+import math
 from fractions import Fraction
 
 import mpmath
@@ -153,6 +154,186 @@ class TestPolynomial:
         p = Polynomial.of(3, 0, 1)    # 3 + z^2
         assert p.reversed_coeffs() == Polynomial.of(1, 0, 3)
         assert p.reversed_coeffs(4) == Polynomial.of(0, 0, 1, 0, 3)
+
+
+# ------------------------------------------- naive Fraction-pair reference
+
+# An independent reference for the polynomial kernel: a polynomial is a list
+# of (re, im) Fraction pairs, lowest degree first, without trailing zeros.
+# Nothing here calls Polynomial arithmetic; results of the kernel are read
+# through Polynomial.coeffs.
+
+F0, F1 = Fraction(0), Fraction(1)
+
+
+def _trim(v):
+    v = list(v)
+    while v and v[-1] == (F0, F0):
+        v.pop()
+    return v
+
+
+def _cmul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _cdiv(x, y):
+    n = y[0] * y[0] + y[1] * y[1]
+    return ((x[0] * y[0] + x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n)
+
+
+def _nadd(a, b, sign=1):
+    n = max(len(a), len(b))
+    a, b = a + [(F0, F0)] * (n - len(a)), b + [(F0, F0)] * (n - len(b))
+    return _trim((x[0] + sign * y[0], x[1] + sign * y[1]) for x, y in zip(a, b))
+
+
+def _nmul(a, b):
+    out = [(F0, F0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            p = _cmul(x, y)
+            out[i + j] = (out[i + j][0] + p[0], out[i + j][1] + p[1])
+    return _trim(out)
+
+
+def _ndivmod(a, b):
+    q, r = [(F0, F0)] * max(len(a) - len(b) + 1, 0), a
+    while len(r) >= len(b):
+        k = len(r) - len(b)
+        q[k] = _cdiv(r[-1], b[-1])
+        r = _nadd(r, _nmul([(F0, F0)] * k + [q[k]], b), -1)
+    return _trim(q), r
+
+
+def _neval(a, x):
+    out = (F0, F0)
+    for c in reversed(a):
+        p = _cmul(out, x)
+        out = (p[0] + c[0], p[1] + c[1])
+    return out
+
+
+def _nshift(a, c):
+    """sum a_k (z + c)^k, expanded term by term."""
+    out = []
+    for k, ak in enumerate(a):
+        term = [ak]
+        for _ in range(k):
+            term = _nmul(term, [c, (F1, F0)])
+        out = _nadd(out, term)
+    return out
+
+
+def _nmonic(a):
+    return [_cdiv(x, a[-1]) for x in a]
+
+
+def _ngcd(a, b):
+    while b:
+        a, b = b, _ndivmod(a, b)[1]
+    return _nmonic(a) if a else a
+
+
+def _ndet(rows):
+    """Laplace expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    out = []
+    for j in range(len(rows)):
+        minor = [[r[k] for k in range(len(rows)) if k != j] for r in rows[1:]]
+        out = _nadd(out, _nmul(rows[0][j], _ndet(minor)), -1 if j % 2 else 1)
+    return out
+
+
+def _poly(pairs) -> Polynomial:
+    return Polynomial.from_list([GaussianRational(a, b) for a, b in pairs])
+
+
+def _pairs(p: Polynomial) -> list:
+    return [(c.re, c.im) for c in p.coeffs]
+
+
+pair_scalars = st.tuples(fractions, fractions)
+pair_polys = st.lists(pair_scalars, max_size=5).map(_trim)
+# products with a shared factor, so that gcds of positive degree are common
+pair_poly_pairs = st.tuples(pair_polys, pair_polys, pair_polys).map(
+    lambda fgh: (_nmul(fgh[0], fgh[1]), _nmul(fgh[0], fgh[2])))
+small_pair_polys = st.lists(
+    st.tuples(st.fractions(-3, 3, max_denominator=3),
+              st.sampled_from([F0, F0, F1, -F1])), max_size=3).map(_trim)
+pair_poly_matrices = st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.lists(st.lists(small_pair_polys, min_size=n, max_size=n),
+                       min_size=n, max_size=n))
+
+
+class TestAgainstNaiveKernel:
+    @given(pair_polys, pair_polys)
+    @settings(max_examples=60, deadline=None)
+    def test_ring_operations(self, a, b):
+        pa, pb = _poly(a), _poly(b)
+        assert _pairs(pa + pb) == _nadd(a, b)
+        assert _pairs(pa - pb) == _nadd(a, b, -1)
+        assert _pairs(pa * pb) == _nmul(a, b)
+        assert _pairs(-pa) == _nadd([], a, -1)
+
+    @given(pair_poly_pairs)
+    @settings(max_examples=60, deadline=None)
+    def test_divmod_and_gcd(self, ab):
+        a, b = ab
+        if b:
+            q, r = divmod(_poly(a), _poly(b))
+            assert (_pairs(q), _pairs(r)) == _ndivmod(a, b)
+        assert _pairs(poly_gcd(_poly(a), _poly(b))) == _ngcd(a, b)
+
+    @given(pair_polys, pair_scalars)
+    @settings(max_examples=60, deadline=None)
+    def test_shift_evaluation_and_monic(self, a, c):
+        p, x = _poly(a), GaussianRational(*c)
+        assert _pairs(p.shift(x)) == _nshift(a, c)
+        value = p(x)
+        assert (value.re, value.im) == _neval(a, c)
+        if a:
+            assert _pairs(p.monic()) == _nmonic(a)
+
+    @given(pair_poly_matrices)
+    @settings(max_examples=40, deadline=None)
+    def test_polynomial_det(self, rows):
+        m = ExactMatrix.from_rows([[_poly(e) for e in row] for row in rows])
+        assert _pairs(m.det()) == _ndet(rows)
+
+    @given(st.lists(st.tuples(st.integers(-50, 50), st.integers(-50, 50)),
+                    max_size=5),
+           st.integers(min_value=1, max_value=30),
+           st.integers(min_value=1, max_value=30))
+    @settings(max_examples=60, deadline=None)
+    def test_canonical_form(self, numerators, den, k):
+        # the same polynomial from numerators and denominator scaled by k,
+        # from reduced Fractions, and from a padded vector
+        re = [a for a, _ in numerators]
+        im = [b for _, b in numerators]
+        p = Polynomial(re, im, den)
+        q = Polynomial([k * a for a in re] + [0], [k * b for b in im] + [0], k * den)
+        r = Polynomial.from_list([GaussianRational(Fraction(a, den), Fraction(b, den))
+                                  for a, b in numerators])
+        for other in (q, r):
+            assert other == p
+            assert hash(other) == hash(p)
+            assert other.to_json() == p.to_json()
+            assert (other.re, other.im, other.den) == (p.re, p.im, p.den)
+        assert p.den > 0 and math.gcd(p.den, *p.re, *p.im) == 1
+
+    def test_canonical_examples(self):
+        half = Polynomial.of("1/2")
+        assert Polynomial((2,), (0,), 4) == half
+        assert hash(Polynomial((2,), (0,), 4)) == hash(half)
+        assert (half.re, half.im, half.den) == ((1,), (0,), 2)
+        # numerators sharing a content 2 over the denominator 1 stay as they are
+        p = Polynomial((2, 4), (0, 6))
+        assert (p.re, p.im, p.den) == ((2, 4), (0, 6), 1)
+        assert p == Polynomial.of(2, {"re": 4, "im": 6})
+        assert Polynomial((0, 0), (0, 0), 7) == Polynomial.zero()
+        assert Polynomial.zero().den == 1
 
 
 # ------------------------------------------------------- rational functions

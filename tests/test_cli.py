@@ -88,6 +88,21 @@ class TestExitCodes:
         assert doc["error"]["type"] in ("DomainError", "AlgebraError")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--input", APPARENT_OP, "--point", "0",
+         "--truncation", "1000000"],
+        ["vandermonde", "--points", "[0]", "--plan", "[1000]"],
+    ])
+    def test_size_beyond_its_cap_is_refused(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        doc = json.loads(captured.out)
+        assert doc["schema"] == "fuchskit/1"
+        assert doc["error"]["type"] == "DomainError"
+        assert "exceeds the cap" in doc["error"]["message"]
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize("m", ["-2", "0"])
     def test_constraints_order_below_one(self, capsys, m):
         code = main(["constraints", "--m", m, "--points", "[0, 1]"])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from fuchskit.algebra import Polynomial, falling_factorial, scalar
 from fuchskit.connection import build_companion, exponent_data
 from fuchskit.frobenius import (
+    MAX_TRUNCATION,
     annihilator_from_solutions,
     apparent_check,
     f_matrices,
@@ -63,6 +64,13 @@ class TestLocalExpansion:
     def test_truncation_floor(self):
         with pytest.raises(DomainError):
             local_expansion(OP_MODEL, 0, 0)
+
+    def test_truncation_cap(self):
+        assert local_expansion(OP_MODEL, 0, MAX_TRUNCATION).truncation == MAX_TRUNCATION
+        with pytest.raises(DomainError, match=f"cap of {MAX_TRUNCATION}"):
+            local_expansion(OP_MODEL, 0, MAX_TRUNCATION + 1)
+        with pytest.raises(DomainError, match=f"cap of {MAX_TRUNCATION}"):
+            frobenius_oracle(OP_MODEL, 0, truncation=10 ** 6)
 
     def test_f_beyond_truncation(self):
         la = local_expansion(OP_MODEL, 0, 2)

@@ -200,6 +200,7 @@ class TestJetDeterminants:
         ((1.9, 2.2), "integers"),
         ((True, 1), "integers"),
         ((Fraction(2), 1), "integers"),
+        ((1000, 1), "exceeds the cap of 64"),
     ])
     def test_both_forms_share_the_plan_checks(self, plan, message):
         for form in (gen_vandermonde, vdm_closed_form):
