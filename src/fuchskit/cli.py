@@ -180,11 +180,25 @@ def _cmd_constraints(args, parser):
     return {"system": system.to_json(), "rank": verify_rank(system).to_json()}
 
 
+def _check_printable(value) -> None:
+    """DomainError when a numerator or denominator of the scalar value has
+    more digits than Python converts to text (sys.get_int_max_str_digits;
+    0, or a Python without the limit, means none)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and any(abs(n) >= 10 ** limit for f in (value.re, value.im)
+                     for n in (f.numerator, f.denominator)):
+        raise DomainError(f"the result has a number of more than {limit} "
+                          "digits, the output digit limit of Python's "
+                          "int-to-text conversion")
+
+
 def _cmd_vandermonde(args, parser):
     points = _json_list(args.points, parser, "--points")
     plan = _json_list(args.plan, parser, "--plan")
-    det = gen_vandermonde(points, plan).det()
     closed = vdm_closed_form(points, plan)
+    _check_printable(closed)  # before the elimination, the slow part
+    det = gen_vandermonde(points, plan).det()
+    _check_printable(det)
     return {"determinant": det.to_json(), "closed_form": closed.to_json(),
             "agree": det == closed}
 

@@ -82,15 +82,15 @@ def local_expansion(op: FuchsianOperator, point, truncation: int) -> LocalAnalys
     for k in range(1, op.order + 1):
         rf = RationalFunction.make(op.coeffs[k - 1] * lin ** k, psi ** k)
         table.append(series_of_rational(rf, a, truncation + 1))
-    x = Polynomial.x()
-    f0 = falling_factorial(x, op.order)
+    ff = [falling_factorial(Polynomial.x(), j) for j in range(op.order + 1)]
+    f0 = ff[op.order]
     for k in range(1, op.order + 1):
-        f0 = f0 - falling_factorial(x, op.order - k) * table[k - 1][0]
+        f0 = f0 - ff[op.order - k] * table[k - 1][0]
     higher = []
     for l in range(1, truncation + 1):
         fl = Polynomial.zero()
         for k in range(1, op.order + 1):
-            fl = fl + falling_factorial(x, op.order - k) * table[k - 1][l]
+            fl = fl + ff[op.order - k] * table[k - 1][l]
         higher.append(fl)
     roots = poly_root_search(f0)
     return LocalAnalysis(point=a,

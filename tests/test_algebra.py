@@ -6,11 +6,13 @@ against the code under test.
 """
 import math
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from fuchskit import algebra
 from fuchskit.algebra import (
     ONE, ZERO, I, AlgebraError, ExactMatrix, GaussianRational, Polynomial,
     RationalFunction, falling_factorial, poly_gcd,
@@ -601,6 +603,28 @@ class TestMatrix:
 
 # -------------------------------------------------------------- root search
 
+# two roots with denominators near 10^20: no double rounds to them and
+# the certificate cannot rule them out, so only mpmath can find them
+FALLBACK_ROOTS = [scalar(Fraction(10 ** 19 + 3, 10 ** 20 + 7)),
+                  scalar(Fraction(-31415926535897932384626, 99999999999999999989))]
+small_gaussian_roots = st.builds(
+    GaussianRational,
+    st.fractions(min_value=-6, max_value=6, max_denominator=9),
+    st.fractions(min_value=-6, max_value=6, max_denominator=9))
+gaussian_integers = st.builds(GaussianRational, st.integers(-9, 9).map(Fraction),
+                              st.integers(-2, 2).map(Fraction))
+# quadratics and cubics over Z[i], mostly without a root in Q(i)
+gaussian_integer_factors = st.lists(gaussian_integers, min_size=3, max_size=4).filter(
+    lambda cs: not cs[-1].is_zero())
+
+
+def mpmath_route(p: Polynomial):
+    """poly_root_search with all its candidates from mpmath on the whole
+    square-free part, skipping the float and certificate steps."""
+    with mock.patch.object(algebra, "_root_candidates", algebra._numeric_candidates):
+        return poly_root_search(p)
+
+
 class TestRootSearch:
     def test_planted_rational_roots(self):
         p = Polynomial.from_roots([scalar(2), scalar(2), scalar("-1/3")]) * scalar(9)
@@ -644,7 +668,7 @@ class TestRootSearch:
             raise mpmath.libmp.NoConvergence("no convergence")
 
         monkeypatch.setattr(mpmath, "polyroots", fail)
-        p = Polynomial.from_roots([scalar(2), scalar("-1/3")])
+        p = Polynomial.from_roots(FALLBACK_ROOTS)
         res = poly_root_search(p)
         assert not res.complete
         assert res.roots == ()
@@ -655,9 +679,59 @@ class TestRootSearch:
             raise ValueError("broken root finder")
 
         monkeypatch.setattr(mpmath, "polyroots", fail)
-        p = Polynomial.from_roots([scalar(2), scalar("-1/3")])
+        p = Polynomial.from_roots(FALLBACK_ROOTS)
         with pytest.raises(ValueError, match="broken root finder"):
             poly_root_search(p)
+
+    def test_float_overflow_falls_back_to_mpmath(self):
+        # a coefficient near 10^400 is no float, so only mpmath sees p
+        p = Polynomial.from_roots([scalar(10 ** 400), scalar(3), scalar("2/7")])
+        res = poly_root_search(p)
+        assert res.complete
+        assert {r for r, _ in res.roots} == {scalar(10 ** 400), scalar(3), scalar("2/7")}
+
+    @given(st.lists(small_gaussian_roots, max_size=4),
+           st.lists(gaussian_integer_factors, max_size=2))
+    @example([scalar(2), scalar(2), scalar("-1/3")], [[-2, 0, 1]])
+    @example([I, GaussianRational(Fraction(1, 2), Fraction(3))], [[1, 1, 1], [1, 0, 0, 1]])
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_mpmath_route(self, roots, factors):
+        p = Polynomial.from_roots(roots)
+        for cs in factors:
+            p = p * Polynomial.from_list(cs)
+        res = poly_root_search(p)
+        assert res == mpmath_route(p)
+        assert all(p(r).is_zero() for r, _ in res.roots)
+
+    @pytest.mark.parametrize("coeffs", [(-2, 0, 1), (1, 1, 1)])
+    def test_certificate_rules_out_roots(self, coeffs):
+        # z^2 - 2 has no root mod 5; nor has z^2 + z + 1, as 5 = 2 mod 3
+        assert algebra._no_root_mod_p(Polynomial.of(*coeffs))
+
+    @given(small_gaussian_roots, st.lists(scalars, min_size=0, max_size=3))
+    @example(I, [-I])  # z^2 + 1
+    @settings(max_examples=60, deadline=None)
+    def test_certificate_never_accepts_a_planted_root(self, root, others):
+        p = Polynomial.from_roots([root, *others])
+        assert not algebra._no_root_mod_p(p)
+
+    @pytest.mark.parametrize("lead", [scalar(5), GaussianRational(Fraction(2), Fraction(1))])
+    def test_certificate_skips_primes_dividing_the_top_numerator(self, lead):
+        # the root 1/lead is seen by no prime dividing lead; there the
+        # reduction is z^2 - 2 up to a unit, rootless mod 5, so using such a
+        # prime would certify wrongly.  2 + i lies below (5, i - 3) only.
+        p = Polynomial.from_list([-1, lead]) * Polynomial.of(-2, 0, 1)
+        assert not algebra._no_root_mod_p(p)
+        assert poly_root_search(p).roots == ((ONE / lead, 1),)
+
+    @pytest.mark.parametrize("n", [0, 1, 9, 10, 99, 10 ** 17, 2 ** 64, 10 ** 300 - 1,
+                                   10 ** 300])
+    def test_decimal_digits(self, n):
+        assert algebra._decimal_digits(n) == len(str(n))
+
+    def test_decimal_digits_past_the_text_limit(self):
+        assert algebra._decimal_digits(10 ** 5000) == 5001
+        assert algebra._decimal_digits(10 ** 5000 - 1) == 5000
 
     @given(st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=5))
     @settings(max_examples=40, deadline=None)

@@ -103,6 +103,21 @@ class TestExitCodes:
         assert "exceeds the cap" in doc["error"]["message"]
         assert "Traceback" not in captured.err
 
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this Python prints integers of any length")
+    def test_result_beyond_the_output_digit_limit_is_refused(self, capsys):
+        # the determinant is (0! 1! ... 31!)^2 (2/999983 - 1/1000003)^1024,
+        # whose denominator has about 12300 digits
+        code = main(["vandermonde", "--points", '["1/1000003", "2/999983"]',
+                     "--plan", "[32, 32]"])
+        captured = capsys.readouterr()
+        assert code == 1
+        doc = json.loads(captured.out)
+        assert doc["schema"] == "fuchskit/1"
+        assert doc["error"]["type"] == "DomainError"
+        assert f"more than {sys.get_int_max_str_digits()} digits" in doc["error"]["message"]
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize("m", ["-2", "0"])
     def test_constraints_order_below_one(self, capsys, m):
         code = main(["constraints", "--m", m, "--points", "[0, 1]"])
@@ -392,7 +407,8 @@ class TestPlumbing:
 
     def test_exact_commands_load_no_numeric_stack(self):
         code = ("import fuchskit.cli, sys; "
-                "assert 'scipy' not in sys.modules and 'numpy' not in sys.modules")
+                "assert 'scipy' not in sys.modules and 'numpy' not in sys.modules; "
+                "assert 'mpmath' not in sys.modules")
         src = str(Path(fuchskit.cli.__file__).resolve().parents[1])
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, timeout=120,
