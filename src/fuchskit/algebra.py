@@ -10,21 +10,19 @@ form: numerator and denominator coprime, denominator monic.  Arithmetic
 keeps that form by cross-cancellation, taking gcds only of the parts that
 can share a factor, instead of reducing each result from scratch.
 
-Every computation in this module is exact.  Floating point enters only in
-`poly_root_search`, which finds the roots in Q(i) exactly first: double
-precision Aberth candidates rounded to Gaussian rationals, then a no-root
-certificate from reductions modulo small Gaussian primes, and only when
-neither settles a polynomial, candidates from mpmath at high precision
-(imported on that first use).  Every candidate is verified by exact
-substitution, so no unverified float ever escapes.
+Every computation in this module is exact.  Floating point appears only in
+`GaussianRational.__complex__`, the conversion for the numeric layer.
+`poly_root_search` finds the roots in Q(i) by lifting them modulo powers of
+an inert prime and reconstructing them as fractions, and verifies each by
+exact substitution, so the part it leaves unfactored has no root in Q(i).
 """
 from __future__ import annotations
 
-import cmath
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, log10, pi
+from itertools import product
+from math import gcd, isqrt, lcm
 from operator import add, mul, sub
 from typing import Callable, Iterable, Sequence, Union
 
@@ -904,6 +902,10 @@ def _bareiss_det(a: list) -> Polynomial:
 
 @dataclass(frozen=True)
 class RootSearchResult:
+    """The roots of a polynomial in Q(i) and what is left of it.  `remainder`
+    has no root in Q(i), so `complete` (a constant remainder) means exactly
+    that the polynomial splits into linear factors over Q(i)."""
+
     roots: tuple            # ((GaussianRational, multiplicity), ...)
     remainder: Polynomial   # unfactored part, constant when fully split
     complete: bool
@@ -912,27 +914,15 @@ class RootSearchResult:
         return [r for r, mult in self.roots for _ in range(mult)]
 
 
-def poly_root_search(p: Polynomial, denominator_bound: int = 10 ** 24) -> RootSearchResult:
-    """All roots of p lying in Q(i), with multiplicities.
+def poly_root_search(p: Polynomial) -> RootSearchResult:
+    """All roots of p lying in Q(i), with multiplicities, found exactly.
 
-    The square-free part is split off exactly, and its roots are sought in
-    three steps, cheapest first:
-
-    1. Float candidates: an Aberth iteration in double precision, each
-       approximate root rounded to the nearest Gaussian rational with
-       denominators up to min(denominator_bound, 10^6).  A candidate is
-       kept only when exact substitution gives zero, and is divided out
-       exactly.
-    2. No-root certificate: when a reduction of what is left modulo a small
-       Gaussian prime has no root, nothing left has a root in Q(i).
-    3. Fallback: otherwise a linear rest is solved exactly, and mpmath
-       locates the roots of a longer one at high precision, reconstructed
-       with denominators up to denominator_bound.
-
-    Every root is verified by exact substitution, and its multiplicity comes
-    from repeated exact division, so no unverified float escapes.  Anything
-    that does not verify stays in `remainder` and is flagged by
-    `complete=False`.
+    The root 0 is split off.  The roots of the square-free part of the rest
+    come from solving it when it is linear, and from `_lifted_roots`
+    otherwise.  Each is verified by exact substitution, and its multiplicity
+    comes from repeated exact division.  What is left is `remainder`, which
+    has no root in Q(i), so `complete` is True exactly when p splits into
+    linear factors over Q(i).
     """
     if p.is_zero():
         raise AlgebraError("root search on the zero polynomial")
@@ -942,9 +932,8 @@ def poly_root_search(p: Polynomial, denominator_bound: int = 10 ** 24) -> RootSe
     if work.degree() >= 1:
         sf = work.exact_div(poly_gcd(work, work.derivative())) \
             if work.degree() >= 2 else work
-        for cand in _root_candidates(sf, denominator_bound):
-            if cand.is_zero():
-                continue
+        cands = [-sf.coeff(0) / sf.coeff(1)] if sf.degree() == 1 else _lifted_roots(sf)
+        for cand in cands:
             if not work(cand).is_zero():
                 continue
             lin, mult = Polynomial.from_roots([cand]), 0
@@ -955,152 +944,85 @@ def poly_root_search(p: Polynomial, denominator_bound: int = 10 ** 24) -> RootSe
     return RootSearchResult(tuple(roots), work, work.degree() <= 0)
 
 
-# Largest denominator tried for a root rounded from a double: 1/(2 q 10^6)
-# is still well above the rounding error of a converged root of modulus ~1.
-_FLOAT_DENOMINATOR = 10 ** 6
-# The Gaussian primes of the no-root certificate, as pairs (p, s) for the
-# primes p = 1 mod 4 up to 113 and both square roots s of -1 mod p: the
-# prime (p, i - s) reduces Z[i] to F_p with i sent to s.  An irreducible
-# cubic with Galois group S3 has a root modulo about 2/3 of all primes, so
-# 14 primes leave about one such cubic in 300 uncertified.
-_CERT_PRIMES = tuple((q, s) for q in (5, 13, 17, 29, 37, 41, 53, 61, 73, 89,
-                                      97, 101, 109, 113)
-                     for s in range(q) if (s * s + 1) % q == 0)
+def _lifted_roots(f: Polynomial) -> list:
+    """Candidate roots in Q(i) of the square-free f, deg f >= 2, by q-adic
+    lifting and rational reconstruction (Loos, SIAM J. Comput. 12, 1983;
+    von zur Gathen and Gerhard, Modern Computer Algebra, 5.10 and ch. 15)
+    on the Z[i] numerators c_0 ... c_n of f.
 
-
-def _root_candidates(sf: Polynomial, denominator_bound: int) -> list:
-    """Candidate roots of the square-free sf: the verified roots among its
-    float candidates, then `_numeric_candidates` of the rest (exact when it
-    is linear, mpmath otherwise) unless the rest is certified to have no
-    root in Q(i)."""
-    found, rest = [], sf
-    if sf.degree() >= 2:
-        for cand in _float_candidates(sf, min(denominator_bound, _FLOAT_DENOMINATOR)):
-            if rest(cand).is_zero():
-                found.append(cand)
-                rest = rest.exact_div(Polynomial.from_roots([cand]))
-    if rest.degree() == 1 or (rest.degree() >= 2 and not _no_root_mod_p(rest)):
-        found += _numeric_candidates(rest, denominator_bound)
+    A root u/v in lowest terms has u | c_0 and v | c_n, so its real and
+    imaginary parts are fractions with numerators below
+    x = isqrt(N(c_0) N(c_n)) + 1 and denominators N(v) <= d = N(c_n).  The
+    prime q is the first q = 3 mod 4, inert in Z[i] so that Z[i]/q is the
+    field F_{q^2}, that does not divide c_n and at which every root of f
+    mod q is simple.  Every root of f in Q(i) reduces to one of those roots,
+    which Newton's iteration lifts uniquely modulo q^k; past 2xd, each part
+    of the lift is the only fraction within those bounds.  So every root is
+    a candidate, and a candidate is a root when exact substitution says so.
+    """
+    cs = list(zip(reversed(f.re), reversed(f.im)))  # top coefficient first
+    # f' over the denominator of f: f.derivative() may divide out a content
+    # divisible by q, which would change f' modulo q by more than a unit
+    ds = [(j * a, j * b) for j, (a, b) in zip(range(len(cs) - 1, 0, -1), cs)]
+    (lr, li), (cr, ci) = cs[0], cs[-1]
+    d = lr * lr + li * li
+    x = isqrt((cr * cr + ci * ci) * d) + 1
+    for q in _inert_primes():
+        if (lr % q or li % q) and (zs := _simple_roots_mod(cs, ds, q)) is not None:
+            break
+    found = []
+    for zr, zi in zs:
+        m = q
+        while m <= 2 * x * d:
+            m *= m
+            fr, fi = _eval_mod(cs, (zr, zi), m)
+            dr, di = _eval_mod(ds, (zr, zi), m)
+            n = pow(dr * dr + di * di, -1, m)  # f/f' = f conj(f') / N(f')
+            zr, zi = (zr - (fr * dr + fi * di) * n) % m, (zi - (fi * dr - fr * di) * n) % m
+        re, im = _reconstruct(zr, m, x, d), _reconstruct(zi, m, x, d)
+        if re is not None and im is not None:
+            found.append(GaussianRational(re, im))
     return found
 
 
-def _float_candidates(p: Polynomial, bound: int) -> list:
-    """Approximate roots of the square-free p by Aberth's simultaneous
-    iteration (Math. Comp. 27, 1973) in double precision, each rounded to
-    the nearest Gaussian rational with denominators up to bound.  Empty when
-    a coefficient overflows a float or the iteration divides by zero."""
-    try:
-        cs = [complex(a, b) for a, b in zip(reversed(p.re), reversed(p.im))]
-    except OverflowError:
-        return []
-    cs = [c / cs[0] for c in cs]
-    n = len(cs) - 1
-    # start on a circle of radius max |c_j|^(1/j), which is at least half
-    # the largest root modulus (Fujiwara's bound is twice it)
-    radius = max(abs(c) ** (1 / j) for j, c in enumerate(cs) if j)
-    zs = [cmath.rect(radius, 2 * pi * k / n + 0.4) for k in range(n)]
-    try:
-        for _ in range(60):
-            moved = False
-            for k, z in enumerate(zs):
-                v = d = 0j
-                for c in cs:
-                    d = d * z + v
-                    v = v * z + c
-                if v == 0:
-                    continue
-                r = v / d
-                w = r / (1 - r * sum(1 / (z - y) for j, y in enumerate(zs) if j != k))
-                zs[k] = z - w
-                moved = moved or abs(w) > 1e-14 * abs(z)
-            if not moved:
-                break
-    except ZeroDivisionError:
-        return []
-    return [GaussianRational(Fraction(z.real).limit_denominator(bound),
-                             Fraction(z.imag).limit_denominator(bound))
-            for z in zs if cmath.isfinite(z)]
+def _inert_primes():
+    """The primes q = 3 mod 4 in increasing order; they stay prime in Z[i]."""
+    q = 3
+    while True:
+        if all(q % k for k in range(3, isqrt(q) + 1, 2)):
+            yield q
+        q += 4
 
 
-def _no_root_mod_p(p: Polynomial) -> bool:
-    """True when p certainly has no root in Q(i): for some Gaussian prime of
-    `_CERT_PRIMES` not dividing the top numerator, the reduction of the
-    Z[i] numerators has no root in F_p.  A root u/v in lowest terms has v
-    dividing the top numerator, so v is a unit modulo such a prime and u/v
-    reduces to a root (von zur Gathen and Gerhard, Modern Computer Algebra,
-    ch. 14).  False means only that no prime gave a certificate."""
-    for q, s in _CERT_PRIMES:
-        cs = [(a + s * b) % q for a, b in zip(reversed(p.re), reversed(p.im))]
-        if cs[0] == 0:
-            continue
-        for x in range(q):
-            v = 0
-            for c in cs:
-                v = (v * x + c) % q
-            if v == 0:
-                break
-        else:
-            return True
-    return False
+def _simple_roots_mod(cs: list, ds: list, q: int) -> list | None:
+    """The roots in Z[i]/q = F_{q^2} of the Z[i] coefficients cs, top first,
+    by trying every element; None as soon as one is also a root of the
+    derivative, whose coefficients are ds."""
+    cs, ds = [(a % q, b % q) for a, b in cs], [(a % q, b % q) for a, b in ds]
+    zs = []
+    for z in product(range(q), repeat=2):
+        if _eval_mod(cs, z, q) == (0, 0):
+            if _eval_mod(ds, z, q) == (0, 0):
+                return None
+            zs.append(z)
+    return zs
 
 
-def _numeric_candidates(sf: Polynomial, denominator_bound: int) -> list:
-    if sf.degree() < 1:
-        return []
-    if sf.degree() == 1:
-        return [-sf.coeff(0) / sf.coeff(1)]
-    import mpmath
-
-    # telling apart fractions with denominators up to the bound needs an
-    # error below 1/(2 bound^2), i.e. about 2 log10(bound) digits plus margin
-    recon = 2 * _decimal_digits(denominator_bound) + 10
-    digits = max(60, 4 * _coeff_digits(sf), recon)
-    with mpmath.workdps(digits):
-        cs = [_to_mpc(c) for c in reversed(sf.coeffs)]
-        try:
-            approx = mpmath.polyroots(cs, maxsteps=200, extraprec=digits * 4)
-        except mpmath.libmp.NoConvergence:
-            return []  # no candidates: the caller reports complete=False
-        return [GaussianRational(_reconstruct(mpmath.re(r), recon, denominator_bound),
-                                 _reconstruct(mpmath.im(r), recon, denominator_bound))
-                for r in approx]
+def _eval_mod(cs: list, z: tuple, m: int) -> tuple:
+    """The Z[i] coefficients cs, top first, evaluated at z in Z[i]/m."""
+    a, b = z
+    vr = vi = 0
+    for cr, ci in cs:
+        vr, vi = (vr * a - vi * b + cr) % m, (vr * b + vi * a + ci) % m
+    return vr, vi
 
 
-def _coeff_digits(p: Polynomial) -> int:
-    worst = 1
-    for c in p.coeffs:
-        for f in (c.re, c.im):
-            worst = max(worst, _decimal_digits(abs(f.numerator)),
-                        _decimal_digits(f.denominator))
-    return worst
-
-
-def _decimal_digits(n: int) -> int:
-    """len(str(n)) for n >= 0, without converting n to text, which Python
-    refuses beyond sys.get_int_max_str_digits() digits."""
-    if n == 0:
-        return 1
-    e = int((n.bit_length() - 1) * log10(2))  # about floor(log10 n)
-    while e > 0 and 10 ** e > n:
-        e -= 1
-    while 10 ** (e + 1) <= n:
-        e += 1
-    return e + 1
-
-
-def _to_mpc(c: GaussianRational):
-    import mpmath
-
-    return mpmath.mpc(mpmath.mpf(c.re.numerator) / c.re.denominator,
-                      mpmath.mpf(c.im.numerator) / c.im.denominator)
-
-
-def _reconstruct(x, digits: int, bound: int) -> Fraction:
-    import mpmath
-
-    s = mpmath.nstr(x, digits)
-    try:
-        f = Fraction(s)
-    except ValueError:
-        f = Fraction(float(x))
-    return f.limit_denominator(bound)
+def _reconstruct(t: int, m: int, x: int, d: int) -> Fraction | None:
+    """The fraction a/b = t mod m with |a| < x and 0 < b <= d, unique for
+    m > 2xd, or None: the extended Euclidean algorithm on m and t, stopped
+    at the first remainder below x (Modern Computer Algebra, 5.10)."""
+    r0, r1, s0, s1 = m, t, 0, 1
+    while r1 >= x:
+        k = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - k * r1, s1, s0 - k * s1
+    return Fraction(r1, s1) if abs(s1) <= d else None

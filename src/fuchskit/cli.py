@@ -37,7 +37,7 @@ from .moduli import (
     vdm_closed_form,
     verify_rank,
 )
-from .operator import DomainError, parse_operator, validate_fuchsian
+from .operator import DomainError, json_array, parse_operator, validate_fuchsian
 
 SCHEMA = "fuchskit/1"
 
@@ -51,8 +51,8 @@ def _read_doc(raw: str, parser: argparse.ArgumentParser):
         if s == "-":
             return json.loads(sys.stdin.read())
         return json.loads(Path(raw).read_text())
-    except FileNotFoundError:
-        parser.error(f"input file not found: {raw}")
+    except (OSError, UnicodeDecodeError) as exc:
+        parser.error(f"cannot read input {raw}: {exc}")
     except json.JSONDecodeError as exc:
         parser.error(f"input is not valid JSON: {exc}")
 
@@ -246,7 +246,7 @@ def _cmd_sweep(args, parser):
     doc = _read_doc(args.input, parser) if args.input else None
     if not isinstance(doc, dict) or "operators" not in doc:
         parser.error("sweep expects --input with {\"operators\": [...]}")
-    ops = [parse_operator(d) for d in doc["operators"]]
+    ops = [parse_operator(d) for d in json_array(doc["operators"], "operators")]
     point = doc.get("point") if args.point is None else args.point
     if point is not None:
         point = _scalar_arg(point) if isinstance(point, str) else scalar(point)
@@ -348,33 +348,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(doc: dict, output: str) -> None:
+def _emit(doc: dict, output: str, parser) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if output == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(output).write_text(text)
+    except OSError as exc:
+        parser.error(f"cannot write output {output}: {exc}")
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    try:
+    try:  # argparse and parser.error signal usage (2) or --help (0)
         args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse signalled usage (2) or --help (0)
+        code, doc = 0, {"schema": SCHEMA, "command": args.command}
+        try:
+            doc.update(args.fn(args, parser))
+        except (DomainError, AlgebraError, ValueError) as exc:
+            code, doc["error"] = 1, {"type": type(exc).__name__, "message": str(exc)}
+        _emit(doc, args.output, parser)
+    except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        payload = args.fn(args, parser)
-    except SystemExit as exc:  # parser.error inside a handler
-        return int(exc.code or 0)
-    except (DomainError, AlgebraError, ValueError) as exc:
-        _emit({"schema": SCHEMA, "command": args.command,
-               "error": {"type": type(exc).__name__, "message": str(exc)}},
-              args.output)
-        return 1
-    doc = {"schema": SCHEMA, "command": args.command}
-    doc.update(payload)
-    _emit(doc, args.output)
-    return 0
+    return code
 
 
 if __name__ == "__main__":

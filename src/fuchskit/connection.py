@@ -23,7 +23,13 @@ from .algebra import (
     poly_root_search,
     scalar,
 )
-from .operator import DomainError, FuchsianOperator, psi_all, validate_fuchsian
+from .operator import (
+    DomainError,
+    FuchsianOperator,
+    json_array,
+    psi_all,
+    validate_fuchsian,
+)
 
 INFINITY = "infinity"
 INFINITY_NAMES = (INFINITY, "inf", "oo")  # accepted spellings, any case
@@ -98,7 +104,12 @@ def _pole_points_of(mat: ExactMatrix, candidates) -> tuple:
     for row in mat.rows:
         for e in row:
             if e.den.degree() >= 1:
-                pts.update(r for r, _ in poly_root_search(e.den).roots)
+                found = poly_root_search(e.den)
+                if not found.complete:
+                    raise DomainError("the gauged connection has a pole outside "
+                                      "Q(i); unfactored denominator part "
+                                      f"{found.remainder}")
+                pts.update(r for r, _ in found.roots)
     keep = [p for p in sorted(pts, key=lambda s: s.sort_key())
             if any(e.pole_order_at(p) > 0 for row in mat.rows for e in row)]
     return tuple(keep)
@@ -263,7 +274,8 @@ def genericity_check(exponents) -> GenericityReport:
     is checked before the step runs, and a call that would form more keys
     than the guard raises DomainError.
     """
-    table = [[scalar(v) for v in row] for row in exponents]
+    table = [[scalar(v) for v in json_array(row, "exponent row")]
+             for row in json_array(exponents, "exponent table")]
     if not table:
         raise DomainError("no exponent data supplied")
     m = len(table[0])

@@ -32,7 +32,14 @@ from .algebra import (
     scalar,
     series_of_rational,
 )
-from .operator import DomainError, FuchsianOperator, psi_all, validate_fuchsian
+from .operator import (
+    DomainError,
+    FuchsianOperator,
+    as_polynomial,
+    json_array,
+    psi_all,
+    validate_fuchsian,
+)
 
 # Deepest series expansion.  The expansion and the oracle's recursion on it
 # cost O(N^2) in the depth N; the tests, goldens and benchmark need N <= 10.
@@ -350,8 +357,7 @@ def frobenius_oracle(op: FuchsianOperator, point, truncation: int | None = None)
 def annihilator_from_solutions(basis) -> FuchsianOperator:
     """Monic operator annihilating the given polynomial basis, with every
     finite singular point (a Wronskian zero) apparent by construction."""
-    polys = [b if isinstance(b, Polynomial) else Polynomial.from_list(b)
-             for b in basis]
+    polys = [as_polynomial(b) for b in json_array(basis, "basis")]
     m = len(polys)
     if m < 1:
         raise DomainError("empty basis")

@@ -36,19 +36,27 @@ def check_order(order) -> int:
     return order
 
 
+def json_array(value, what: str) -> tuple:
+    """The items of an array (a list or tuple); DomainError for any other
+    value, such as a JSON scalar where the input needs an array."""
+    if not isinstance(value, (list, tuple)):
+        raise DomainError(f"{what} must be an array, got {type(value).__name__}")
+    return tuple(value)
+
+
 def _as_points(pts) -> tuple:
+    pts = json_array(pts, "point list")
     try:
         return tuple(scalar(p) for p in pts)
     except (AlgebraError, ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"malformed number in point list: {exc}") from exc
 
 
-def _as_coeff(c) -> Polynomial:
+def as_polynomial(c) -> Polynomial:
+    """A Polynomial, or an array of its coefficients from the constant up."""
     if isinstance(c, Polynomial):
         return c
-    if isinstance(c, str):
-        raise DomainError(f"coefficient must be a coefficient array, got {c!r}")
-    return Polynomial.from_list(c)
+    return Polynomial.from_list(json_array(c, "a polynomial's coefficient list"))
 
 
 @dataclass(frozen=True)
@@ -62,8 +70,9 @@ class FuchsianOperator:
         check_order(self.order)
         object.__setattr__(self, "real_points", _as_points(self.real_points))
         object.__setattr__(self, "apparent_points", _as_points(self.apparent_points))
+        coeffs = json_array(self.coeffs, "coeffs")
         try:
-            object.__setattr__(self, "coeffs", tuple(_as_coeff(c) for c in self.coeffs))
+            object.__setattr__(self, "coeffs", tuple(as_polynomial(c) for c in coeffs))
         except (AlgebraError, ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"malformed coefficient: {exc}") from exc
         if len(self.coeffs) != self.order:
@@ -396,9 +405,9 @@ def _parse_json_doc(doc: Mapping) -> FuchsianOperator:
         if key not in doc:
             raise DomainError(f"missing key {key!r}")
     return FuchsianOperator(order=doc["order"],
-                            real_points=tuple(doc["real_points"]),
-                            apparent_points=tuple(doc.get("apparent_points", ())),
-                            coeffs=tuple(doc["coeffs"]))
+                            real_points=doc["real_points"],
+                            apparent_points=doc.get("apparent_points", ()),
+                            coeffs=doc["coeffs"])
 
 
 def parse_operator(doc: Union[str, Mapping]) -> FuchsianOperator:

@@ -5,10 +5,12 @@ here (cofactor determinants, quotient-rule differentiation for series), not
 against the code under test.
 """
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
-from unittest import mock
+from pathlib import Path
 
-import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -603,10 +605,6 @@ class TestMatrix:
 
 # -------------------------------------------------------------- root search
 
-# two roots with denominators near 10^20: no double rounds to them and
-# the certificate cannot rule them out, so only mpmath can find them
-FALLBACK_ROOTS = [scalar(Fraction(10 ** 19 + 3, 10 ** 20 + 7)),
-                  scalar(Fraction(-31415926535897932384626, 99999999999999999989))]
 small_gaussian_roots = st.builds(
     GaussianRational,
     st.fractions(min_value=-6, max_value=6, max_denominator=9),
@@ -616,13 +614,40 @@ gaussian_integers = st.builds(GaussianRational, st.integers(-9, 9).map(Fraction)
 # quadratics and cubics over Z[i], mostly without a root in Q(i)
 gaussian_integer_factors = st.lists(gaussian_integers, min_size=3, max_size=4).filter(
     lambda cs: not cs[-1].is_zero())
+# the first twelve primes q = 3 mod 4
+INERT_PRIMES = (3, 7, 11, 19, 23, 31, 43, 47, 59, 67, 71, 79)
 
 
-def mpmath_route(p: Polynomial):
-    """poly_root_search with all its candidates from mpmath on the whole
-    square-free part, skipping the float and certificate steps."""
-    with mock.patch.object(algebra, "_root_candidates", algebra._numeric_candidates):
-        return poly_root_search(p)
+def _norm_divisors(n: int) -> list:
+    """Every Gaussian integer whose norm divides the positive integer n."""
+    r = math.isqrt(n)
+    return [GaussianRational(Fraction(a), Fraction(b))
+            for a in range(-r, r + 1) for b in range(-r, r + 1)
+            if (a or b) and n % (a * a + b * b) == 0]
+
+
+def _exhaustive_roots(cs: list) -> set:
+    """The roots in Q(i) of the polynomial with Gaussian-integer
+    coefficients cs, lowest first: 0 if c_0 = 0, and every u/v with
+    N(u) | N(c_0) and N(v) | N(lc) at which it vanishes."""
+    found = set()
+    while cs[0].is_zero():
+        found.add(ZERO)
+        cs = cs[1:]
+    p = Polynomial.from_list(cs)
+    norm = lambda c: int(c.re * c.re + c.im * c.im)
+    for u in _norm_divisors(norm(cs[0])):
+        for v in _norm_divisors(norm(cs[-1])):
+            if p(u / v).is_zero():
+                found.add(u / v)
+    return found
+
+
+def _multiplicity(p: Polynomial, r) -> int:
+    k = 0
+    while p(r).is_zero():
+        p, k = p.derivative(), k + 1
+    return k
 
 
 class TestRootSearch:
@@ -657,81 +682,102 @@ class TestRootSearch:
         Fraction(-31415926535897932384626, 99999999999999999989),
     ])
     def test_large_denominator_within_bound(self, root):
-        # denominators near 10^20 lie well inside the default bound 10^24
         p = Polynomial.from_roots([scalar(root), scalar(3), scalar("2/7")])
         res = poly_root_search(p)
         assert res.complete
         assert {r for r, _ in res.roots} == {scalar(root), scalar(3), scalar("2/7")}
 
-    def test_no_convergence_is_incomplete(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise mpmath.libmp.NoConvergence("no convergence")
-
-        monkeypatch.setattr(mpmath, "polyroots", fail)
-        p = Polynomial.from_roots(FALLBACK_ROOTS)
+    @pytest.mark.parametrize("root", [
+        GaussianRational(Fraction(10 ** 25 + 13, 10 ** 25 + 7), Fraction(0)),
+        GaussianRational(Fraction(7 ** 40 + 2, 11 ** 35), Fraction(-3, 7 ** 40)),
+    ])
+    def test_denominator_past_10_to_24(self, root):
+        # next to z^2 - 2 no factor is linear, so no exact division finds it
+        p = Polynomial.from_roots([root]) * Polynomial.of(-2, 0, 1)
         res = poly_root_search(p)
-        assert not res.complete
-        assert res.roots == ()
-        assert res.remainder == p
+        assert res.roots == ((root, 1),)
+        assert res.remainder == Polynomial.of(-2, 0, 1)
 
-    def test_other_root_finder_errors_propagate(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise ValueError("broken root finder")
+    def test_roots_congruent_modulo_the_first_inert_primes(self):
+        # the three roots meet modulo each of the twelve primes, so the
+        # search must pass over all of them to the thirteenth, 83
+        step = math.prod(INERT_PRIMES)
+        roots = [GaussianRational(Fraction(1, 2) + k * step, Fraction(k * step))
+                 for k in range(3)]
+        res = poly_root_search(Polynomial.from_roots(roots) * scalar(4))
+        assert res.complete
+        assert res.roots == tuple((r, 1) for r in roots)
 
-        monkeypatch.setattr(mpmath, "polyroots", fail)
-        p = Polynomial.from_roots(FALLBACK_ROOTS)
-        with pytest.raises(ValueError, match="broken root finder"):
-            poly_root_search(p)
-
-    def test_float_overflow_falls_back_to_mpmath(self):
-        # a coefficient near 10^400 is no float, so only mpmath sees p
+    def test_coefficient_beyond_a_float(self):
         p = Polynomial.from_roots([scalar(10 ** 400), scalar(3), scalar("2/7")])
         res = poly_root_search(p)
         assert res.complete
         assert {r for r, _ in res.roots} == {scalar(10 ** 400), scalar(3), scalar("2/7")}
 
+    def test_runs_without_mpmath(self):
+        # mpmath may be absent: with its import blocked, the inputs that
+        # once needed it as a fallback are still answered in full
+        code = """if True:
+            import sys
+            sys.modules["mpmath"] = None
+            from fractions import Fraction
+            from fuchskit.algebra import Polynomial, poly_root_search, scalar
+            roots = [Fraction(10 ** 19 + 3, 10 ** 20 + 7),
+                     Fraction(-31415926535897932384626, 99999999999999999989)]
+            for rs in (roots, [10 ** 400, 3, Fraction(2, 7)]):
+                res = poly_root_search(Polynomial.from_roots(rs))
+                assert res.complete and [r for r, _ in res.roots] == sorted(map(scalar, rs), key=lambda s: s.sort_key())
+            res = poly_root_search(Polynomial.of(-2, 0, 1) * Polynomial.from_roots(roots[:1]))
+            assert not res.complete and res.remainder == Polynomial.of(-2, 0, 1)
+        """
+        src = str(Path(algebra.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+
     @given(st.lists(small_gaussian_roots, max_size=4),
            st.lists(gaussian_integer_factors, max_size=2))
     @example([scalar(2), scalar(2), scalar("-1/3")], [[-2, 0, 1]])
     @example([I, GaussianRational(Fraction(1, 2), Fraction(3))], [[1, 1, 1], [1, 0, 0, 1]])
+    @example([], [[0, 4, 4, 1], [-1, 0, 0, 1]])  # z (z + 2)^2 and z^3 - 1
     @settings(max_examples=60, deadline=None)
-    def test_matches_the_mpmath_route(self, roots, factors):
+    def test_matches_the_exhaustive_reference(self, roots, factors):
         p = Polynomial.from_roots(roots)
+        want = set(roots)
         for cs in factors:
+            cs = [scalar(c) for c in cs]
             p = p * Polynomial.from_list(cs)
+            want |= _exhaustive_roots(cs)
+        want = {r: _multiplicity(p, r) for r in want}
         res = poly_root_search(p)
-        assert res == mpmath_route(p)
-        assert all(p(r).is_zero() for r, _ in res.roots)
+        assert dict(res.roots) == want
+        assert res.complete == (sum(want.values()) == p.degree())
+        assert Polynomial.from_roots(res.root_list()) * res.remainder == p
 
     @pytest.mark.parametrize("coeffs", [(-2, 0, 1), (1, 1, 1)])
     def test_certificate_rules_out_roots(self, coeffs):
-        # z^2 - 2 has no root mod 5; nor has z^2 + z + 1, as 5 = 2 mod 3
-        assert algebra._no_root_mod_p(Polynomial.of(*coeffs))
+        # z^2 - 2 and z^2 + z + 1 have no root in Q(i)
+        p = Polynomial.of(*coeffs)
+        res = poly_root_search(p)
+        assert res.roots == () and not res.complete and res.remainder == p
 
     @given(small_gaussian_roots, st.lists(scalars, min_size=0, max_size=3))
     @example(I, [-I])  # z^2 + 1
     @settings(max_examples=60, deadline=None)
     def test_certificate_never_accepts_a_planted_root(self, root, others):
-        p = Polynomial.from_roots([root, *others])
-        assert not algebra._no_root_mod_p(p)
+        p = Polynomial.from_roots([root, *others]) * Polynomial.of(-2, 0, 1)
+        assert root in dict(poly_root_search(p).roots)
 
-    @pytest.mark.parametrize("lead", [scalar(5), GaussianRational(Fraction(2), Fraction(1))])
+    @pytest.mark.parametrize("lead", [scalar(3), scalar(21),
+                                      GaussianRational(Fraction(3), Fraction(3)),
+                                      scalar(3 * 7 * 11 * 19)])
     def test_certificate_skips_primes_dividing_the_top_numerator(self, lead):
-        # the root 1/lead is seen by no prime dividing lead; there the
-        # reduction is z^2 - 2 up to a unit, rootless mod 5, so using such a
-        # prime would certify wrongly.  2 + i lies below (5, i - 3) only.
+        # the root 1/lead is seen by no inert prime dividing lead, so the
+        # search moves on to the first prime that does not divide it
         p = Polynomial.from_list([-1, lead]) * Polynomial.of(-2, 0, 1)
-        assert not algebra._no_root_mod_p(p)
-        assert poly_root_search(p).roots == ((ONE / lead, 1),)
-
-    @pytest.mark.parametrize("n", [0, 1, 9, 10, 99, 10 ** 17, 2 ** 64, 10 ** 300 - 1,
-                                   10 ** 300])
-    def test_decimal_digits(self, n):
-        assert algebra._decimal_digits(n) == len(str(n))
-
-    def test_decimal_digits_past_the_text_limit(self):
-        assert algebra._decimal_digits(10 ** 5000) == 5001
-        assert algebra._decimal_digits(10 ** 5000 - 1) == 5000
+        res = poly_root_search(p)
+        assert res.roots == ((ONE / lead, 1),) and not res.complete
 
     @given(st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=5))
     @settings(max_examples=40, deadline=None)

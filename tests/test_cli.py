@@ -1,6 +1,8 @@
 """End-to-end checks of the JSON command line surface."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fuchskit.cli
 from fuchskit.cli import build_parser, main
@@ -18,6 +21,27 @@ from fuchskit.sampling import second_order_with_exponents
 APPARENT_OP = json.dumps(annihilator_from_solutions([[1], [0, 0, 1]]).to_json())
 TWO_POINT = json.dumps(second_order_with_exponents(
     (0, 1), (Fraction(1, 2), Fraction(1, 3))).to_json())
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8)
+
+
+def check_exit_contract(argv):
+    """main in-process: exit 0 or 1 with a fuchskit/1 document, or exit 2
+    (usage), and never an exception."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code != 2:
+        doc = json.loads(out.getvalue())
+        assert doc["schema"] == "fuchskit/1"
+        assert ("error" in doc) == (code == 1)
 
 
 def invoke(capsys, *argv):
@@ -143,6 +167,61 @@ class TestExitCodes:
         assert doc["schema"] == "fuchskit/1"
         assert doc["error"]["type"] == "AlgebraError"
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--input",
+         '{"order":1,"real_points":5,"apparent_points":[],"coeffs":[[1]]}'],
+        ["validate", "--input",
+         '{"order":1,"real_points":[0,1],"apparent_points":[],"coeffs":5}'],
+        ["validate", "--input",
+         '{"order":1,"real_points":[0,1],"apparent_points":[],"coeffs":[5]}'],
+        ["sweep", "--input", '{"operators":5}'],
+        ["annihilate", "--input", '{"basis":5}'],
+        ["genericity", "--exponents", "[5]"],
+    ])
+    def test_scalar_for_an_array_is_an_error_document(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        doc = json.loads(captured.out)
+        assert doc["schema"] == "fuchskit/1"
+        assert doc["error"]["type"] == "DomainError"
+        assert "must be an array" in doc["error"]["message"]
+        assert "Traceback" not in captured.err
+
+    def test_unreadable_input_and_unwritable_output(self, capsys, tmp_path):
+        assert main(["validate", "--input", str(tmp_path)]) == 2
+        assert main(["dimensions", "--m", "2", "--n", "2",
+                     "--output", str(tmp_path / "missing" / "x.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+
+    @given(st.sampled_from(("order", "real_points", "apparent_points", "coeffs")),
+           json_values)
+    @settings(max_examples=150, deadline=None)
+    def test_any_operator_field(self, field, value):
+        doc = json.loads(TWO_POINT)
+        doc[field] = value
+        check_exit_contract(["validate", "--input", json.dumps(doc)])
+
+    @given(st.sampled_from((("sweep", "operators"), ("sweep", "point"),
+                            ("annihilate", "basis"), ("genericity", "exponents"))),
+           json_values)
+    @settings(max_examples=150, deadline=None)
+    def test_any_payload_field(self, command_key, value):
+        command, key = command_key
+        doc = {"operators": []} if key == "point" else {}
+        doc[key] = value
+        check_exit_contract([command, "--input", json.dumps(doc)])
+        if command == "genericity":
+            check_exit_contract([command, "--exponents=" + json.dumps(value)])
+
+    @given(st.sampled_from(("sweep", "annihilate", "genericity")),
+           st.lists(json_values, max_size=3)
+           | st.dictionaries(st.text(max_size=3), json_values, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_any_payload(self, command, value):
+        check_exit_contract([command, "--input", json.dumps(value)])
 
 
 class TestOperatorCommands:

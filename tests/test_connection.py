@@ -238,6 +238,14 @@ class TestGauge:
         with pytest.raises(DomainError, match="invertible"):
             apply_gauge(self.conn, g)
 
+    def test_pole_outside_q_i_rejected(self):
+        # diag(1, z^2 - 2) puts z^2 - 2 into a denominator; its poles are
+        # not in Q(i), so no list of pole points can name them
+        g = ExactMatrix.from_rows([[Polynomial.one(), PZ],
+                                   [PZ, Polynomial.of(-2, 0, 1)]])
+        with pytest.raises(DomainError, match=r"outside Q\(i\).*z\^2"):
+            apply_gauge(self.conn, g)
+
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=15, deadline=None)
     def test_group_action(self, seed):
