@@ -2,13 +2,18 @@
 functions, their Taylor coefficients, and matrix algebra by field
 elimination, with Bareiss elimination for polynomial determinants.
 
-A polynomial is held, like FLINT's fmpq_poly (Hart, ICMS 2010), as
-Gaussian-integer numerators over one positive integer denominator, so its
-arithmetic, Euclid and Bareiss run on Python ints; `GaussianRational` stays
-the scalar type at the interface.  A rational function is held in canonical
-form: numerator and denominator coprime, denominator monic.  Arithmetic
-keeps that form by cross-cancellation, taking gcds only of the parts that
-can share a factor, instead of reducing each result from scratch.
+Q(i) has one layout, that of FLINT's fmpq_poly (Hart, ICMS 2010):
+Gaussian-integer numerators over one positive integer denominator, on
+Python ints.  A scalar `GaussianRational` is (a + i b)/d and a polynomial
+is its numerator vectors over one den, both in canonical form (den > 0,
+coprime to the numerator parts), so equality compares parts.  Arithmetic,
+Euclid, Bareiss and elimination run on ints, and the boundaries between
+scalars and polynomials pass ints; `Fraction` appears only in parsing and
+in the `re` and `im` views of a scalar.  A rational function is held in
+canonical form: numerator and denominator coprime, denominator monic.
+Arithmetic keeps that form by cross-cancellation, taking gcds only of the
+parts that can share a factor, instead of reducing each result from
+scratch.
 
 Every computation in this module is exact.  Floating point appears only in
 `GaussianRational.__complex__`, the conversion for the numeric layer.
@@ -38,99 +43,157 @@ class AlgebraError(ValueError):
 ScalarLike = Union["GaussianRational", Fraction, int, str, dict]
 
 
-@dataclass(frozen=True)
 class GaussianRational:
-    """Element of Q(i) with arbitrary-precision rational parts."""
+    """Element (a + i b)/d of Q(i) on Python ints, the layout of one
+    `Polynomial` coefficient.  The form is canonical: d > 0 and
+    gcd(a, b, d) = 1, so zero is (0, 0, 1) and equal values have equal
+    parts.  Each result takes one gcd of its three parts; `re` and `im`
+    give the parts as Fractions."""
 
-    re: Fraction
-    im: Fraction
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, re, im):
+        """re + i im, for ints or Fractions re and im."""
+        p, q, r, s = re.numerator, re.denominator, im.numerator, im.denominator
+        d = q // gcd(q, s) * s
+        self.a, self.b, self.d = p * (d // q), r * (d // s), d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     def __add__(self, other: ScalarLike) -> "GaussianRational":
-        o = scalar(other)
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        o = other if type(other) is GaussianRational else scalar(other)
+        return _sum(self, o.a, o.b, o.d)
 
     __radd__ = __add__
 
     def __sub__(self, other: ScalarLike) -> "GaussianRational":
-        o = scalar(other)
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        o = other if type(other) is GaussianRational else scalar(other)
+        return _sum(self, -o.a, -o.b, o.d)
 
     def __rsub__(self, other: ScalarLike) -> "GaussianRational":
         return scalar(other) - self
 
     def __mul__(self, other: ScalarLike) -> "GaussianRational":
-        o = scalar(other)
-        return GaussianRational(self.re * o.re - self.im * o.im,
-                                self.re * o.im + self.im * o.re)
+        o = other if type(other) is GaussianRational else scalar(other)
+        a, b, c, e = self.a, self.b, o.a, o.b
+        return _reduced(a * c - b * e, a * e + b * c, self.d * o.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: ScalarLike) -> "GaussianRational":
-        o = scalar(other)
-        n = o.re * o.re + o.im * o.im
+        """Times conj(o) d_o / N, for N = a_o^2 + b_o^2."""
+        o = other if type(other) is GaussianRational else scalar(other)
+        a, b, c, e = self.a, self.b, o.a, o.b
+        n = c * c + e * e
         if n == 0:
             raise ZeroDivisionError("division by zero scalar")
-        return GaussianRational((self.re * o.re + self.im * o.im) / n,
-                                (self.im * o.re - self.re * o.im) / n)
+        return _reduced((a * c + b * e) * o.d, (b * c - a * e) * o.d, self.d * n)
 
     def __rtruediv__(self, other: ScalarLike) -> "GaussianRational":
         return scalar(other) / self
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return _gr(-self.a, -self.b, self.d)
 
     def __pow__(self, k: int) -> "GaussianRational":
+        """Square and multiply on the numerator, then one gcd with d^k."""
         if k < 0:
-            return ONE / (self ** (-k))
-        out, base = ONE, self
+            return (ONE / self) ** -k
+        a, b, d = self.a, self.b, self.d ** k
+        if b == 0:
+            return _gr(a ** k, 0, d)  # gcd(a, d) = 1 carries over to the powers
+        ra, rb = 1, 0
         while k:
             if k & 1:
-                out = out * base
-            base = base * base
+                ra, rb = ra * a - rb * b, ra * b + rb * a
             k >>= 1
-        return out
+            if k:
+                a, b = a * a - b * b, 2 * a * b
+        return _reduced(ra, rb, d)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (GaussianRational, int, Fraction)):
-            o = scalar(other)
-            return self.re == o.re and self.im == o.im
-        return NotImplemented
+        if not isinstance(other, GaussianRational):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = scalar(other)
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
+        if self.d == 1:  # hash(Fraction(n)) == hash(n)
+            return hash((self.a, self.b))
         return hash((self.re, self.im))
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self.a or self.b)
 
     def is_integer(self) -> bool:
-        return self.im == 0 and self.re.denominator == 1
+        return self.d == 1 and not self.b
 
     def as_int(self) -> int:
         if not self.is_integer():
             raise AlgebraError(f"not an integer: {self}")
-        return int(self.re)
+        return self.a
 
     def sort_key(self):
         return (self.re, self.im)
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # int / int rounds correctly, as float(Fraction) does
+        return complex(self.a / self.d, self.b / self.d)
 
     def to_json(self):
         """'p/q' for rational values, {'re':..,'im':..} otherwise."""
-        if self.im == 0:
+        if not self.b:
             return str(self.re)
         return {"re": str(self.re), "im": str(self.im)}
 
     def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        im = f"{self.im}*i" if abs(self.im) != 1 else ("i" if self.im > 0 else "-i")
-        if self.re == 0:
-            return im
-        return f"{self.re}{'+' if self.im > 0 else ''}{im}"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        ims = f"{im}*i" if abs(im) != 1 else ("i" if im > 0 else "-i")
+        if re == 0:
+            return ims
+        return f"{re}{'+' if im > 0 else ''}{ims}"
 
     __repr__ = __str__
+
+
+_new = object.__new__
+
+
+def _gr(a: int, b: int, d: int) -> GaussianRational:
+    """(a + i b)/d from parts already in canonical form."""
+    x = _new(GaussianRational)
+    x.a, x.b, x.d = a, b, d
+    return x
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """The canonical form of (a + i b)/d, for d > 0."""
+    g = gcd(a, b, d)
+    if g == 1:
+        return _gr(a, b, d)
+    return _gr(a // g, b // g, d // g)
+
+
+def _sum(x: GaussianRational, a: int, b: int, d: int) -> GaussianRational:
+    """x + (a + i b)/d for canonical parts.  With g = gcd(x.d, d), a prime
+    of x.d/g or d/g cannot divide both parts of the new numerator, so the
+    common factor of the result divides g (Knuth, TAOCP vol. 2, 4.5.1)."""
+    if x.d == d:
+        return _reduced(x.a + a, x.b + b, d)
+    g = gcd(x.d, d)
+    s, t = d // g, x.d // g
+    a, b = x.a * s + a * t, x.b * s + b * t
+    h = gcd(a, b, g)
+    return _gr(a // h, b // h, t * d // h)
 
 
 def scalar(x: ScalarLike) -> GaussianRational:
@@ -143,11 +206,13 @@ def scalar(x: ScalarLike) -> GaussianRational:
         return x
     if isinstance(x, bool):
         raise AlgebraError(f"cannot coerce {x!r} to a scalar")
-    if isinstance(x, (int, Fraction)):
-        return GaussianRational(Fraction(x), Fraction(0))
+    if isinstance(x, int):
+        return _gr(x, 0, 1)
+    if isinstance(x, Fraction):
+        return _gr(x.numerator, 0, x.denominator)
     try:
         if isinstance(x, str):
-            return GaussianRational(Fraction(x.strip()), Fraction(0))
+            return scalar(Fraction(x.strip()))
         if isinstance(x, dict):
             return GaussianRational(Fraction(str(x.get("re", 0)).strip()),
                                     Fraction(str(x.get("im", 0)).strip()))
@@ -156,9 +221,9 @@ def scalar(x: ScalarLike) -> GaussianRational:
     raise AlgebraError(f"cannot coerce {x!r} to a scalar")
 
 
-ZERO = GaussianRational(Fraction(0), Fraction(0))
-ONE = GaussianRational(Fraction(1), Fraction(0))
-I = GaussianRational(Fraction(0), Fraction(1))
+ZERO = _gr(0, 0, 1)
+ONE = _gr(1, 0, 1)
+I = _gr(0, 1, 1)
 
 
 def falling_factorial(x, k: int):
@@ -200,9 +265,8 @@ class Polynomial:
     @property
     def coeffs(self) -> tuple:
         if self._coeffs is None:
-            self._coeffs = tuple(
-                GaussianRational(Fraction(a, self.den), Fraction(b, self.den))
-                for a, b in zip(self.re, self.im))
+            den = self.den
+            self._coeffs = tuple(_reduced(a, b, den) for a, b in zip(self.re, self.im))
         return self._coeffs
 
     @staticmethod
@@ -212,9 +276,9 @@ class Polynomial:
     @staticmethod
     def from_list(cs: Iterable) -> "Polynomial":
         cs = [scalar(c) for c in cs]
-        den = lcm(*(f.denominator for c in cs for f in (c.re, c.im)))
-        return Polynomial([c.re.numerator * (den // c.re.denominator) for c in cs],
-                          [c.im.numerator * (den // c.im.denominator) for c in cs], den)
+        den = lcm(*(c.d for c in cs))
+        return Polynomial([c.a * (den // c.d) for c in cs],
+                          [c.b * (den // c.d) for c in cs], den)
 
     @staticmethod
     def zero() -> "Polynomial":
@@ -230,7 +294,8 @@ class Polynomial:
 
     @staticmethod
     def constant(c) -> "Polynomial":
-        return Polynomial.from_list([c])
+        c = scalar(c)
+        return Polynomial((c.a,), (c.b,), c.d)
 
     @staticmethod
     def from_roots(roots: Sequence[ScalarLike]) -> "Polynomial":
@@ -248,10 +313,12 @@ class Polynomial:
     def lc(self) -> GaussianRational:
         if self.is_zero():
             raise AlgebraError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.coeff(len(self.re) - 1)
 
     def coeff(self, j: int) -> GaussianRational:
-        return self.coeffs[j] if 0 <= j < len(self.re) else ZERO
+        if 0 <= j < len(self.re):
+            return _reduced(self.re[j], self.im[j], self.den)
+        return ZERO
 
     def __add__(self, other) -> "Polynomial":
         o = _as_poly(other)
@@ -359,26 +426,25 @@ class Polynomial:
 
     def __call__(self, x: ScalarLike) -> GaussianRational:
         """Horner's rule on integers: d^(n-1) p(x) for x = X/d, w = d^n."""
-        x = Polynomial.constant(x)
+        x = scalar(x)
         if self.is_zero() or x.is_zero():
             return self.coeff(0)
-        xr, xi, d = x.re[0], x.im[0], x.den
+        xr, xi, d = x.a, x.b, x.d
         ur = ui = 0
         w = 1
         for a, b in zip(reversed(self.re), reversed(self.im)):
             ur, ui = ur * xr - ui * xi + a * w, ur * xi + ui * xr + b * w
             w *= d
-        q = self.den * w // d
-        return GaussianRational(Fraction(ur, q), Fraction(ui, q))
+        return _reduced(ur, ui, self.den * w // d)
 
     def shift(self, c: ScalarLike) -> "Polynomial":
         """p(z + c) by synthetic division (Knuth, TAOCP vol. 2, 4.6.4) on
         integers: for c = C/d and n = deg p, shifting the numerators of
         d^n p(u/d) by C leaves d^(n-j) times coefficient j of p(z + c)."""
-        c, n = Polynomial.constant(c), len(self.re) - 1
+        c, n = scalar(c), len(self.re) - 1
         if n < 1 or c.is_zero():
             return self
-        cr, ci, d = c.re[0], c.im[0], c.den
+        cr, ci, d = c.a, c.b, c.d
         ar = [a * d ** (n - j) for j, a in enumerate(self.re)]
         ai = [b * d ** (n - j) for j, b in enumerate(self.im)]
         for k in range(n):
@@ -598,9 +664,14 @@ class RationalFunction:
 
 
 def _over_monic(num: Polynomial, den: Polynomial) -> RationalFunction:
-    """num/den for coprime num and den, scaled so that den is monic."""
-    inv = ONE / den.lc()
-    return RationalFunction(num * inv, den * inv)
+    """num/den for coprime num and den, scaled so that den is monic: both
+    times den.den conj(L) / |L|^2, L the top numerator of den."""
+    lr, li, f = den.re[-1], den.im[-1], den.den
+    return RationalFunction(
+        Polynomial([(a * lr + b * li) * f for a, b in zip(num.re, num.im)],
+                   [(b * lr - a * li) * f for a, b in zip(num.re, num.im)],
+                   num.den * (lr * lr + li * li)),
+        den.monic())
 
 
 def _cancel(n: Polynomial, d: Polynomial) -> tuple:
@@ -981,7 +1052,7 @@ def _lifted_roots(f: Polynomial) -> list:
             zr, zi = (zr - (fr * dr + fi * di) * n) % m, (zi - (fi * dr - fr * di) * n) % m
         re, im = _reconstruct(zr, m, x, d), _reconstruct(zi, m, x, d)
         if re is not None and im is not None:
-            found.append(GaussianRational(re, im))
+            found.append(_reduced(re[0] * im[1], im[0] * re[1], re[1] * im[1]))
     return found
 
 
@@ -1017,12 +1088,14 @@ def _eval_mod(cs: list, z: tuple, m: int) -> tuple:
     return vr, vi
 
 
-def _reconstruct(t: int, m: int, x: int, d: int) -> Fraction | None:
-    """The fraction a/b = t mod m with |a| < x and 0 < b <= d, unique for
+def _reconstruct(t: int, m: int, x: int, d: int) -> tuple | None:
+    """(a, b) with a/b = t mod m, |a| < x and 0 < b <= d, unique for
     m > 2xd, or None: the extended Euclidean algorithm on m and t, stopped
     at the first remainder below x (Modern Computer Algebra, 5.10)."""
     r0, r1, s0, s1 = m, t, 0, 1
     while r1 >= x:
         k = r0 // r1
         r0, r1, s0, s1 = r1, r0 - k * r1, s1, s0 - k * s1
-    return Fraction(r1, s1) if abs(s1) <= d else None
+    if abs(s1) > d:
+        return None
+    return (r1, s1) if s1 > 0 else (-r1, -s1)

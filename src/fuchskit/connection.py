@@ -259,7 +259,7 @@ def genericity_check(exponents) -> GenericityReport:
 
     The integer differences are scanned first.  Whether a total is an
     integer depends only on its residue key (re mod 1, im), kept as a pair
-    of integers over the common denominators of the table.  For each k,
+    of integers over the common denominator d of the table.  For each k,
     every k-combination at every point is mapped to its key, and the
     suffix sets R[j] of the key sums reachable from points j..n-1 are built
     from the last point back, R[n] = {(0, 0)}.  The witness is then picked
@@ -281,6 +281,8 @@ def genericity_check(exponents) -> GenericityReport:
     m = len(table[0])
     if any(len(row) != m for row in table):
         raise DomainError("every point must carry the same number of exponents")
+    if m == 0:
+        raise DomainError("every point must carry at least one exponent")
     for pt_idx, row in enumerate(table):
         for i in range(m):
             for j in range(i + 1, m):
@@ -291,14 +293,13 @@ def genericity_check(exponents) -> GenericityReport:
                         "indices": (i, j),
                         "difference": row[i] - row[j],
                     })
-    d_re = math.lcm(*(v.re.denominator for row in table for v in row))
-    d_im = math.lcm(*(v.im.denominator for row in table for v in row))
-    keys = [[(int(v.re * d_re) % d_re, int(v.im * d_im)) for v in row]
+    d = math.lcm(*(v.d for row in table for v in row))
+    keys = [[(v.a * (d // v.d) % d, v.b * (d // v.d)) for v in row]
             for row in table]
     spent = 0
     for k in range(1, m):
         spent = _spend(spent, len(table) * math.comb(m, k))
-        picks, spent = _first_integer_selection(keys, k, d_re, spent)
+        picks, spent = _first_integer_selection(keys, k, d, spent)
         if picks is not None:
             total = scalar(0)
             for row, idx in zip(table, picks):
@@ -320,30 +321,30 @@ def _spend(spent: int, cost: int) -> int:
     return spent + cost
 
 
-def _combination_keys(point, k: int, d_re: int):
+def _combination_keys(point, k: int, d: int):
     """(combination, residue key) for every k-combination of the keys at
     one point, in `itertools.combinations` order."""
     for idx in itertools.combinations(range(len(point)), k):
-        yield idx, (sum(point[i][0] for i in idx) % d_re,
+        yield idx, (sum(point[i][0] for i in idx) % d,
                     sum(point[i][1] for i in idx))
 
 
-def _first_integer_selection(keys, k: int, d_re: int, spent: int):
+def _first_integer_selection(keys, k: int, d: int, spent: int):
     """The suffix sets and the pick of `genericity_check`: the first choice
     of one k-combination per point, in `itertools.product` order, whose
-    keys sum to (0 mod d_re, 0), or None; and `spent` plus the keys formed
+    keys sum to (0 mod d, 0), or None; and `spent` plus the keys formed
     by the suffix sets.  Only distinct keys are kept, never the
     combinations themselves."""
     suffix = [{(0, 0)}]  # R[n], R[n-1], ..., R[1]
     for point in reversed(keys[1:]):
-        row = {key for _, key in _combination_keys(point, k, d_re)}
+        row = {key for _, key in _combination_keys(point, k, d)}
         spent = _spend(spent, len(row) * len(suffix[-1]))
-        suffix.append({((a + x) % d_re, b + y)
+        suffix.append({((a + x) % d, b + y)
                        for a, b in row for x, y in suffix[-1]})
     need, picks = (0, 0), []
     for point, later in zip(keys, reversed(suffix)):
-        for idx, (a, b) in _combination_keys(point, k, d_re):
-            rest = ((need[0] - a) % d_re, need[1] - b)
+        for idx, (a, b) in _combination_keys(point, k, d):
+            rest = ((need[0] - a) % d, need[1] - b)
             if rest in later:
                 picks.append(idx)
                 need = rest

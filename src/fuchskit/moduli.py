@@ -18,8 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import mul
 
-from .algebra import ExactMatrix, GaussianRational, ZERO, scalar
+from .algebra import ExactMatrix, GaussianRational, ONE, ZERO, scalar
 from .operator import DomainError, check_order, degree_budget
 
 # Largest sum(plan).  The jet matrix is sum(plan) square, and its exact
@@ -166,7 +168,7 @@ def build_constraints(order: int, real_points, apparent_points=()) -> Constraint
             tags.append(tag)
 
         for p in pts:
-            emit([p ** s for s in range(width)],
+            emit(list(accumulate(repeat(p, width - 1), mul, initial=ONE)),
                  ConstraintTag(k=k, kind="exponent", point=str(p)))
         emit([ZERO] * (width - 1) + [scalar(1)],
              ConstraintTag(k=k, kind="top-coefficient", point="infinity"))

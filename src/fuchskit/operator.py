@@ -218,12 +218,14 @@ class _ExprParser:
     """Recursive-descent parser for polynomial expressions in z over Q(i).
 
     Grammar: sums/differences of products, '^' for powers, '/' only by a
-    nonzero constant, unary minus, parentheses.  No implicit products.
+    nonzero constant, unary minus, parentheses.  No implicit products.  A
+    power of degree above `max_degree` is refused before it is built.
     """
 
-    def __init__(self, tokens):
+    def __init__(self, tokens, max_degree: int | None = None):
         self.toks = tokens
         self.pos = 0
+        self.max_degree = max_degree
 
     def peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -275,7 +277,11 @@ class _ExprParser:
             e = self.take()
             if e is None or not e.isdigit():
                 raise DomainError(f"exponent must be a nonnegative integer, got {e!r}")
-            return base ** int(e)
+            e, bound = int(e), self.max_degree
+            if bound is not None and base.degree() * e > max(bound, 0):
+                raise DomainError(f"power of degree {base.degree() * e} exceeds "
+                                  f"the degree bound {bound}")
+            return base ** e
         return base
 
     def atom(self) -> Polynomial:
@@ -295,9 +301,10 @@ class _ExprParser:
         raise DomainError(f"unexpected token {tok!r} in expression")
 
 
-def parse_poly_expr(text: str) -> Polynomial:
-    """Parse an expression like '1/2 + 3*z - z^2' or '(1+i)*z'."""
-    p = _ExprParser(_tokenize(text))
+def parse_poly_expr(text: str, max_degree: int | None = None) -> Polynomial:
+    """Parse an expression like '1/2 + 3*z - z^2' or '(1+i)*z'.  With
+    `max_degree`, a non-constant power of higher degree is refused."""
+    p = _ExprParser(_tokenize(text), max_degree)
     out = p.expr()
     if p.peek() is not None:
         raise DomainError(f"trailing input {p.peek()!r} in expression {text!r}")
@@ -305,7 +312,7 @@ def parse_poly_expr(text: str) -> Polynomial:
 
 
 def _parse_scalar_expr(text: str) -> GaussianRational:
-    p = parse_poly_expr(text)
+    p = parse_poly_expr(text, 0)
     if p.degree() > 0:
         raise DomainError(f"expected a number, got polynomial {text!r}")
     return p.coeff(0)
@@ -367,7 +374,9 @@ def _parse_equation(line: str, real_points, apparent_points) -> FuchsianOperator
                     f"derivative order {primes} (need power {order - primes})")
             if not coeffs[k].is_zero():
                 raise DomainError(f"duplicate term for psi^{k}")
-            num = parse_poly_expr(num_part)
+            # the Fuchs degree bound of the term, so that z^N stays cheap
+            bound = k * (len(real_points) + len(apparent_points) - 1)
+            num = parse_poly_expr(num_part, bound)
             coeffs[k] = num if sign == 1 else Polynomial.zero() - num
     return FuchsianOperator(order=order,
                             real_points=tuple(real_points),
@@ -432,7 +441,8 @@ def parse_operator(doc: Union[str, Mapping]) -> FuchsianOperator:
 
 
 def operator_to_text(op: FuchsianOperator) -> str:
-    """Plain-text form; round-trips through parse_operator.  Order <= 3 only."""
+    """Plain-text form; round-trips through parse_operator when every
+    coefficient is within its degree bound.  Order <= 3 only."""
     if op.order > 3:
         raise DomainError("text form supports order <= 3")
     lines = []

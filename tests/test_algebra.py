@@ -81,6 +81,156 @@ class TestScalar:
             assert falling_factorial(x, k + 1) == falling_factorial(x, k) * (x - k)
 
 
+# ----------------------------------------- scalars against a Fraction pair
+
+def _pair_sum(p, q):
+    return p[0] + q[0], p[1] + q[1]
+
+
+def _pair_diff(p, q):
+    return p[0] - q[0], p[1] - q[1]
+
+
+def _pair_prod(p, q):
+    return p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0]
+
+
+def _pair_quot(p, q):
+    n = q[0] * q[0] + q[1] * q[1]
+    return (p[0] * q[0] + p[1] * q[1]) / n, (p[1] * q[0] - p[0] * q[1]) / n
+
+
+def _pair_pow(p, k):
+    out = (Fraction(1), Fraction(0))
+    for _ in range(abs(k)):
+        out = _pair_prod(out, p)
+    return out if k >= 0 else _pair_quot((Fraction(1), Fraction(0)), out)
+
+
+def _pair_str(re, im):
+    if im == 0:
+        return str(re)
+    ims = f"{im}*i" if abs(im) != 1 else ("i" if im > 0 else "-i")
+    if re == 0:
+        return ims
+    return f"{re}{'+' if im > 0 else ''}{ims}"
+
+
+def _pair_json(re, im):
+    return str(re) if im == 0 else {"re": str(re), "im": str(im)}
+
+
+def _assert_is(x, pair):
+    """x is a scalar in canonical form with the value of the pair."""
+    assert type(x) is GaussianRational
+    assert x.d > 0 and math.gcd(x.a, x.b, x.d) == 1
+    assert (Fraction(x.a, x.d), Fraction(x.b, x.d)) == pair
+
+
+# (reference pair, operand): Gaussian rationals, and ints and Fractions
+gaussian_pairs = st.tuples(fractions, fractions).map(
+    lambda p: (p, GaussianRational(*p)))
+operand_pairs = st.one_of(
+    gaussian_pairs,
+    st.integers(-30, 30).map(lambda n: ((Fraction(n), Fraction(0)), n)),
+    fractions.map(lambda f: ((f, Fraction(0)), f)))
+half = (Fraction(1, 2), Fraction(1, 2))
+half_conj = (Fraction(1, 2), Fraction(-1, 2))
+sixth = (Fraction(1, 6), Fraction(0))
+
+
+class TestScalarAgainstFractionPair:
+    """The integer-triple scalar against a naive pair of Fractions."""
+
+    @given(gaussian_pairs, operand_pairs)
+    @example((half, GaussianRational(*half)), (half_conj, GaussianRational(*half_conj)))
+    @example((sixth, GaussianRational(*sixth)), (sixth, GaussianRational(*sixth)))
+    @example((sixth, GaussianRational(*sixth)), ((Fraction(1, 3), Fraction(0)), Fraction(1, 3)))
+    @settings(max_examples=150)
+    def test_arithmetic(self, x, y):
+        (p, a), (q, b) = x, y
+        _assert_is(a + b, _pair_sum(p, q))
+        _assert_is(b + a, _pair_sum(p, q))
+        _assert_is(a - b, _pair_diff(p, q))
+        _assert_is(b - a, _pair_diff(q, p))
+        _assert_is(a * b, _pair_prod(p, q))
+        _assert_is(b * a, _pair_prod(p, q))
+        _assert_is(-a, (-p[0], -p[1]))
+        if any(q):
+            _assert_is(a / b, _pair_quot(p, q))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                a / b
+        if any(p):
+            _assert_is(b / a, _pair_quot(q, p))
+
+    @given(gaussian_pairs, st.integers(-7, 7))
+    @example((half, GaussianRational(*half)), 2)
+    @example((half, GaussianRational(*half)), -3)
+    @settings(max_examples=100)
+    def test_power(self, x, k):
+        p, a = x
+        if k < 0 and not any(p):
+            with pytest.raises(ZeroDivisionError):
+                a ** k
+        else:
+            _assert_is(a ** k, _pair_pow(p, k))
+
+    @given(gaussian_pairs, operand_pairs)
+    @example((sixth, GaussianRational(*sixth)), (sixth, Fraction(1, 6)))
+    @example(((Fraction(3), Fraction(0)), scalar(3)), ((Fraction(3), Fraction(0)), 3))
+    @settings(max_examples=100)
+    def test_equality_and_hash(self, x, y):
+        (p, a), (q, b) = x, y
+        assert (a == b) == (p == q)
+        assert (b == a) == (p == q)
+        assert (a != b) == (p != q)
+        # hash(x) is hash((x.re, x.im)), so it matches equal scalars only
+        assert hash(a) == hash(p)
+        if p == q and isinstance(b, GaussianRational):
+            assert hash(a) == hash(b)
+
+    @given(gaussian_pairs)
+    @example(((Fraction(-1), Fraction(1)), GaussianRational(Fraction(-1), Fraction(1))))
+    @example(((Fraction(0), Fraction(-1, 2)), GaussianRational(Fraction(0), Fraction(-1, 2))))
+    @settings(max_examples=100)
+    def test_views(self, x):
+        p, a = x
+        assert (a.re, a.im) == p
+        assert type(a.re) is Fraction and type(a.im) is Fraction
+        assert a.sort_key() == p
+        assert a.to_json() == _pair_json(*p)
+        assert str(a) == repr(a) == _pair_str(*p)
+        assert complex(a) == complex(float(p[0]), float(p[1]))
+        assert scalar(a.to_json()) == a
+        assert a.is_zero() == (p == (0, 0))
+        assert a.is_integer() == (p[1] == 0 and p[0].denominator == 1)
+        if a.is_integer():
+            assert a.as_int() == int(p[0]) and type(a.as_int()) is int
+        else:
+            with pytest.raises(AlgebraError):
+                a.as_int()
+
+    def test_canonical_parts(self):
+        x = GaussianRational(Fraction(1, 6), Fraction(-1, 4))
+        assert (x.a, x.b, x.d) == (2, -3, 12)
+        y = GaussianRational(Fraction(1, 2), Fraction(1, 2)) * (ONE - I)
+        assert (y.a, y.b, y.d) == (1, 0, 1) and y == 1
+        z = GaussianRational(Fraction(1, 2), Fraction(1, 2)) ** 2
+        assert (z.a, z.b, z.d) == (0, 1, 2)
+
+    @given(gaussian_pairs)
+    @settings(max_examples=40)
+    def test_zero_is_unique(self, x):
+        _, a = x
+        zeros = [a - a, a * 0, 0 * a, a + (-a), ZERO, scalar(0), scalar("0/7"),
+                 scalar({"re": "0", "im": "0"}), GaussianRational(0, 0),
+                 GaussianRational(Fraction(0), Fraction(0))]
+        for z in zeros:
+            assert (z.a, z.b, z.d) == (0, 0, 1)
+        assert len(set(zeros)) == 1
+
+
 # -------------------------------------------------------------- polynomials
 
 class TestPolynomial:

@@ -127,6 +127,20 @@ class TestExitCodes:
         assert "exceeds the cap" in doc["error"]["message"]
         assert "Traceback" not in captured.err
 
+    def test_text_power_beyond_the_degree_bound_is_refused(self, capsys, tmp_path):
+        # z^100000 would take about half an hour to build; the bound of the
+        # psi^1 term on two points is 1
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps("points: 0, 1\nw' = z^100000/psi w"))
+        code = main(["validate", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        doc = json.loads(captured.out)
+        assert doc["schema"] == "fuchskit/1"
+        assert doc["error"]["type"] == "DomainError"
+        assert "degree bound 1" in doc["error"]["message"]
+        assert "Traceback" not in captured.err
+
     @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
                         reason="this Python prints integers of any length")
     def test_result_beyond_the_output_digit_limit_is_refused(self, capsys):
@@ -314,6 +328,13 @@ class TestCountingCommands:
         assert doc["schema"] == "fuchskit/1"
         assert doc["error"]["type"] == "DomainError"
         assert "residue guard" in doc["error"]["message"]
+
+    def test_genericity_empty_rows_is_an_error_document(self, capsys):
+        code, doc = invoke(capsys, "genericity", "--exponents", "[[]]")
+        assert code == 1
+        assert doc["schema"] == "fuchskit/1"
+        assert doc["error"]["type"] == "DomainError"
+        assert "at least one exponent" in doc["error"]["message"]
 
     def test_genericity_passes(self, capsys):
         code, doc = invoke(capsys, "genericity", "--exponents",

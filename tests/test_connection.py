@@ -324,6 +324,11 @@ class TestGenericity:
     def test_fifths_and_sevenths_pass(self):
         assert genericity_check([["1/5", "1/7"]] * 3).passes
 
+    @pytest.mark.parametrize("table", [[[]], [[], []]])
+    def test_empty_rows_are_refused(self, table):
+        with pytest.raises(DomainError, match="at least one exponent"):
+            genericity_check(table)
+
     def test_first_order_vacuous(self):
         assert genericity_check([["1/2"], ["347/2"]]).passes
 

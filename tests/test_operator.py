@@ -258,6 +258,23 @@ class TestParseText:
         with pytest.raises(DomainError, match="duplicate"):
             parse_operator("points: 0, 1\nw'' = (z)/psi w' + (1)/psi w'")
 
+    def test_power_beyond_the_degree_bound_is_refused_before_it_is_built(self):
+        # z^100000 would take about half an hour to build
+        with pytest.raises(DomainError, match="degree 100000 exceeds the degree bound 1"):
+            parse_operator("points: 0, 1\nw' = z^100000/psi w")
+        # the bound of the psi^2 term on three points is 4
+        with pytest.raises(DomainError, match="degree 6 exceeds the degree bound 4"):
+            parse_operator("points: 0, 1, 2\nw'' = (z^3)^2/psi^2 w")
+        op = parse_operator("points: 0, 1, 2\nw'' = (z^2)^2/psi^2 w")
+        assert op.coeffs[1] == Polynomial.of(0, 0, 0, 0, 1)
+        with pytest.raises(DomainError, match="degree bound 0"):
+            parse_operator("points: z^100000, 1\nw' = 0")
+
+    def test_constant_power_needs_no_bound(self):
+        op = parse_operator("points:\nw' = 2^10/psi w")
+        assert op.coeffs == (Polynomial.constant(1024),)
+        assert parse_poly_expr("(z - z)^7", 0).is_zero()
+
     def test_order_cap(self):
         with pytest.raises(DomainError, match="order <= 3"):
             parse_operator("points: 0\nw'''' = 0")
