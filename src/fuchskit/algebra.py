@@ -24,6 +24,7 @@ exact substitution, so the part it leaves unfactored has no root in Q(i).
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -41,6 +42,8 @@ class AlgebraError(ValueError):
 # ---------------------------------------------------------------------------
 
 ScalarLike = Union["GaussianRational", Fraction, int, str, dict]
+
+_HASH_IMAG, _HASH_HALF = sys.hash_info.imag, 1 << (sys.hash_info.width - 1)
 
 
 class GaussianRational:
@@ -125,9 +128,12 @@ class GaussianRational:
         return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        if self.d == 1:  # hash(Fraction(n)) == hash(n)
-            return hash((self.a, self.b))
-        return hash((self.re, self.im))
+        """That of the equal int or Fraction when real, else Python's complex
+        rule on the parts, wrapped to a machine word (Python maps -1 to -2)."""
+        h = hash(self.a if self.d == 1 else self.re)
+        if self.b:
+            h = (h + _HASH_IMAG * hash(self.im) + _HASH_HALF) % (2 * _HASH_HALF) - _HASH_HALF
+        return h
 
     def is_zero(self) -> bool:
         return not (self.a or self.b)
@@ -621,37 +627,6 @@ class RationalFunction:
             raise AlgebraError(f"evaluation at a pole: {x}")
         return self.num(x) / d
 
-    def order_and_residue_at(self, p: ScalarLike) -> tuple:
-        """(pole order, residue) at p from one Taylor shift of num and den.
-
-        den(z + p) = z^e r(z) with r(0) != 0 gives the order e, the
-        valuation of the shifted den; the residue is the coefficient of
-        z^(e-1) in num(z + p)/r(z), and zero when e = 0.
-        """
-        den = self.den.shift(p)
-        e = 0
-        while not (den.re[e] or den.im[e]):
-            e += 1
-        if e == 0:
-            return 0, ZERO
-        rest = Polynomial(den.re[e:], den.im[e:], den.den)
-        return e, _series_divide(self.num.shift(p), rest, e - 1)[-1]
-
-    def pole_order_at(self, p: ScalarLike) -> int:
-        return self.order_and_residue_at(p)[0]
-
-    def residue_at(self, p: ScalarLike) -> GaussianRational:
-        """Coefficient of 1/(z-p) in the Laurent expansion at p."""
-        return self.order_and_residue_at(p)[1]
-
-    def subst_reciprocal(self) -> "RationalFunction":
-        """f(1/z) as a rational function of z."""
-        if self.is_zero():
-            return self
-        d = max(self.num.degree(), self.den.degree())
-        return RationalFunction.make(self.num.reversed_coeffs(d),
-                                     self.den.reversed_coeffs(d))
-
     def to_json(self) -> dict:
         return {"num": self.num.to_json(), "den": self.den.to_json()}
 
@@ -708,10 +683,10 @@ def series_of_rational(rf: RationalFunction, center: ScalarLike,
     den = rf.den.shift(center)
     if not (den.re[0] or den.im[0]):
         raise AlgebraError(f"series expansion at a pole: {center}")
-    return tuple(_series_divide(rf.num.shift(center), den, order))
+    return tuple(series_divide(rf.num.shift(center), den, order))
 
 
-def _series_divide(num: Polynomial, den: Polynomial, order: int) -> list:
+def series_divide(num: Polynomial, den: Polynomial, order: int) -> list:
     """Coefficients 0..order of the power series num/den, den(0) != 0: by
     the reversal z^d p(1/z), they are the quotient coefficients, top first,
     of the long division of num reversed at order + deg den by den reversed."""

@@ -1,27 +1,32 @@
-"""Companion-form logarithmic connections and their local exponent data.
+"""Logarithmic connections in companion form and their local exponent data.
 
-Convention used throughout: a horizontal section is the ROW vector
-w = (w, psi*w', psi^2*w'', ...) and satisfies w' = w . matrix, where
-matrix = A/psi for the modified companion matrix A.  Column-vector users
-should transpose.  Residue matrices at the finite poles, and at infinity
-after the diagonal regauging plus the chart swap zeta = 1/z, carry the
-local exponents as eigenvalues.
+A horizontal section is the ROW vector w = (w, psi*w', psi^2*w'', ...) and
+satisfies w' = w . num/den, for one polynomial matrix `num` over one monic
+polynomial `den` with gcd(den, every entry) = 1: the poles are the roots of
+den, and equal connections have equal parts.  A companion is the modified
+companion matrix A over psi.  Residue matrices, whose eigenvalues are the
+local exponents, are read off this form without a gcd; the entries as
+reduced rational functions are built only for cyclic recovery and printing.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 from .algebra import (
+    ZERO,
     AlgebraError,
     ExactMatrix,
     Polynomial,
     RationalFunction,
     as_rf,
+    poly_gcd,
     poly_root_search,
     scalar,
+    series_divide,
 )
 from .operator import (
     DomainError,
@@ -39,16 +44,44 @@ RESIDUE_GUARD = 10 ** 6  # residue keys one genericity_check may form
 
 @dataclass(frozen=True)
 class LogConnection:
-    size: int
-    matrix: ExactMatrix  # RationalFunction entries, acting on row vectors
+    """num/den for a square Polynomial matrix num, in the module's form."""
+
+    num: ExactMatrix
+    den: Polynomial
     pole_points: tuple
 
     def __post_init__(self):
-        rows, cols = self.matrix.shape()
-        if rows != self.size or cols != self.size:
-            raise DomainError(f"matrix shape {rows}x{cols} does not match size {self.size}")
-        object.__setattr__(self, "matrix", self.matrix.map(as_rf))
+        rows, cols = self.num.shape()
+        if rows != cols or self.den.is_zero():
+            raise DomainError(f"need a square matrix over a nonzero den, got {rows}x{cols}")
+        g = self.den
+        for e in sorted(itertools.chain(*self.num.rows), key=Polynomial.degree):
+            if g.degree() > 0 and not e.is_zero():
+                g = poly_gcd(g, e)  # lowest degree first: a constant answers at once
+        q = g * self.den.lc()
+        if q != Polynomial.one():
+            object.__setattr__(self, "num", self.num.map(lambda e: e.exact_div(q)))
+            object.__setattr__(self, "den", self.den.exact_div(q))
         object.__setattr__(self, "pole_points", tuple(scalar(p) for p in self.pole_points))
+
+    @staticmethod
+    def from_matrix(matrix: ExactMatrix, pole_points) -> "LogConnection":
+        """The connection whose entries are those of `matrix` (rational
+        functions or polynomials), over the lcm of their denominators."""
+        rfs = matrix.map(as_rf)
+        den = functools.reduce(lambda d, e: d * e.den.exact_div(poly_gcd(d, e.den)),
+                               itertools.chain(*rfs.rows), Polynomial.one())
+        return LogConnection(rfs.map(lambda e: e.num * den.exact_div(e.den)), den, pole_points)
+
+    @property
+    def size(self) -> int:
+        return len(self.num.rows)
+
+    @functools.cached_property
+    def matrix(self) -> ExactMatrix:
+        """The entries num_ij/den as reduced rational functions, built on
+        first use: a read-only view for cyclic recovery and printing."""
+        return self.num.map(lambda e: RationalFunction.make(e, self.den))
 
     def to_json(self) -> dict:
         return {
@@ -81,10 +114,7 @@ def build_companion(op: FuchsianOperator) -> LogConnection:
     if not report.ok:
         raise DomainError("operator fails the infinity degree bounds: "
                           + "; ".join(report.messages))
-    psi = psi_all(op)
-    a = companion_poly_matrix(op)
-    b = a.map(lambda e: RationalFunction.make(e, psi))
-    return LogConnection(size=op.order, matrix=b, pole_points=op.all_points)
+    return LogConnection(companion_poly_matrix(op), psi_all(op), op.all_points)
 
 
 def infinity_gauge(m: int, n: int) -> ExactMatrix:
@@ -99,25 +129,9 @@ def infinity_gauge(m: int, n: int) -> ExactMatrix:
     return ExactMatrix.from_rows(rows)
 
 
-def _pole_points_of(mat: ExactMatrix, candidates) -> tuple:
-    pts = set(scalar(p) for p in candidates)
-    for row in mat.rows:
-        for e in row:
-            if e.den.degree() >= 1:
-                found = poly_root_search(e.den)
-                if not found.complete:
-                    raise DomainError("the gauged connection has a pole outside "
-                                      "Q(i); unfactored denominator part "
-                                      f"{found.remainder}")
-                pts.update(r for r, _ in found.roots)
-    keep = [p for p in sorted(pts, key=lambda s: s.sort_key())
-            if any(e.pole_order_at(p) > 0 for row in mat.rows for e in row)]
-    return tuple(keep)
-
-
 def apply_gauge(conn: LogConnection, g: ExactMatrix) -> LogConnection:
     """New frame w~ = w.g; the coefficient matrix becomes
-    g^{-1} . matrix . g + g^{-1} . g'."""
+    g^{-1} . matrix . g + g^{-1} . g', with poles at the roots of its den."""
     gm = g.map(as_rf)
     rows, cols = gm.shape()
     if rows != conn.size or cols != conn.size:
@@ -127,9 +141,13 @@ def apply_gauge(conn: LogConnection, g: ExactMatrix) -> LogConnection:
     except AlgebraError as exc:
         raise DomainError(f"gauge matrix not invertible: {exc}") from exc
     gprime = gm.map(lambda e: e.derivative())
-    new = ginv * conn.matrix * gm + ginv * gprime
-    return LogConnection(size=conn.size, matrix=new,
-                         pole_points=_pole_points_of(new, conn.pole_points))
+    new = LogConnection.from_matrix(ginv * conn.matrix * gm + ginv * gprime, ())
+    found = poly_root_search(new.den)
+    if not found.complete:
+        raise DomainError("the gauged connection has a pole outside Q(i); "
+                          f"unfactored denominator part {found.remainder}")
+    return LogConnection(new.num, new.den,
+                         sorted((r for r, _ in found.roots), key=lambda s: s.sort_key()))
 
 
 @dataclass(frozen=True)
@@ -154,60 +172,62 @@ class ExponentData:
         }
 
 
-def _residue_data(point, mat: ExactMatrix, ordinary: bool) -> ExponentData:
+def _product_coeff(cs, inv: list, k: int):
+    """Coefficient k < len(inv) of the product of two series, 0 if k < 0."""
+    return sum((cs[j] * inv[k - j] for j in range(min(k + 1, len(cs)))), ZERO)
+
+
+def residue_matrix(conn: LogConnection, point) -> tuple:
+    """(residue matrix, ordinary) at a finite point or at INFINITY (that
+    spelling); `ordinary` says that no entry has a pole there.
+
+    At a finite p, one Taylor shift gives den(p + t) = t^e u(t), u(0) != 0,
+    and entry (i, j) is the coefficient of t^(e-1) in num_ij(p + t)/u(t),
+    num_ij(p)/den'(p) at a simple pole; p is ordinary when e = 0.
+
+    At infinity, with s = (number of poles) - 1, entry (i, j) regauged and
+    in the chart zeta = 1/z has residue -(-1)^(i+j) q_k + [i = j] i s: q is
+    the series of the reversed num_ij over the reversed den, and
+    k = deg num_ij + (i-j)s - deg den + 1 (no term when k < 0).  Infinity
+    is ordinary when every such k is below 1 and the residues vanish.
+    """
+    if point != INFINITY:
+        p = scalar(point)
+        shifted = conn.den.shift(p)
+        e = 0
+        while not (shifted.re[e] or shifted.im[e]):
+            e += 1
+        unit = Polynomial(shifted.re[e:], shifted.im[e:], shifted.den)
+        inv = series_divide(Polynomial.one(), unit, e - 1)
+        return conn.num.map(lambda a: _product_coeff(a.shift(p).coeffs, inv, e - 1)), e == 0
+    if not conn.pole_points:
+        raise DomainError("need at least one finite pole to fix the lattice at infinity")
+    s, n = len(conn.pole_points) - 1, conn.den.degree()
+    ks = [[a.degree() + (i - j) * s - n + 1 if not a.is_zero() else -1
+           for j, a in enumerate(row)] for i, row in enumerate(conn.num.rows)]
+    top = max(max(row) for row in ks)
+    inv = series_divide(Polynomial.one(), conn.den.reversed_coeffs(), top)
+    res = ExactMatrix.from_rows(
+        [[_product_coeff(a.coeffs[::-1], inv, k) * (-1) ** (i + j + 1) + (i * s if i == j else 0)
+          for j, (a, k) in enumerate(zip(row, krow))]
+         for i, (row, krow) in enumerate(zip(conn.num.rows, ks))])
+    return res, top < 1 and all(r.is_zero() for row in res.rows for r in row)
+
+
+def exponent_data(conn: LogConnection, point) -> ExponentData:
+    """Residue matrix and its eigenvalue data at a finite point or INFINITY."""
+    if isinstance(point, str) and point.lower() in INFINITY_NAMES:
+        point = INFINITY
+    mat, ordinary = residue_matrix(conn, point)
     cp = mat.char_poly()
     found = poly_root_search(cp)
-    return ExponentData(point=point,
+    return ExponentData(point=point if point == INFINITY else scalar(point),
                         exponent_matrix=mat,
                         char_poly=cp,
                         eigenvalues=tuple(found.root_list()),
                         complete=found.complete,
                         remainder=found.remainder,
                         ordinary=ordinary)
-
-
-def _minus_inv_sq() -> RationalFunction:
-    return RationalFunction.make(Polynomial.constant(-1), Polynomial.of(0, 0, 1))
-
-
-def infinity_chart_matrix(conn: LogConnection) -> ExactMatrix:
-    """Coefficient matrix in the chart zeta = 1/z after regauging into the
-    lattice that extends across infinity (shift n-1 per row, n = number of
-    listed finite poles).  Entries are rational functions of zeta."""
-    d = len(conn.pole_points)
-    if d < 1:
-        raise DomainError("need at least one finite pole to fix the lattice at infinity")
-    shift = d - 1
-    m = conn.size
-    zpow = [Polynomial.from_list([scalar(0)] * (k * shift) + [scalar(1)])
-            for k in range(m)]
-    rows = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            sign = scalar((-1) ** (i + j))
-            e = conn.matrix.entry(i, j) * RationalFunction.make(zpow[i] * sign, zpow[j])
-            if i == j:
-                e = e + RationalFunction.make(Polynomial.constant(-i * shift),
-                                              Polynomial.x())
-            row.append(e)
-        rows.append(row)
-    flip = _minus_inv_sq()
-    return ExactMatrix.from_rows(
-        [[e.subst_reciprocal() * flip for e in row] for row in rows])
-
-
-def exponent_data(conn: LogConnection, point) -> ExponentData:
-    """Residue matrix and its eigenvalue data at a finite point or INFINITY."""
-    if isinstance(point, str) and point.lower() in INFINITY_NAMES:
-        label, p, mat = INFINITY, scalar(0), infinity_chart_matrix(conn)
-    else:
-        label = p = scalar(point)
-        mat = conn.matrix
-    polar = [[e.order_and_residue_at(p) for e in row] for row in mat.rows]
-    res = ExactMatrix.from_rows([[r for _, r in row] for row in polar])
-    ordinary = all(k == 0 for row in polar for k, _ in row)
-    return _residue_data(label, res, ordinary)
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,11 @@ is integrated with a high-order Runge-Kutta scheme along circles and
 anchored loops.  Counterclockwise transport around a point with local
 exponent mu produces the eigenvalue exp(+2 pi i mu).
 
-The right-hand side is evaluated from one common-denominator stack.  The
-numeric view writes B = N / L exactly, where L is the monic lcm of the
-entry denominators (for a companion connection it divides psi) and N is a
-polynomial matrix.  The coefficients of N are kept as one complex array of
-shape (deg N + 1, m, m), highest power first and already transposed, so an
-evaluation of B(z)^T is one Horner pass over that stack, one scalar Horner
-pass for L(z) and one division.
+The right-hand side is evaluated from the connection's own form B = A/D,
+one polynomial matrix A over one monic polynomial D.  The coefficients of A
+are kept as one complex array of shape (deg A + 1, m, m), highest power
+first and already transposed, so an evaluation of B(z)^T is one Horner pass
+over that stack, one scalar Horner pass for D(z) and one division.
 
 Each result carries a self-diagnosed error estimate: the determinant of the
 transport matrix is compared against the exponential of the exact trace
@@ -30,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .algebra import Polynomial, poly_gcd, scalar
-from .connection import LogConnection
+from .algebra import scalar
+from .connection import LogConnection, residue_matrix
 from .operator import DomainError
 
 _RTOL = 1e-11
@@ -46,24 +44,19 @@ def _cx(v) -> list:
 
 
 class _NumericConnection:
-    """Complex-coefficient view of the connection matrix over one common
-    denominator, Horner-ready (see the module docstring)."""
+    """Complex-coefficient view of the connection A/D, Horner-ready (see
+    the module docstring)."""
 
     def __init__(self, conn: LogConnection):
         m = self.size = conn.size
-        entries = [conn.matrix.entry(i, j) for i in range(m) for j in range(m)]
-        den = Polynomial.one()
-        for rf in entries:
-            den = den * rf.den.exact_div(poly_gcd(den, rf.den))
-        nums = [rf.num * den.exact_div(rf.den) for rf in entries]
-        deg = max(max(n.degree() for n in nums), 0)
+        deg = max(max(a.degree() for row in conn.num.rows for a in row), 0)
         stack = np.zeros((deg + 1, m, m), dtype=complex)
-        for idx, n in enumerate(nums):
-            i, j = divmod(idx, m)
-            for k, c in enumerate(n.coeffs):
-                stack[deg - k, j, i] = complex(c)
+        for i, row in enumerate(conn.num.rows):
+            for j, a in enumerate(row):
+                for k, c in enumerate(a.coeffs):
+                    stack[deg - k, j, i] = complex(c)
         self._stack = stack
-        self._den = [complex(c) for c in reversed(den.coeffs)]
+        self._den = [complex(c) for c in reversed(conn.den.coeffs)]
 
     def at(self, z: complex) -> np.ndarray:
         """B(z)^T, the matrix of the column form u' = B^T u."""
@@ -158,8 +151,7 @@ def _det_reference(conn: LogConnection, loop: LoopSpec) -> complex:
     total = scalar(0)
     for p in conn.pole_points:
         if abs(complex(p) - loop.center) < loop.radius:
-            for i in range(conn.size):
-                total = total + conn.matrix.entry(i, i).residue_at(p)
+            total = total + residue_matrix(conn, p)[0].trace()
     return cmath.exp(2j * math.pi * complex(total))
 
 

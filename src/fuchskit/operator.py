@@ -13,6 +13,7 @@ deg coeffs[k-1] <= k*(n + N - 1), with n real and N apparent points.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from typing import Mapping, Union
@@ -196,6 +197,11 @@ def degree_budget(order: int, num_real: int, num_apparent: int) -> AccessoryDegr
 # parsing
 
 
+# A power is refused before it is built when e * log2(height of its base)
+# passes the bits of a 4300-digit number, Python's default digit limit for
+# printing an int: the power could not be printed.
+POWER_BITS = int(4300 * math.log2(10))
+
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z_]+|\*\*|[()^*/+\-,:=']|\S)")
 
 
@@ -219,7 +225,8 @@ class _ExprParser:
 
     Grammar: sums/differences of products, '^' for powers, '/' only by a
     nonzero constant, unary minus, parentheses.  No implicit products.  A
-    power of degree above `max_degree` is refused before it is built.
+    power of degree above `max_degree`, or past POWER_BITS, is refused
+    before it is built.
     """
 
     def __init__(self, tokens, max_degree: int | None = None):
@@ -281,6 +288,10 @@ class _ExprParser:
             if bound is not None and base.degree() * e > max(bound, 0):
                 raise DomainError(f"power of degree {base.degree() * e} exceeds "
                                   f"the degree bound {bound}")
+            height = max(map(abs, base.re + base.im + (base.den,)))
+            if height > 1 and (e > POWER_BITS or e * math.log2(height) > POWER_BITS):
+                raise DomainError(f"power {e} of a base of {height.bit_length()} bits exceeds "
+                                  f"the bound of {POWER_BITS} bits on e * log2(base height)")
             return base ** e
         return base
 

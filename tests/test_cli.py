@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 import fuchskit.cli
 from fuchskit.cli import build_parser, main
 from fuchskit.frobenius import annihilator_from_solutions
+from fuchskit.operator import POWER_BITS
 from fuchskit.sampling import second_order_with_exponents
 
 APPARENT_OP = json.dumps(annihilator_from_solutions([[1], [0, 0, 1]]).to_json())
@@ -139,6 +141,21 @@ class TestExitCodes:
         assert doc["schema"] == "fuchskit/1"
         assert doc["error"]["type"] == "DomainError"
         assert "degree bound 1" in doc["error"]["message"]
+        assert "Traceback" not in captured.err
+
+    def test_text_constant_power_past_the_bit_bound_is_refused(self, capsys, tmp_path):
+        # 3^10000000 took 13.6 s to build before the bound
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps("points: 0, 1\nw' = 3^10000000/psi w"))
+        start = time.perf_counter()
+        code = main(["validate", "--input", str(path)])
+        assert time.perf_counter() - start < 2.0
+        captured = capsys.readouterr()
+        assert code == 1
+        doc = json.loads(captured.out)
+        assert doc["schema"] == "fuchskit/1"
+        assert doc["error"]["type"] == "DomainError"
+        assert f"bound of {POWER_BITS} bits" in doc["error"]["message"]
         assert "Traceback" not in captured.err
 
     @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),

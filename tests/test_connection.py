@@ -1,22 +1,26 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fuchskit.algebra import (
+    ZERO,
     ExactMatrix,
     GaussianRational,
     Polynomial,
     RationalFunction,
+    poly_gcd,
     scalar,
 )
 from fuchskit import connection
 from fuchskit.connection import (
     INFINITY,
     GenericityReport,
+    LogConnection,
     apply_gauge,
     build_companion,
     bundle_type,
@@ -25,9 +29,11 @@ from fuchskit.connection import (
     exponent_data,
     genericity_check,
     infinity_gauge,
+    residue_matrix,
 )
-from fuchskit.operator import DomainError, FuchsianOperator
+from fuchskit.operator import DomainError, FuchsianOperator, psi_all
 from fuchskit.sampling import random_operator
+from oracles import order_and_residue_at, subst_reciprocal
 
 PZ = Polynomial.zero()
 
@@ -183,6 +189,109 @@ class TestExponents:
         for p in conn.pole_points:
             total = total + exponent_data(conn, p).exponent_matrix.trace()
         assert total == scalar((n + na - 1) * m * (m - 1)) / 2
+
+
+def _polar_oracle(mat: ExactMatrix, p) -> tuple:
+    """(residue matrix, ordinary) entry by entry on reduced rational
+    functions, by `order_and_residue_at`."""
+    polar = [[order_and_residue_at(e, p) for e in row] for row in mat.rows]
+    return (ExactMatrix.from_rows([[r for _, r in row] for row in polar]),
+            all(k == 0 for row in polar for k, _ in row))
+
+
+def _infinity_oracle(conn) -> tuple:
+    """The chart swap: regauge every reduced entry by diag(1, -z^s, z^2s,
+    ...), s = (number of poles) - 1, substitute z = 1/zeta, multiply by
+    dz/dzeta = -1/zeta^2, and read the polar data at zeta = 0."""
+    s, m = len(conn.pole_points) - 1, conn.size
+    zpow = [Polynomial.from_list([0] * (k * s) + [1]) for k in range(m)]
+    flip = RationalFunction.make(Polynomial.constant(-1), Polynomial.of(0, 0, 1))
+    rows = []
+    for i in range(m):
+        row = []
+        for j in range(m):
+            e = conn.matrix.entry(i, j) * RationalFunction.make(
+                zpow[i] * scalar((-1) ** (i + j)), zpow[j])
+            if i == j:
+                e = e + RationalFunction.make(Polynomial.constant(-i * s), Polynomial.x())
+            row.append(subst_reciprocal(e) * flip)
+        rows.append(row)
+    return _polar_oracle(ExactMatrix.from_rows(rows), 0)
+
+
+def _random_gauge(rng, m, points):
+    """Lower triangular, with powers of (z - c) on the diagonal for points
+    c that are mostly poles, so the gauged denominator gets zeros of order
+    above 1, and small random polynomials below it."""
+    rows = [[PZ] * m for _ in range(m)]
+    for i in range(m):
+        c = rng.choice(points + (scalar(rng.randint(-3, 3)),))
+        rows[i][i] = Polynomial.of(-c, 1) ** rng.randint(0, 2)
+        for j in range(i):
+            rows[i][j] = Polynomial.from_list(
+                [rng.randint(-2, 2) for _ in range(rng.randint(0, 2))])
+    return ExactMatrix.from_rows(rows)
+
+
+class TestResidueMatrix:
+    """Residues read off (num, den) against the entry-by-entry oracle, at
+    every pole, at infinity and at one point off the poles."""
+
+    def _check(self, conn):
+        off = next(scalar(q) for q in range(-9, 20) if not conn.den(scalar(q)).is_zero())
+        for p in conn.pole_points + (off,):
+            got = residue_matrix(conn, p)
+            assert got == _polar_oracle(conn.matrix, p)
+            ed = exponent_data(conn, p)
+            assert (ed.exponent_matrix, ed.ordinary) == got
+        if not conn.pole_points:
+            with pytest.raises(DomainError, match="at least one finite pole"):
+                residue_matrix(conn, INFINITY)
+            return
+        assert residue_matrix(conn, INFINITY) == _infinity_oracle(conn)
+        ed = exponent_data(conn, INFINITY)
+        assert (ed.exponent_matrix, ed.ordinary) == _infinity_oracle(conn)
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=25, deadline=None)
+    def test_companion(self, seed):
+        rng = random.Random(seed)
+        m, n, na = rng.randint(1, 3), rng.randint(1, 3), rng.randint(0, 1)
+        op = random_operator(rng, m, n, na, gaussian=rng.random() < 0.3)
+        conn = build_companion(op)
+        # canonical: den monic and coprime to the numerators as a whole;
+        # from order 2 on, the sub-diagonal ones make (A, psi) canonical
+        assert conn.den.lc() == scalar(1)
+        assert functools.reduce(poly_gcd, itertools.chain(*conn.num.rows),
+                                conn.den) == Polynomial.one()
+        assert m == 1 or conn.den == psi_all(op)
+        self._check(conn)
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=20, deadline=None)
+    def test_gauged(self, seed):
+        rng = random.Random(seed)
+        m, n = rng.randint(1, 3), rng.randint(1, 3)
+        conn = build_companion(random_operator(rng, m, n))
+        gauged = apply_gauge(conn, _random_gauge(rng, m, conn.pole_points))
+        self._check(gauged)
+
+    def test_growth_at_infinity(self):
+        # B = z has residue 0 at infinity but a pole of order 3 there in the
+        # chart zeta = 1/z, so infinity is not ordinary
+        conn = LogConnection(ExactMatrix.from_rows([[Polynomial.x()]]),
+                             Polynomial.one(), (0,))
+        assert residue_matrix(conn, INFINITY) == (ExactMatrix.from_rows([[ZERO]]), False)
+        self._check(conn)
+
+    def test_double_pole(self):
+        # diag(1, z) on W2_ZERO leaves an entry 1/(z^2 (z - 1)) below the
+        # diagonal: den has a double zero at 0
+        gauged = apply_gauge(build_companion(W2_ZERO), ExactMatrix.from_rows(
+            [[Polynomial.one(), PZ], [PZ, Polynomial.x()]]))
+        assert gauged.den == Polynomial.of(0, 0, -1, 1)
+        assert gauged.pole_points == (scalar(0), scalar(1))
+        self._check(gauged)
 
 
 class TestBundle:
@@ -427,9 +536,25 @@ class TestRigidity:
         assert rep.dimension == 1 and rep.scalar_only
 
     @given(st.integers(0, 10 ** 6))
+    # points -2, -1/2: a rank-one gauge joins the scalars
+    @example(321756)
     @settings(max_examples=10, deadline=None)
-    def test_random_m3_scalar_only(self, seed):
+    def test_random_m3_basis_is_exact(self, seed):
+        # not every random operator admits only the scalars, so check what
+        # holds for all: each basis gauge G solves A G + psi G' - G A = 0,
+        # and the identity lies in their span
         rng = random.Random(seed)
         op = random_operator(rng, 3, 2)
         rep = companion_rigidity_check(op, op)
-        assert rep.dimension == 1 and rep.scalar_only
+        a, psi = companion_poly_matrix(op), psi_all(op)
+        for g in rep.basis:
+            resid = a * g + g.map(lambda e: e.derivative()).scale(psi) - g * a
+            assert all(e.is_zero() for row in resid.rows for e in row)
+        gauges = list(rep.basis) + [ExactMatrix.identity(3, Polynomial.one())]
+        top = max(e.degree() for g in gauges for row in g.rows for e in row)
+        flat = [[e.coeff(d) for row in g.rows for e in row for d in range(top + 1)]
+                for g in gauges]
+        assert ExactMatrix.from_rows(flat).rank() == len(rep.basis) == rep.dimension
+        if seed == 321756:
+            assert rep.dimension == 2 and not rep.scalar_only
+

@@ -108,8 +108,7 @@ class TestNumericView:
         rows[m - 1][0] = _random_entry(rng, [])    # a polynomial entry
         dens = {rows[i][j].den.degree() for i in range(m) for j in range(m)}
         assert m == 1 or len(dens) > 1
-        conn = LogConnection(size=m, matrix=ExactMatrix.from_rows(rows),
-                             pole_points=self.POLES)
+        conn = LogConnection.from_matrix(ExactMatrix.from_rows(rows), self.POLES)
         num = _NumericConnection(conn)
         for pt in self.POINTS:
             z = scalar(pt)

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from fuchskit.algebra import Polynomial, scalar
 from fuchskit.operator import (
+    POWER_BITS,
     DomainError,
     FuchsianOperator,
     degree_budget,
@@ -274,6 +276,19 @@ class TestParseText:
         op = parse_operator("points:\nw' = 2^10/psi w")
         assert op.coeffs == (Polynomial.constant(1024),)
         assert parse_poly_expr("(z - z)^7", 0).is_zero()
+
+    def test_constant_power_past_the_bit_bound_is_refused_before_it_is_built(self):
+        # 3^10000000 took 13.6 s to build; 9012 log2(3) < POWER_BITS < 9013 log2(3)
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=f"bound of {POWER_BITS} bits"):
+            parse_operator("points: 0, 1\nw' = 3^10000000/psi w")
+        assert time.perf_counter() - start < 2.0
+        for text in ("3^9013", "(1/3)^9013", "(3*i)^9013", "(2 + 3*z)^9013"):
+            with pytest.raises(DomainError, match=f"bound of {POWER_BITS} bits"):
+                parse_poly_expr(text)
+        assert parse_poly_expr("3^9012") == Polynomial.constant(3 ** 9012)
+        for text in ("1^100000000", "(-1)^100000001", "i^100000000", "0^100000000"):
+            assert parse_poly_expr(text).degree() <= 0
 
     def test_order_cap(self):
         with pytest.raises(DomainError, match="order <= 3"):
