@@ -1,6 +1,7 @@
-"""Exact arithmetic kernel: Gaussian rationals, dense polynomials, rational
-functions, their Taylor coefficients, and matrix algebra by field
-elimination, with Bareiss elimination for polynomial determinants.
+"""Exact arithmetic kernel: Gaussian rationals, dense polynomials, the
+printed form of rational functions, Taylor coefficients, and matrix
+algebra by field elimination, with Bareiss elimination for polynomial
+determinants.
 
 Q(i) has one layout, that of FLINT's fmpq_poly (Hart, ICMS 2010):
 Gaussian-integer numerators over one positive integer denominator, on
@@ -9,11 +10,10 @@ is its numerator vectors over one den, both in canonical form (den > 0,
 coprime to the numerator parts), so equality compares parts.  Arithmetic,
 Euclid, Bareiss and elimination run on ints, and the boundaries between
 scalars and polynomials pass ints; `Fraction` appears only in parsing and
-in the `re` and `im` views of a scalar.  A rational function is held in
-canonical form: numerator and denominator coprime, denominator monic.
-Arithmetic keeps that form by cross-cancellation, taking gcds only of the
-parts that can share a factor, instead of reducing each result from
-scratch.
+in the `re` and `im` views of a scalar.  Values in Q(i)(z) are computed
+as polynomials over one common denominator by the modules that need them;
+a `RationalFunction` is only their reduced, printed form (numerator and
+denominator coprime, denominator monic), with no arithmetic of its own.
 
 Every computation in this module is exact.  Floating point appears only in
 `GaussianRational.__complex__`, the conversion for the numeric layer.
@@ -518,15 +518,9 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 @dataclass(frozen=True)
 class RationalFunction:
     """num/den in canonical form: num and den coprime, den monic, so zero is
-    0/1.  The form is unique, which makes equality a comparison of parts.
-
-    `make` reduces an arbitrary pair with one gcd.  Arithmetic keeps the
-    form without reducing its result from scratch, by cross-cancellation
-    (Henrici; Knuth, TAOCP vol. 2, 4.5.1): a product cancels the cross gcds
-    gcd(a.num, b.den) and gcd(b.num, a.den), and a sum reduces by
-    g = gcd(a.den, b.den) and then by gcd(t, g) for the new numerator t.  A
-    constant denominator takes no gcd at all.
-    """
+    0/1 and equal functions have equal parts.  Built only by `make`, which
+    reduces an arbitrary pair with one gcd: the printed form of a value in
+    Q(i)(z), and the input of `series_of_rational`."""
 
     num: Polynomial
     den: Polynomial
@@ -541,130 +535,23 @@ class RationalFunction:
             g = poly_gcd(num, den)
             if g.degree() > 0:
                 num, den = num.exact_div(g), den.exact_div(g)
-        return _over_monic(num, den)
-
-    @staticmethod
-    def zero() -> "RationalFunction":
-        return RationalFunction(Polynomial.zero(), Polynomial.one())
-
-    @staticmethod
-    def one() -> "RationalFunction":
-        return RationalFunction(Polynomial.one(), Polynomial.one())
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def is_polynomial(self) -> bool:
-        return self.den.degree() == 0
-
-    def __add__(self, other) -> "RationalFunction":
-        o = as_rf(other)
-        if self.is_polynomial():
-            return RationalFunction(self.num * o.den + o.num, o.den)
-        if o.is_polynomial():
-            return RationalFunction(self.num + o.num * self.den, self.den)
-        g = poly_gcd(self.den, o.den)
-        if g.degree() == 0:
-            return RationalFunction(self.num * o.den + o.num * self.den,
-                                    self.den * o.den)
-        d1, d2 = self.den.exact_div(g), o.den.exact_div(g)
-        num, g = _cancel(self.num * d2 + o.num * d1, g)
-        return RationalFunction(num, d1 * d2 * g)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "RationalFunction":
-        return self + (-as_rf(other))
-
-    def __rsub__(self, other) -> "RationalFunction":
-        return as_rf(other) - self
-
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
-
-    def __mul__(self, other) -> "RationalFunction":
-        o = as_rf(other)
-        if self.is_zero() or o.is_zero():
-            return RationalFunction.zero()
-        n1, d2 = _cancel(self.num, o.den)
-        n2, d1 = _cancel(o.num, self.den)
-        return RationalFunction(n1 * n2, d1 * d2)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RationalFunction":
-        o = as_rf(other)
-        if o.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        if self.is_zero():
-            return self
-        n1, d2 = _cancel(self.num, o.num)
-        n2, d1 = _cancel(o.den, self.den)
-        return _over_monic(n1 * n2, d1 * d2)
-
-    def __rtruediv__(self, other) -> "RationalFunction":
-        return as_rf(other) / self
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (RationalFunction, Polynomial, GaussianRational,
-                              int, Fraction)):
-            o = as_rf(other)
-            return self.num == o.num and self.den == o.den
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def derivative(self) -> "RationalFunction":
-        return RationalFunction.make(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den)
-
-    def __call__(self, x: ScalarLike) -> GaussianRational:
-        x = scalar(x)
-        d = self.den(x)
-        if d.is_zero():
-            raise AlgebraError(f"evaluation at a pole: {x}")
-        return self.num(x) / d
+        # num times den.den conj(L) / |L|^2, L the top numerator of den
+        lr, li, f = den.re[-1], den.im[-1], den.den
+        return RationalFunction(
+            Polynomial([(a * lr + b * li) * f for a, b in zip(num.re, num.im)],
+                       [(b * lr - a * li) * f for a, b in zip(num.re, num.im)],
+                       num.den * (lr * lr + li * li)),
+            den.monic())
 
     def to_json(self) -> dict:
         return {"num": self.num.to_json(), "den": self.den.to_json()}
 
     def __str__(self) -> str:
-        if self.is_polynomial():
+        if self.den.degree() == 0:
             return str(self.num)
         return f"({self.num})/({self.den})"
 
     __repr__ = __str__
-
-
-def _over_monic(num: Polynomial, den: Polynomial) -> RationalFunction:
-    """num/den for coprime num and den, scaled so that den is monic: both
-    times den.den conj(L) / |L|^2, L the top numerator of den."""
-    lr, li, f = den.re[-1], den.im[-1], den.den
-    return RationalFunction(
-        Polynomial([(a * lr + b * li) * f for a, b in zip(num.re, num.im)],
-                   [(b * lr - a * li) * f for a, b in zip(num.re, num.im)],
-                   num.den * (lr * lr + li * li)),
-        den.monic())
-
-
-def _cancel(n: Polynomial, d: Polynomial) -> tuple:
-    """(n/g, d/g) for g = gcd(n, d); no gcd when either is a nonzero
-    constant.  g is monic, so d/g keeps the leading coefficient of d."""
-    if n.degree() == 0 or d.degree() == 0:
-        return n, d
-    g = poly_gcd(n, d)
-    if g.degree() == 0:
-        return n, d
-    return n.exact_div(g), d.exact_div(g)
-
-
-def as_rf(x) -> RationalFunction:
-    """Coerce a scalar, polynomial or rational function."""
-    if isinstance(x, RationalFunction):
-        return x
-    return RationalFunction(_as_poly(x), Polynomial.one())
 
 
 # ---------------------------------------------------------------------------
@@ -701,10 +588,9 @@ def series_divide(num: Polynomial, den: Polynomial, order: int) -> list:
 
 @dataclass(frozen=True)
 class ExactMatrix:
-    """Dense matrix over Q(i), Q(i)(z) or Q(i)[s]: scalar, rational function
-    or polynomial entries.  Field elimination; Bareiss for polynomial
-    determinants.  Only `det` accepts polynomial entries, since Q(i)[s] is
-    not a field.
+    """Dense matrix over Q(i) or Q(i)[s]: scalar or polynomial entries.
+    Field elimination over Q(i); Bareiss for polynomial determinants.  Only
+    `det` accepts polynomial entries, since Q(i)[s] is not a field.
     """
 
     rows: tuple
@@ -755,7 +641,7 @@ class ExactMatrix:
 
     def det(self):
         """Determinant, exact in the entry ring: Gaussian elimination over
-        Q(i) or Q(i)(z), fraction-free Bareiss elimination over Q(i)[s]."""
+        Q(i), fraction-free Bareiss elimination over Q(i)[s]."""
         m, n = self.shape()
         if m != n:
             raise AlgebraError("determinant of a non-square matrix")
@@ -765,27 +651,6 @@ class ExactMatrix:
         if _has_polynomial(rows):
             return _bareiss_det(rows)
         return _echelon_det(*_eliminate(rows, n), n)
-
-    def det_and_solve(self, rhs: Sequence) -> tuple:
-        """(det, x) with self . x = rhs, for a square matrix over a field and
-        a right-hand side given as a sequence, from one forward elimination
-        of [self | rhs] and back substitution; x is None when det is zero."""
-        n = self.shape()[0]
-        if self.shape()[1] != n or len(rhs) != n:
-            raise AlgebraError("det_and_solve needs a square matrix and a "
-                               "right-hand side of matching length")
-        rows, pivots, sign = _eliminate(
-            [list(r) + [b] for r, b in zip(self.rows, rhs)], n + 1)
-        det = _echelon_det(rows, pivots[:n], sign, n)
-        if det.is_zero():
-            return det, None
-        x = [None] * n
-        for i in range(n - 1, -1, -1):
-            acc = rows[i][n]
-            for j in range(i + 1, n):
-                acc = acc - rows[i][j] * x[j]
-            x[i] = acc / rows[i][i]
-        return det, tuple(x)
 
     def rank(self) -> int:
         """Row rank, by forward elimination over the entry field."""
@@ -803,29 +668,14 @@ class ExactMatrix:
         n = self.shape()[1]
         red, pivots = self.rref()
         free = [j for j in range(n) if j not in pivots]
-        zero, one = _units(self.rows[0][0]) if self.rows else (ZERO, ONE)
         basis = []
         for f in free:
-            vec = [zero] * n
-            vec[f] = one
+            vec = [ZERO] * n
+            vec[f] = ONE
             for r, pc in enumerate(pivots):
                 vec[pc] = -red.rows[r][f]
             basis.append(tuple(vec))
         return basis
-
-    def inverse(self) -> "ExactMatrix":
-        m, n = self.shape()
-        if m != n:
-            raise AlgebraError("inverse of a non-square matrix")
-        zero, one = _units(self.rows[0][0])
-        aug = ExactMatrix.from_rows(
-            [list(self.rows[i]) + [one if j == i else zero for j in range(n)]
-             for i in range(n)])
-        red, pivots = aug.rref()
-        if tuple(pivots) != tuple(range(n)):
-            raise AlgebraError("matrix is singular")
-        return ExactMatrix.from_rows(
-            [row[n:] for row in red.rows])
 
     def char_poly(self) -> Polynomial:
         """det(x I - M) for a scalar matrix, monic, exact."""
@@ -849,18 +699,11 @@ def _has_polynomial(rows) -> bool:
     return any(isinstance(e, Polynomial) for row in rows for e in row)
 
 
-def _units(e) -> tuple:
-    """(zero, one) of the field holding the entry e."""
-    if isinstance(e, RationalFunction):
-        return RationalFunction.zero(), RationalFunction.one()
-    return ZERO, ONE
-
-
 def _echelon_det(rows: list, pivots: tuple, sign: int, n: int):
     """Determinant of the leading n x n block from its row echelon form:
     sign times the diagonal product, or zero when a pivot is missing."""
     if pivots != tuple(range(n)):
-        return _units(rows[0][0])[0]
+        return ZERO
     out = functools.reduce(mul, (rows[i][i] for i in range(n)))
     return out if sign == 1 else -out
 
@@ -891,14 +734,13 @@ def _eliminate(rows: list, ncols: int, reduce: bool = False) -> tuple:
             rows[top], rows[piv] = rows[piv], rows[top]
             sign = -sign
         prow = rows[top]
-        zero, one = _units(prow[col])
-        inv = one / prow[col]
+        inv = ONE / prow[col]
         # only the pivot row's nonzero entries change the other rows
         rest = [j for j in range(col + 1, ncols) if not prow[j].is_zero()]
         if reduce:
             for j in rest:
                 prow[j] = prow[j] * inv
-            prow[col] = one
+            prow[col] = ONE
         for r in range(0 if reduce else top + 1, m):
             row = rows[r]
             if r == top or row[col].is_zero():
@@ -906,7 +748,7 @@ def _eliminate(rows: list, ncols: int, reduce: bool = False) -> tuple:
             f = row[col] if reduce else row[col] * inv
             for j in rest:
                 row[j] = row[j] - f * prow[j]
-            row[col] = zero
+            row[col] = ZERO
         pivots.append(col)
     return rows, tuple(pivots), sign
 

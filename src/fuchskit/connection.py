@@ -4,25 +4,24 @@ A horizontal section is the ROW vector w = (w, psi*w', psi^2*w'', ...) and
 satisfies w' = w . num/den, for one polynomial matrix `num` over one monic
 polynomial `den` with gcd(den, every entry) = 1: the poles are the roots of
 den, and equal connections have equal parts.  A companion is the modified
-companion matrix A over psi.  Residue matrices, whose eigenvalues are the
-local exponents, are read off this form without a gcd; the entries as
-reduced rational functions are built only for cyclic recovery and printing.
+companion matrix A over psi, and a gauge g gives adj(g)(num g + den g')
+over den det(g), made canonical by the constructor's one gcd.  Residue
+matrices, whose eigenvalues are the local exponents, are read off this
+form without a gcd; the entries as reduced rational functions are built
+only for printing.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 from .algebra import (
     ZERO,
-    AlgebraError,
     ExactMatrix,
     Polynomial,
     RationalFunction,
-    as_rf,
     poly_gcd,
     poly_root_search,
     scalar,
@@ -64,31 +63,16 @@ class LogConnection:
             object.__setattr__(self, "den", self.den.exact_div(q))
         object.__setattr__(self, "pole_points", tuple(scalar(p) for p in self.pole_points))
 
-    @staticmethod
-    def from_matrix(matrix: ExactMatrix, pole_points) -> "LogConnection":
-        """The connection whose entries are those of `matrix` (rational
-        functions or polynomials), over the lcm of their denominators."""
-        rfs = matrix.map(as_rf)
-        den = functools.reduce(lambda d, e: d * e.den.exact_div(poly_gcd(d, e.den)),
-                               itertools.chain(*rfs.rows), Polynomial.one())
-        return LogConnection(rfs.map(lambda e: e.num * den.exact_div(e.den)), den, pole_points)
-
     @property
     def size(self) -> int:
         return len(self.num.rows)
-
-    @functools.cached_property
-    def matrix(self) -> ExactMatrix:
-        """The entries num_ij/den as reduced rational functions, built on
-        first use: a read-only view for cyclic recovery and printing."""
-        return self.num.map(lambda e: RationalFunction.make(e, self.den))
 
     def to_json(self) -> dict:
         return {
             "size": self.size,
             "chart": "affine",
             "pole_points": [p.to_json() for p in self.pole_points],
-            "matrix": self.matrix.to_json(),
+            "matrix": self.num.map(lambda e: RationalFunction.make(e, self.den)).to_json(),
         }
 
 
@@ -130,24 +114,32 @@ def infinity_gauge(m: int, n: int) -> ExactMatrix:
 
 
 def apply_gauge(conn: LogConnection, g: ExactMatrix) -> LogConnection:
-    """New frame w~ = w.g; the coefficient matrix becomes
-    g^{-1} . matrix . g + g^{-1} . g', with poles at the roots of its den."""
-    gm = g.map(as_rf)
-    rows, cols = gm.shape()
-    if rows != conn.size or cols != conn.size:
+    """New frame w~ = w.g: the coefficient matrix g^{-1} B g + g^{-1} g' of
+    B = num/den is adj(g)(num g + den g') over den det(g), with poles at
+    the roots of the canonical den."""
+    g = g.map(lambda e: Polynomial.zero() + e)  # scalars as constants
+    m = conn.size
+    if g.shape() != (m, m):
         raise DomainError("gauge matrix shape does not match the connection")
-    try:
-        ginv = gm.inverse()
-    except AlgebraError as exc:
-        raise DomainError(f"gauge matrix not invertible: {exc}") from exc
-    gprime = gm.map(lambda e: e.derivative())
-    new = LogConnection.from_matrix(ginv * conn.matrix * gm + ginv * gprime, ())
+    det = g.det()
+    if det.is_zero():
+        raise DomainError("gauge matrix not invertible: matrix is singular")
+    adj = ExactMatrix.from_rows(
+        [[_minor(g, j, i) * (-1) ** (i + j) for j in range(m)] for i in range(m)])
+    new = LogConnection(adj * (conn.num * g + g.map(Polynomial.derivative).scale(conn.den)),
+                        conn.den * det, ())
     found = poly_root_search(new.den)
     if not found.complete:
         raise DomainError("the gauged connection has a pole outside Q(i); "
                           f"unfactored denominator part {found.remainder}")
     return LogConnection(new.num, new.den,
                          sorted((r for r, _ in found.roots), key=lambda s: s.sort_key()))
+
+
+def _minor(g: ExactMatrix, i: int, j: int) -> Polynomial:
+    """Determinant of g without row i and column j; 1 for a 1x1 g."""
+    rows = [[e for c, e in enumerate(row) if c != j] for r, row in enumerate(g.rows) if r != i]
+    return ExactMatrix.from_rows(rows).det() if rows else Polynomial.one()
 
 
 @dataclass(frozen=True)

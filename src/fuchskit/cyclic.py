@@ -6,37 +6,35 @@ span, every such pairing satisfies a single scalar equation; this module
 finds such a v deterministically and rebuilds the equation exactly.  Here
 d acts on columns as d(v) = v' + B v, the companion of the row-side rule.
 
-Zeros of the spanning determinant that are not poles of the connection
-surface as extra apparent points of the recovered scalar form.
+For B = num/den the tower stays over the one denominator: d^k v is
+P_k/den^k with polynomial columns P_k, and the determinant of the span
+is D/den^(m(m-1)/2) for the polynomial determinant D of [P_0 ... P_(m-1)].
+By Cramer's rule the coefficients of d^m v = sum_k c_k d^(m-k) v are
+c_k = D_(m-k)/(D den^k), D_j the determinant with column j replaced by
+P_m, so the recovered numerators are exact polynomial quotients.  Zeros
+of the spanning determinant that are not poles of the connection surface
+as extra apparent points of the recovered scalar form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import (
-    ExactMatrix,
-    Polynomial,
-    RationalFunction,
-    as_rf,
-    poly_root_search,
-)
+from .algebra import ExactMatrix, Polynomial, RationalFunction, poly_root_search
 from .connection import LogConnection
 from .operator import DomainError, FuchsianOperator
 
 
-def connection_derivative(conn: LogConnection, column) -> tuple:
-    """d(v) = v' + B v on a column vector."""
-    cols = [as_rf(c) for c in column]
-    if len(cols) != conn.size:
+def connection_derivative(conn: LogConnection, column, k: int) -> tuple:
+    """The numerators of d(v) over den^(k+1) for v = column/den^k:
+    den P' - k den' P + num P on the polynomial column P."""
+    if len(column) != conn.size:
         raise DomainError("column length does not match the connection size")
-    out = []
-    for i in range(conn.size):
-        acc = cols[i].derivative()
-        for j in range(conn.size):
-            acc = acc + conn.matrix.entry(i, j) * cols[j]
-        out.append(acc)
-    return tuple(out)
+    den = conn.den
+    step = den.derivative() * -k
+    return tuple(den * p.derivative() + step * p
+                 + sum((a * q for a, q in zip(row, column)), Polynomial.zero())
+                 for p, row in zip(column, conn.num.rows))
 
 
 def standard_candidates(size: int) -> tuple:
@@ -95,37 +93,38 @@ def find_cyclic(conn: LogConnection, candidates=None) -> CyclicResult:
     tried = 0
     for cand in cands:
         tried += 1
-        tower = [tuple(as_rf(c) for c in cand)]
-        for _ in range(m):
-            tower.append(connection_derivative(conn, tower[-1]))
-        span = ExactMatrix.from_rows(
-            [[tower[j][i] for j in range(m)] for i in range(m)])
-        det, solved = span.det_and_solve(tower[m])
-        if det.is_zero():
+        tower = [tuple(Polynomial.zero() + c for c in cand)]  # scalars as constants
+        for k in range(m):
+            tower.append(connection_derivative(conn, tower[-1], k))
+        span = [[tower[j][i] for j in range(m)] for i in range(m)]
+        d = ExactMatrix.from_rows(span).det()
+        if d.is_zero():
             continue
-        coeffs_c = tuple(solved[m - k] for k in range(1, m + 1))
+        # D_(m-k): column m-k of the span replaced by P_m
+        cramer = [ExactMatrix.from_rows(
+            [row[:m - k] + [p] + row[m - k + 1:] for row, p in zip(span, tower[m])]).det()
+            for k in range(1, m + 1)]
+        det = RationalFunction.make(d, conn.den ** (m * (m - 1) // 2))
         found = poly_root_search(det.num)
         locus = tuple(r for r, _ in found.roots if r not in conn.pole_points)
-        pts = tuple(conn.pole_points) + locus
-        psi = Polynomial.from_roots(pts)
-        psi_rf = as_rf(psi)
-        numerators = []
-        for k, c in enumerate(coeffs_c, start=1):
-            value = c
-            for _ in range(k):
-                value = value * psi_rf
-            if value.den.degree() != 0:
+        psi = Polynomial.from_roots(tuple(conn.pole_points) + locus)
+        numerators, coeffs_c, over = [], [], d
+        for k, dk in enumerate(cramer, start=1):
+            over = over * conn.den  # c_k = D_(m-k)/(D den^k)
+            q, r = divmod(dk * psi ** k, over)
+            if not r.is_zero():
                 raise DomainError(
                     f"coefficient {k} of the recovered form keeps a pole at a "
                     f"point outside Q(i); unfactored determinant part "
                     f"{found.remainder}")
-            numerators.append(value.num)
+            numerators.append(q)
+            coeffs_c.append(RationalFunction.make(dk, over))
         op = FuchsianOperator(order=m,
                               real_points=tuple(conn.pole_points),
                               apparent_points=locus,
                               coeffs=tuple(numerators))
         return CyclicResult(vector=cand, determinant=det,
-                            coefficients=coeffs_c, operator=op,
+                            coefficients=tuple(coeffs_c), operator=op,
                             apparent_locus=locus,
                             unfactored=found.remainder, tried=tried)
     raise DomainError(

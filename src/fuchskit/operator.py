@@ -197,12 +197,21 @@ def degree_budget(order: int, num_real: int, num_apparent: int) -> AccessoryDegr
 # parsing
 
 
-# A power is refused before it is built when e * log2(height of its base)
-# passes the bits of a 4300-digit number, Python's default digit limit for
-# printing an int: the power could not be printed.
-POWER_BITS = int(4300 * math.log2(10))
+# Python's default digit limit for converting between int and text.  A
+# longer digit string is refused before `int()` would raise on it, and a
+# power is refused before it is built when e * log2(height of its base)
+# passes the bits of a number of that many digits: it could not be printed.
+MAX_DIGITS = 4300
+POWER_BITS = int(MAX_DIGITS * math.log2(10))
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z_]+|\*\*|[()^*/+\-,:=']|\S)")
+
+
+def _int_token(tok: str, what: str) -> int:
+    if len(tok) > MAX_DIGITS:
+        raise DomainError(f"{what} of {len(tok)} digits exceeds the bound of "
+                          f"{MAX_DIGITS} digits")
+    return int(tok)
 
 
 def _tokenize(s: str):
@@ -284,7 +293,7 @@ class _ExprParser:
             e = self.take()
             if e is None or not e.isdigit():
                 raise DomainError(f"exponent must be a nonnegative integer, got {e!r}")
-            e, bound = int(e), self.max_degree
+            e, bound = _int_token(e, "exponent"), self.max_degree
             if bound is not None and base.degree() * e > max(bound, 0):
                 raise DomainError(f"power of degree {base.degree() * e} exceeds "
                                   f"the degree bound {bound}")
@@ -300,7 +309,7 @@ class _ExprParser:
         if tok is None:
             raise DomainError("unexpected end of expression")
         if tok.isdigit():
-            return Polynomial.constant(int(tok))
+            return Polynomial.constant(_int_token(tok, "constant"))
         if tok == "i":
             return Polynomial.constant(scalar({"re": "0", "im": "1"}))
         if tok == "z":
@@ -372,7 +381,7 @@ def _parse_equation(line: str, real_points, apparent_points) -> FuchsianOperator
             tail = _TERM_TAIL.match(chunk[hit.end():])
             if tail is None:
                 raise DomainError(f"cannot parse term {chunk.strip()!r}")
-            k = int(tail.group(1)) if tail.group(1) else 1
+            k = _int_token(tail.group(1), "psi power") if tail.group(1) else 1
             if tail.group(2) == ")":
                 num_part = num_part.strip()
                 if not num_part.startswith("("):

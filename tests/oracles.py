@@ -1,10 +1,100 @@
-"""Reference routes for the residue tests, kept apart from the package.
+"""Reference routes for the tests, kept apart from the package.
 
-They work entry by entry on reduced rational functions, the way the
-package did before connections became one polynomial matrix over one
-denominator, so the tests can hold the package's fast path against them.
+They work entry by entry on reduced rational functions, each result the
+`RationalFunction.make` of the naive numerator/denominator pair, the way
+the package computed before connections, gauges and cyclic towers became
+polynomials over one denominator, so the tests can hold the package's
+fast paths against them.
 """
-from fuchskit.algebra import ZERO, Polynomial, RationalFunction, series_divide
+import operator
+
+from fuchskit.algebra import (
+    ZERO,
+    AlgebraError,
+    ExactMatrix,
+    Polynomial,
+    RationalFunction,
+    scalar,
+    series_divide,
+)
+
+make = RationalFunction.make
+
+
+def _rf(x) -> RationalFunction:
+    return x if isinstance(x, RationalFunction) else make(x)
+
+
+def rf_add(a, b) -> RationalFunction:
+    a, b = _rf(a), _rf(b)
+    return make(a.num * b.den + b.num * a.den, a.den * b.den)
+
+
+def rf_neg(a) -> RationalFunction:
+    a = _rf(a)
+    return make(-a.num, a.den)
+
+
+def rf_mul(a, b) -> RationalFunction:
+    a, b = _rf(a), _rf(b)
+    return make(a.num * b.num, a.den * b.den)
+
+
+def rf_div(a, b) -> RationalFunction:
+    a, b = _rf(a), _rf(b)
+    return make(a.num * b.den, a.den * b.num)
+
+
+def rf_derivative(a) -> RationalFunction:
+    """The quotient rule (n/d)' = (n'd - nd')/d^2."""
+    a = _rf(a)
+    return make(a.num.derivative() * a.den - a.num * a.den.derivative(), a.den * a.den)
+
+
+def rf_eval(a, x):
+    x = scalar(x)
+    d = a.den(x)
+    if d.is_zero():
+        raise AlgebraError(f"evaluation at a pole: {x}")
+    return a.num(x) / d
+
+
+def entries(conn) -> ExactMatrix:
+    """The entries num_ij/den of a connection as reduced rational functions."""
+    return conn.num.map(lambda e: make(e, conn.den))
+
+
+def det_cofactor(rows, add=operator.add, mul=operator.mul, neg=operator.neg):
+    """Laplace expansion along the first row, with the given ring operations."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    out = None
+    for j in range(n):
+        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
+        term = mul(rows[0][j], det_cofactor(minor, add, mul, neg))
+        if j % 2:
+            term = neg(term)
+        out = term if out is None else add(out, term)
+    return out
+
+
+def rf_det(rows) -> RationalFunction:
+    return det_cofactor([[_rf(e) for e in row] for row in rows], rf_add, rf_mul, rf_neg)
+
+
+def random_gauge(rng, m, points):
+    """Lower triangular, with powers of (z - c) on the diagonal for points
+    c that are mostly poles, so the gauged denominator gets zeros of order
+    above 1, and small random polynomials below it."""
+    rows = [[Polynomial.zero()] * m for _ in range(m)]
+    for i in range(m):
+        c = rng.choice(tuple(points) + (scalar(rng.randint(-3, 3)),))
+        rows[i][i] = Polynomial.of(-c, 1) ** rng.randint(0, 2)
+        for j in range(i):
+            rows[i][j] = Polynomial.from_list(
+                [rng.randint(-2, 2) for _ in range(rng.randint(0, 2))])
+    return ExactMatrix.from_rows(rows)
 
 
 def order_and_residue_at(rf: RationalFunction, p) -> tuple:
@@ -26,8 +116,7 @@ def order_and_residue_at(rf: RationalFunction, p) -> tuple:
 
 def subst_reciprocal(rf: RationalFunction) -> RationalFunction:
     """f(1/z) as a rational function of z."""
-    if rf.is_zero():
+    if rf.num.is_zero():
         return rf
     d = max(rf.num.degree(), rf.den.degree())
-    return RationalFunction.make(rf.num.reversed_coeffs(d),
-                                 rf.den.reversed_coeffs(d))
+    return make(rf.num.reversed_coeffs(d), rf.den.reversed_coeffs(d))

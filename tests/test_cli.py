@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import fuchskit.cli
 from fuchskit.cli import build_parser, main
 from fuchskit.frobenius import annihilator_from_solutions
-from fuchskit.operator import POWER_BITS
+from fuchskit.operator import MAX_DIGITS, POWER_BITS
 from fuchskit.sampling import second_order_with_exponents
 
 APPARENT_OP = json.dumps(annihilator_from_solutions([[1], [0, 0, 1]]).to_json())
@@ -156,6 +156,20 @@ class TestExitCodes:
         assert doc["schema"] == "fuchskit/1"
         assert doc["error"]["type"] == "DomainError"
         assert f"bound of {POWER_BITS} bits" in doc["error"]["message"]
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("term", ["3^" + "9" * 5000 + "/psi w", "9" * 5000 + "/psi w"])
+    def test_text_token_past_the_digit_bound_is_refused(self, capsys, tmp_path, term):
+        # int() of a digit string past 4300 digits raised a plain ValueError
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps("points: 0, 1\nw' = " + term))
+        code = main(["validate", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        doc = json.loads(captured.out)
+        assert doc["schema"] == "fuchskit/1"
+        assert doc["error"]["type"] == "DomainError"
+        assert f"bound of {MAX_DIGITS} digits" in doc["error"]["message"]
         assert "Traceback" not in captured.err
 
     @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),

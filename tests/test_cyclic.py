@@ -1,10 +1,19 @@
 """Cyclic-vector recovery of scalar forms from companion connections."""
 
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fuchskit.algebra import ExactMatrix, Polynomial, RationalFunction, scalar
+from fuchskit.algebra import (
+    ExactMatrix,
+    Polynomial,
+    RationalFunction,
+    poly_root_search,
+    scalar,
+)
 from fuchskit.connection import apply_gauge, build_companion
 from fuchskit.cyclic import (
     connection_derivative,
@@ -15,6 +24,7 @@ from fuchskit.cyclic import (
 from fuchskit.frobenius import annihilator_from_solutions
 from fuchskit.operator import DomainError, FuchsianOperator
 from fuchskit.sampling import random_operator
+from oracles import entries, random_gauge, rf_add, rf_derivative, rf_det, rf_div, rf_mul
 
 X = Polynomial.x()
 ONE = Polynomial.one()
@@ -43,18 +53,39 @@ class TestCandidates:
         assert len(standard_candidates(5)) <= 25
 
 
+def _naive_step(mat, v) -> list:
+    """d(v) = v' + B v on reduced rational functions."""
+    return [functools.reduce(rf_add, (rf_mul(mat.entry(i, j), v[j]) for j in range(len(v))),
+                             rf_derivative(v[i])) for i in range(len(v))]
+
+
 class TestDerivative:
     def test_companion_shifts_basis_columns(self):
+        # d(e_0) = (0, 1/psi): numerators (0, 1) over den = psi
         conn = build_companion(MODEL)
-        psi = Polynomial.from_roots((scalar(0),))
-        d1 = connection_derivative(conn, (ONE, NIL))
-        assert d1[0].is_zero()
-        assert d1[1] == RationalFunction.make(ONE, psi)
+        assert conn.den == Polynomial.from_roots((scalar(0),))
+        assert connection_derivative(conn, (ONE, NIL), 0) == (NIL, ONE)
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=30, deadline=None)
+    def test_step_over_den_power(self, seed):
+        # numerators over den^(k+1) against v' + B v on reduced entries,
+        # for v = column/den^k
+        rng = random.Random(seed)
+        m, k = rng.randint(1, 3), rng.randint(0, 3)
+        conn = build_companion(random_operator(rng, m, rng.randint(1, 3),
+                                               gaussian=rng.random() < 0.3))
+        column = tuple(Polynomial.from_list([rng.randint(-3, 3) for _ in range(rng.randint(0, 3))])
+                       for _ in range(m))
+        v = [RationalFunction.make(p, conn.den ** k) for p in column]
+        got = connection_derivative(conn, column, k)
+        assert [RationalFunction.make(p, conn.den ** (k + 1)) for p in got] == \
+            _naive_step(entries(conn), v)
 
     def test_length_guard(self):
         conn = build_companion(MODEL)
         with pytest.raises(DomainError):
-            connection_derivative(conn, (ONE,))
+            connection_derivative(conn, (ONE,), 0)
 
 
 class TestRoundtrip:
@@ -118,6 +149,90 @@ class TestApparentLocus:
         conn = build_companion(FLAT2)
         with pytest.raises(DomainError, match="candidate"):
             find_cyclic(conn, candidates=[])
+
+
+def _naive_recovery(conn, vector):
+    """(determinant, coefficients) of the tower v, dv, ..., d^m v built on
+    reduced entries, the determinants by cofactors and c_k by Cramer."""
+    m = conn.size
+    mat = entries(conn)
+    tower = [[RationalFunction.make(p) for p in vector]]
+    for _ in range(m):
+        tower.append(_naive_step(mat, tower[-1]))
+    span = [[tower[j][i] for j in range(m)] for i in range(m)]
+    det = rf_det(span)
+    coeffs = tuple(rf_div(rf_det([row[:m - k] + [p] + row[m - k + 1:]
+                                  for row, p in zip(span, tower[m])]), det)
+                   for k in range(1, m + 1))
+    return det, coeffs
+
+
+class TestAgainstNaiveTower:
+    """find_cyclic over one denominator against the tower on reduced
+    rational functions, for every vector it tries or is given."""
+
+    def _check(self, conn, candidates=None):
+        try:
+            res = find_cyclic(conn, candidates)
+        except DomainError as exc:
+            if "outside Q(i)" not in str(exc):
+                raise
+            return self._check_refusal(conn, candidates)
+        det, coeffs = _naive_recovery(conn, res.vector)
+        assert res.determinant == det
+        assert res.coefficients == coeffs
+        op = res.operator
+        assert op.real_points == tuple(conn.pole_points)
+        assert set(res.apparent_locus).isdisjoint(conn.pole_points)
+        for a in res.apparent_locus:
+            assert det.num(a).is_zero()
+        psi = Polynomial.from_roots(op.all_points)
+        for k, c in enumerate(coeffs, start=1):
+            assert rf_mul(c, psi ** k) == RationalFunction.make(op.coeff(k))
+        return res
+
+    def _check_refusal(self, conn, candidates):
+        # the first spanning vector leaves a pole outside Q(i) in some c_k psi^k
+        for vector in candidates or standard_candidates(conn.size):
+            det, coeffs = _naive_recovery(conn, vector)
+            if not det.num.is_zero():
+                break
+        pts = tuple(conn.pole_points) + tuple(
+            r for r, _ in poly_root_search(det.num).roots if r not in conn.pole_points)
+        psi = Polynomial.from_roots(pts)
+        assert any(rf_mul(c, psi ** k).den.degree() > 0
+                   for k, c in enumerate(coeffs, start=1))
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=30, deadline=None)
+    def test_companion(self, seed):
+        rng = random.Random(seed)
+        m, n, na = rng.randint(1, 3), rng.randint(1, 3), rng.randint(0, 1)
+        conn = build_companion(random_operator(rng, m, n, na, gaussian=rng.random() < 0.3))
+        self._check(conn)
+        # forced apparent loci: u = p w solves the scalar form of (p, 0, ...),
+        # so the roots of p off the poles are apparent points
+        roots = [scalar({"re": rng.randint(-4, 4), "im": rng.randint(-1, 1)}) / rng.randint(1, 3)
+                 for _ in range(rng.randint(1, 2))]
+        p = Polynomial.from_roots(roots) * scalar(rng.randint(1, 3))
+        res = self._check(conn, candidates=[(p,) + (NIL,) * (m - 1)])
+        assert set(res.apparent_locus) == set(roots) - set(conn.pole_points)
+        # a random polynomial vector: mostly a locus outside Q(i), refused
+        vector = tuple(Polynomial.from_list([rng.randint(-2, 2) for _ in range(rng.randint(1, 3))])
+                       for _ in range(m))
+        self._check(conn, candidates=[vector] + list(standard_candidates(m)))
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=20, deadline=None)
+    def test_gauged(self, seed):
+        rng = random.Random(seed)
+        m, n = rng.randint(1, 3), rng.randint(1, 3)
+        conn = build_companion(random_operator(rng, m, n))
+        self._check(apply_gauge(conn, random_gauge(rng, m, conn.pole_points)))
+
+    def test_forced_locus_example(self):
+        res = self._check(build_companion(FLAT2), candidates=[(X, ONE)])
+        assert len(res.apparent_locus) == 2
 
 
 def test_result_serializes():

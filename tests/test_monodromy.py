@@ -1,5 +1,6 @@
 """Numeric transport: local loops, apparency detection, global closure."""
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -24,6 +25,7 @@ from fuchskit.sampling import (
     prescribed_exponent_operator,
     second_order_with_exponents,
 )
+from oracles import rf_eval
 
 
 def conn_of(op):
@@ -104,15 +106,18 @@ class TestNumericView:
         factors = [Polynomial.of(-scalar(p), 1) for p in self.POLES]
         rows = [[_random_entry(rng, factors) for _ in range(m)]
                 for _ in range(m)]
-        rows[0][m - 1] = RationalFunction.zero()   # a zero entry
+        rows[0][m - 1] = RationalFunction.make(Polynomial.zero())   # a zero entry
         rows[m - 1][0] = _random_entry(rng, [])    # a polynomial entry
         dens = {rows[i][j].den.degree() for i in range(m) for j in range(m)}
         assert m == 1 or len(dens) > 1
-        conn = LogConnection.from_matrix(ExactMatrix.from_rows(rows), self.POLES)
+        # every entry over the common den prod (z - p)^2
+        den = functools.reduce(lambda d, f: d * f * f, factors, Polynomial.one())
+        conn = LogConnection(ExactMatrix.from_rows(
+            [[e.num * den.exact_div(e.den) for e in row] for row in rows]), den, self.POLES)
         num = _NumericConnection(conn)
         for pt in self.POINTS:
             z = scalar(pt)
-            want = np.array([[complex(rows[i][j](z)) for i in range(m)]
+            want = np.array([[complex(rf_eval(rows[i][j], z)) for i in range(m)]
                              for j in range(m)])   # B(z)^T
             got = num.at(complex(z))
             assert got.shape == (m, m)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fuchskit.algebra import Polynomial, scalar
 from fuchskit.operator import (
+    MAX_DIGITS,
     POWER_BITS,
     DomainError,
     FuchsianOperator,
@@ -289,6 +290,22 @@ class TestParseText:
         assert parse_poly_expr("3^9012") == Polynomial.constant(3 ** 9012)
         for text in ("1^100000000", "(-1)^100000001", "i^100000000", "0^100000000"):
             assert parse_poly_expr(text).degree() <= 0
+
+    def test_digit_strings_past_the_digit_bound_are_refused(self):
+        # int() of more than 4300 digits raises ValueError; each token is
+        # refused first, an exponent, a constant or a psi power
+        long = "9" * (MAX_DIGITS + 1)
+        for text, what in (("3^" + long + "/psi w", "exponent"),
+                           (long + "/psi w", "constant"),
+                           ("3/" + long + "/psi w", "constant"),
+                           ("3/psi^" + long + " w", "psi power")):
+            with pytest.raises(DomainError, match=f"{what} of {MAX_DIGITS + 1} digits "
+                                                  f"exceeds the bound of {MAX_DIGITS} digits"):
+                parse_operator("points: 0, 1\nw' = " + text)
+        with pytest.raises(DomainError, match=f"bound of {MAX_DIGITS} digits"):
+            parse_operator("points: " + long + ", 1\nw' = 3/psi w")
+        # a constant of exactly MAX_DIGITS digits is still read
+        assert parse_poly_expr("9" * MAX_DIGITS) == Polynomial.constant(10 ** MAX_DIGITS - 1)
 
     def test_order_cap(self):
         with pytest.raises(DomainError, match="order <= 3"):
