@@ -1,7 +1,7 @@
 """Exact arithmetic kernel: Gaussian rationals, dense polynomials, the
 printed form of rational functions, Taylor coefficients, and matrix
-algebra by field elimination, with Bareiss elimination for polynomial
-determinants.
+algebra by one elimination per entry ring: field elimination over Q(i),
+fraction-free Bareiss over Q(i)[s] for a determinant and adjugate.
 
 Q(i) has one layout, that of FLINT's fmpq_poly (Hart, ICMS 2010):
 Gaussian-integer numerators over one positive integer denominator, on
@@ -589,8 +589,8 @@ def series_divide(num: Polynomial, den: Polynomial, order: int) -> list:
 @dataclass(frozen=True)
 class ExactMatrix:
     """Dense matrix over Q(i) or Q(i)[s]: scalar or polynomial entries.
-    Field elimination over Q(i); Bareiss for polynomial determinants.  Only
-    `det` accepts polynomial entries, since Q(i)[s] is not a field.
+    Field elimination over Q(i).  Q(i)[s] is not a field: only `det` and
+    `det_adjugate` accept its entries, by one fraction-free Bareiss pass.
     """
 
     rows: tuple
@@ -649,8 +649,19 @@ class ExactMatrix:
             return ONE
         rows = [list(r) for r in self.rows]
         if _has_polynomial(rows):
-            return _bareiss_det(rows)
+            return _bareiss(rows)[0]
         return _echelon_det(*_eliminate(rows, n), n)
+
+    def det_adjugate(self, b: "ExactMatrix") -> tuple:
+        """(det M, adj(M) B) over Q(i)[s] from one fraction-free pass, or
+        (0, None) for a singular M.  Entry (j, c) of adj(M) B is det M with
+        column j replaced by column c of B, a Cramer numerator of M x = B."""
+        m, n = self.shape()
+        if m != n or m == 0 or b.shape()[0] != m:
+            raise AlgebraError("det_adjugate needs a nonempty square matrix "
+                               "and a block with as many rows")
+        det, adj_b = _bareiss([list(r) + list(s) for r, s in zip(self.rows, b.rows)])
+        return det, None if adj_b is None else ExactMatrix.from_rows(adj_b)
 
     def rank(self) -> int:
         """Row rank, by forward elimination over the entry field."""
@@ -686,8 +697,7 @@ class ExactMatrix:
         mat = ExactMatrix.from_rows(
             [[(x if i == j else Polynomial.zero()) - Polynomial.constant(self.rows[i][j])
               for j in range(n)] for i in range(m)])
-        d = mat.det()
-        return d if isinstance(d, Polynomial) else Polynomial.constant(d)
+        return mat.det()
 
     def to_json(self):
         def enc(e):
@@ -753,35 +763,37 @@ def _eliminate(rows: list, ncols: int, reduce: bool = False) -> tuple:
     return rows, tuple(pivots), sign
 
 
-def _bareiss_det(a: list) -> Polynomial:
-    """Fraction-free (Bareiss) determinant of a square polynomial matrix
-    given as row lists.  Each row is first scaled by the lcm of its
-    denominators, so elimination runs over Z[i][s], every exact_div is an
-    integer division, and the product of the row scales divides out last."""
-    m = len(a)
+def _bareiss(a: list) -> tuple:
+    """Fraction-free (Bareiss) elimination on the rows of [M | B], M square:
+    (det M, adj(M) B as row lists), or (0, None) when a column of M has no
+    pivot.  Rows are scaled to Z[i][s], so every exact_div divides
+    integers, and the product of the scales divides out last.  A row swap negates one row, which keeps
+    det M.  With B, rows above each pivot are cleared too (Nakos, Turner &
+    Williams, SIGSAM Bull. 31(3), 1997), which leaves det(M) M^-1 B there."""
+    m, ncols = len(a), len(a[0])
     scale = 1
     for i, row in enumerate(a):
         d = lcm(*(_as_poly(e).den for e in row))
         a[i] = [_as_poly(e) * d for e in row]
         scale *= d
-    sign = 1
+    solve = ncols > m
     prev = None
-    for r in range(m - 1):
+    for r in range(m if solve else m - 1):
         if a[r][r].is_zero():
-            for r2 in range(r + 1, m):
-                if not a[r2][r].is_zero():
-                    a[r], a[r2] = a[r2], a[r]
-                    sign = -sign
-                    break
-            else:
-                return Polynomial.zero()
-        for i in range(r + 1, m):
-            for j in range(r + 1, m):
+            r2 = next((i for i in range(r + 1, m) if not a[i][r].is_zero()), None)
+            if r2 is None:
+                return Polynomial.zero(), None
+            a[r], a[r2] = [-e for e in a[r2]], a[r]
+        for i in range(0 if solve else r + 1, m):
+            if i == r:
+                continue
+            for j in range(r + 1, ncols):
                 v = a[i][j] * a[r][r] - a[i][r] * a[r][j]
                 a[i][j] = v if prev is None else v.exact_div(prev)
         prev = a[r][r]
-    d = a[m - 1][m - 1] if sign == 1 else -a[m - 1][m - 1]
-    return Polynomial(d.re, d.im, scale)
+    d = a[m - 1][m - 1]
+    return (Polynomial(d.re, d.im, scale),
+            [[Polynomial(e.re, e.im, scale) for e in row[m:]] for row in a])
 
 
 # ---------------------------------------------------------------------------

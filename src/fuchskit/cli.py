@@ -35,6 +35,7 @@ from .moduli import (
     gen_vandermonde,
     hodge_parameters,
     vdm_closed_form,
+    vdm_log10,
     verify_rank,
 )
 from .operator import DomainError, json_array, parse_operator, validate_fuchsian
@@ -180,21 +181,37 @@ def _cmd_constraints(args, parser):
     return {"system": system.to_json(), "rank": verify_rank(system).to_json()}
 
 
+def _digit_limit() -> int:
+    """The most digits Python converts an int to text with
+    (sys.get_int_max_str_digits); 0, or a Python without the limit, means
+    none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _unprintable(limit: int) -> DomainError:
+    return DomainError(f"the result has a number of more than {limit} "
+                       "digits, the output digit limit of Python's "
+                       "int-to-text conversion")
+
+
 def _check_printable(value) -> None:
     """DomainError when a numerator or denominator of the scalar value has
-    more digits than Python converts to text (sys.get_int_max_str_digits;
-    0, or a Python without the limit, means none)."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    more digits than the output digit limit."""
+    limit = _digit_limit()
     if limit and any(abs(n) >= 10 ** limit for f in (value.re, value.im)
                      for n in (f.numerator, f.denominator)):
-        raise DomainError(f"the result has a number of more than {limit} "
-                          "digits, the output digit limit of Python's "
-                          "int-to-text conversion")
+        raise _unprintable(limit)
 
 
 def _cmd_vandermonde(args, parser):
     points = _json_list(args.points, parser, "--points")
     plan = _json_list(args.plan, parser, "--plan")
+    # A nonzero value with parts of at most `limit` digits lies between
+    # 10^-limit and 2^(1/2) 10^limit in modulus, so this refuses nothing
+    # printable, and it runs before the closed form is multiplied out.
+    limit, size = _digit_limit(), vdm_log10(points, plan)
+    if limit and size is not None and abs(size) > limit + 1:
+        raise _unprintable(limit)
     closed = vdm_closed_form(points, plan)
     _check_printable(closed)  # before the elimination, the slow part
     det = gen_vandermonde(points, plan).det()
@@ -224,14 +241,13 @@ def _cmd_monodromy(args, parser):
 
     op = _operator_arg(args, parser)
     conn = build_companion(op)
-    base = complex(args.base) if args.base is not None else None
     if args.point is None:
-        g = global_product(conn, base_point=base,
+        g = global_product(conn, base_point=args.base,
                            rtol=args.rtol, atol=args.atol)
         return {"global": g.to_json()}
     point = _scalar_arg(args.point)
-    if base is not None:
-        res = anchored_monodromy(conn, point, base,
+    if args.base is not None:
+        res = anchored_monodromy(conn, point, args.base,
                                  radius=args.radius, rtol=args.rtol, atol=args.atol)
     else:
         res = monodromy(conn, point, radius=args.radius,
@@ -340,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
             parents=[numeric])
     p.add_argument("--point", default=None)
     p.add_argument("--radius", type=float, default=None)
-    p.add_argument("--base", default=None,
+    p.add_argument("--base", type=complex, default=None,
                    help="base point as a Python complex literal, e.g. '-2-3j'")
     p = add("sweep", _cmd_sweep, "characteristic-polynomial drift over a family",
             parents=[numeric])

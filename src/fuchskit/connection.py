@@ -5,10 +5,10 @@ satisfies w' = w . num/den, for one polynomial matrix `num` over one monic
 polynomial `den` with gcd(den, every entry) = 1: the poles are the roots of
 den, and equal connections have equal parts.  A companion is the modified
 companion matrix A over psi, and a gauge g gives adj(g)(num g + den g')
-over den det(g), made canonical by the constructor's one gcd.  Residue
-matrices, whose eigenvalues are the local exponents, are read off this
-form without a gcd; the entries as reduced rational functions are built
-only for printing.
+over den det(g), both from one fraction-free solve, made canonical by the
+constructor's one gcd.  Residue matrices, whose eigenvalues are the local
+exponents, are read off this form without a gcd; the entries as reduced
+rational functions are built only for printing.
 """
 
 from __future__ import annotations
@@ -115,31 +115,21 @@ def infinity_gauge(m: int, n: int) -> ExactMatrix:
 
 def apply_gauge(conn: LogConnection, g: ExactMatrix) -> LogConnection:
     """New frame w~ = w.g: the coefficient matrix g^{-1} B g + g^{-1} g' of
-    B = num/den is adj(g)(num g + den g') over den det(g), with poles at
-    the roots of the canonical den."""
+    B = num/den is adj(g)(num g + den g') over den det(g), both from one
+    fraction-free solve, with poles at the roots of the canonical den."""
     g = g.map(lambda e: Polynomial.zero() + e)  # scalars as constants
-    m = conn.size
-    if g.shape() != (m, m):
+    if g.shape() != (conn.size, conn.size):
         raise DomainError("gauge matrix shape does not match the connection")
-    det = g.det()
+    det, num = g.det_adjugate(conn.num * g + g.map(Polynomial.derivative).scale(conn.den))
     if det.is_zero():
         raise DomainError("gauge matrix not invertible: matrix is singular")
-    adj = ExactMatrix.from_rows(
-        [[_minor(g, j, i) * (-1) ** (i + j) for j in range(m)] for i in range(m)])
-    new = LogConnection(adj * (conn.num * g + g.map(Polynomial.derivative).scale(conn.den)),
-                        conn.den * det, ())
+    new = LogConnection(num, conn.den * det, ())
     found = poly_root_search(new.den)
     if not found.complete:
         raise DomainError("the gauged connection has a pole outside Q(i); "
                           f"unfactored denominator part {found.remainder}")
     return LogConnection(new.num, new.den,
                          sorted((r for r, _ in found.roots), key=lambda s: s.sort_key()))
-
-
-def _minor(g: ExactMatrix, i: int, j: int) -> Polynomial:
-    """Determinant of g without row i and column j; 1 for a 1x1 g."""
-    rows = [[e for c, e in enumerate(row) if c != j] for r, row in enumerate(g.rows) if r != i]
-    return ExactMatrix.from_rows(rows).det() if rows else Polynomial.one()
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,11 @@ P_k/den^k with polynomial columns P_k, and the determinant of the span
 is D/den^(m(m-1)/2) for the polynomial determinant D of [P_0 ... P_(m-1)].
 By Cramer's rule the coefficients of d^m v = sum_k c_k d^(m-k) v are
 c_k = D_(m-k)/(D den^k), D_j the determinant with column j replaced by
-P_m, so the recovered numerators are exact polynomial quotients.  Zeros
-of the spanning determinant that are not poles of the connection surface
-as extra apparent points of the recovered scalar form.
+P_m, so the recovered numerators are exact polynomial quotients.  D and
+every D_j come from one fraction-free solve of [P_0 ... P_(m-1) | P_m]:
+D_j is entry j of adj(span) P_m.  Zeros of the spanning determinant that
+are not poles of the connection surface as extra apparent points of the
+recovered scalar form.
 """
 
 from __future__ import annotations
@@ -96,20 +98,17 @@ def find_cyclic(conn: LogConnection, candidates=None) -> CyclicResult:
         tower = [tuple(Polynomial.zero() + c for c in cand)]  # scalars as constants
         for k in range(m):
             tower.append(connection_derivative(conn, tower[-1], k))
-        span = [[tower[j][i] for j in range(m)] for i in range(m)]
-        d = ExactMatrix.from_rows(span).det()
+        span = ExactMatrix.from_rows(zip(*tower[:m]))
+        d, cramer = span.det_adjugate(ExactMatrix.from_rows(zip(tower[m])))
         if d.is_zero():
             continue
-        # D_(m-k): column m-k of the span replaced by P_m
-        cramer = [ExactMatrix.from_rows(
-            [row[:m - k] + [p] + row[m - k + 1:] for row, p in zip(span, tower[m])]).det()
-            for k in range(1, m + 1)]
         det = RationalFunction.make(d, conn.den ** (m * (m - 1) // 2))
         found = poly_root_search(det.num)
         locus = tuple(r for r, _ in found.roots if r not in conn.pole_points)
         psi = Polynomial.from_roots(tuple(conn.pole_points) + locus)
         numerators, coeffs_c, over = [], [], d
-        for k, dk in enumerate(cramer, start=1):
+        for k in range(1, m + 1):
+            dk = cramer.entry(m - k, 0)
             over = over * conn.den  # c_k = D_(m-k)/(D den^k)
             q, r = divmod(dk * psi ** k, over)
             if not r.is_zero():

@@ -10,11 +10,9 @@ polynomial and its higher companions are
 with [s]_j the falling factorial.  A series sum c_t t^(s+t) solves the
 equation iff  c_t f_0(s+t) = sum_{l=1}^{t} f_l(s+t-l) c_{t-l}  for all t.
 
-The resonance matrices come in two sign conventions.  The displayed form
-carries the f_l entries verbatim; the signed form negates every f_l with
-l >= 1, which makes its determinant equal the recursion obstruction (the
-displayed form does not, as direct series computation shows).  All
-apparency decisions use the signed form for that reason.
+The resonance matrices negate every f_l with l >= 1, which makes their
+determinant equal the recursion obstruction; with the f_l entries as they
+stand it would not, as direct series computation shows.
 """
 
 from __future__ import annotations
@@ -113,35 +111,29 @@ def local_expansion(op: FuchsianOperator, point, truncation: int) -> LocalAnalys
 @dataclass(frozen=True)
 class ResonanceMatrix:
     nu: int
-    signed: bool
     symbolic: ExactMatrix       # Polynomial entries in the exponent variable
     determinant: Polynomial
 
 
-def f_matrices(analysis: LocalAnalysis, nu: int,
-               signed: bool = False) -> ResonanceMatrix:
-    """nu x nu resonance matrix.  First row f_1(s+nu-1) ... f_nu(s); below,
-    f_0 runs down the subdiagonal with shorter f-rows to its right.  With
-    signed=True the f_l entries (l >= 1) are negated; that determinant is
-    the series obstruction and is what apparency uses."""
+def f_matrices(analysis: LocalAnalysis, nu: int) -> ResonanceMatrix:
+    """nu x nu resonance matrix.  First row -f_1(s+nu-1) ... -f_nu(s);
+    below, f_0 runs down the subdiagonal with shorter negated f-rows to its
+    right.  Its determinant is the series obstruction that apparency
+    uses."""
     if nu < 1:
         raise DomainError("nu must be at least 1")
     if analysis.truncation < nu:
         raise DomainError(
             f"insufficient truncation depth {analysis.truncation} for nu={nu}")
-    sgn = scalar(-1 if signed else 1)
     rows = [[Polynomial.zero() for _ in range(nu)] for _ in range(nu)]
     for c in range(nu):
-        rows[0][c] = analysis.f(c + 1).shift(scalar(nu - 1 - c)) * sgn
+        rows[0][c] = -analysis.f(c + 1).shift(scalar(nu - 1 - c))
     for r in range(1, nu):
         rows[r][r - 1] = analysis.f(0).shift(scalar(nu - r))
         for c in range(r, nu):
-            rows[r][c] = analysis.f(c - r + 1).shift(scalar(nu - 1 - c)) * sgn
+            rows[r][c] = -analysis.f(c - r + 1).shift(scalar(nu - 1 - c))
     sym = ExactMatrix.from_rows(rows)
-    det = sym.det()
-    if not isinstance(det, Polynomial):
-        det = Polynomial.constant(det)
-    return ResonanceMatrix(nu=nu, signed=signed, symbolic=sym, determinant=det)
+    return ResonanceMatrix(nu=nu, symbolic=sym, determinant=sym.det())
 
 
 @dataclass(frozen=True)
@@ -199,7 +191,7 @@ def _integer_exponents(analysis: LocalAnalysis):
 def apparent_check(op: FuchsianOperator, point,
                    run_oracle: bool = False) -> ApparentVerdict:
     """Determinant-ladder apparency test.  For exponents r_1 > ... > r_m the
-    condition indexed (mu, kappa) is that the signed resonance determinant of
+    condition indexed (mu, kappa) is that the resonance determinant of
     size r_{mu-kappa} - r_mu vanishes at r_mu to order kappa.  With
     run_oracle, `oracle_agrees` records whether the series oracle reaches
     the same verdict."""
@@ -227,7 +219,7 @@ def _ladder_verdict(op: FuchsianOperator, point) -> ApparentVerdict:
         for kappa in range(1, mu):
             nu = exps[mu - 1 - kappa].as_int() - exps[mu - 1].as_int()
             if nu not in det_cache:
-                det_cache[nu] = f_matrices(analysis, nu, signed=True).determinant
+                det_cache[nu] = f_matrices(analysis, nu).determinant
             shifted = det_cache[nu].shift(exps[mu - 1])
             value = ZERO
             for j in range(kappa):
@@ -367,13 +359,10 @@ def annihilator_from_solutions(basis) -> FuchsianOperator:
         for _ in range(m):
             row.append(row[-1].derivative())
         rows.append(row)
-    dets = []
-    for omit in range(m + 1):
-        cols = [j for j in range(m + 1) if j != omit]
-        mat = ExactMatrix.from_rows([[rows[i][j] for j in cols] for i in range(m)])
-        d = mat.det()
-        dets.append(d if isinstance(d, Polynomial) else Polynomial.constant(d))
-    wronskian = dets[m]
+    # W y^(m) = sum_j x_j y^(j) on the basis, for x = adj(M) P_m and the
+    # Wronskian matrix M = [P_0 ... P_(m-1)] of determinant W
+    wronskian, x = ExactMatrix.from_rows(r[:m] for r in rows).det_adjugate(
+        ExactMatrix.from_rows(r[m:] for r in rows))
     if wronskian.is_zero():
         raise DomainError("dependent basis: Wronskian vanishes identically")
     found = poly_root_search(wronskian)
@@ -384,10 +373,8 @@ def annihilator_from_solutions(basis) -> FuchsianOperator:
     psi = Polynomial.from_roots(points)
     coeffs = []
     for k in range(1, m + 1):
-        num = dets[m - k] * psi ** k * scalar((-1) ** (k + 1))
-        q, rem = divmod(num, wronskian)
-        assert rem.is_zero()  # poles at Wronskian zeros stay within order k
-        coeffs.append(q)
+        # poles at Wronskian zeros stay within order k, so this is exact
+        coeffs.append((x.entry(m - k, 0) * psi ** k).exact_div(wronskian))
     out = FuchsianOperator(order=m, real_points=(), apparent_points=points,
                            coeffs=tuple(coeffs))
     assert validate_fuchsian(out).ok

@@ -285,6 +285,22 @@ def vdm_closed_form(points, plan) -> GaussianRational:
     return out
 
 
+def vdm_log10(points, plan) -> float | None:
+    """log10 |vdm_closed_form| in floating point, summed from the factors
+    without multiplying them out; None when two points coincide, since the
+    determinant is then 0."""
+    pts, plan = _jet_plan(points, plan)
+    out = sum(math.log10(math.factorial(l)) for u in plan for l in range(u))
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            d = pts[j] - pts[i]
+            if d.is_zero():
+                return None
+            out += plan[i] * plan[j] * (math.log10(d.a * d.a + d.b * d.b) / 2
+                                        - math.log10(d.d))
+    return out
+
+
 def paired_plan(r: int) -> tuple:
     """Multiplicity pattern (2,...,2,1,1): r doubled points plus two plain
     ones, the square shape that prices one apparent point against two

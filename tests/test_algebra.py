@@ -622,7 +622,63 @@ rectangular = st.tuples(st.integers(1, 5), st.integers(1, 5)).filter(
                         min_size=mn[0], max_size=mn[0]))
 
 
+# polynomial systems [M | B], M n x n and B with 1 or n columns; zero
+# entries are common, so row swaps and singular M are drawn often
+poly_entries = st.one_of(
+    st.just(Polynomial.zero()),
+    st.lists(scalars, min_size=1, max_size=3).map(Polynomial.from_list))
+
+
+def _poly_system(n):
+    def block(cols):
+        return st.lists(st.lists(poly_entries, min_size=cols, max_size=cols),
+                        min_size=n, max_size=n)
+    return st.tuples(block(n), st.sampled_from([1, n]).flatmap(block))
+
+
+poly_systems = st.integers(min_value=1, max_value=4).flatmap(_poly_system)
+_z, _one, _zero = Polynomial.x(), Polynomial.one(), Polynomial.zero()
+
+
 class TestMatrix:
+    @given(poly_systems)
+    @example(([[_zero, _z], [_one, _z]], [[_one], [_z]]))            # swap
+    @example(([[_zero, _z, _one], [_zero, _one, _z], [_one, _zero, _zero]],
+              [[_one, _z, _zero], [_z, _one, _one], [_zero, _zero, _z]]))
+    @example(([[_z, _one], [_z, _one]], [[_one], [_zero]]))          # singular
+    @example(([[_zero]], [[_z]]))                                   # singular
+    @settings(max_examples=50, deadline=None)
+    def test_det_adjugate_matches_cofactor_oracle(self, system):
+        rows, block = system
+        det, adj_b = ExactMatrix.from_rows(rows).det_adjugate(
+            ExactMatrix.from_rows(block))
+        assert det == _det_cofactor(rows)
+        if det.is_zero():
+            assert adj_b is None
+            return
+        for j in range(len(rows)):
+            for c in range(len(block[0])):
+                cramer = [row[:j] + [b[c]] + row[j + 1:] for row, b in zip(rows, block)]
+                assert adj_b.entry(j, c) == _det_cofactor(cramer)
+
+    @given(poly_systems)
+    @settings(max_examples=30, deadline=None)
+    def test_adjugate_times_matrix_is_det_identity(self, system):
+        g = ExactMatrix.from_rows(system[0])
+        n = len(g.rows)
+        det, adj = g.det_adjugate(ExactMatrix.identity(n, Polynomial.one()))
+        if det.is_zero():
+            return
+        assert adj * g == g * adj == ExactMatrix.identity(n, det)
+
+    def test_det_adjugate_shape_checks(self):
+        g = ExactMatrix.from_rows([[Polynomial.x()]])
+        for a, b in ((g, ExactMatrix.from_rows([[ONE], [ONE]])),
+                     (ExactMatrix.from_rows([[ONE, ONE]]), g),
+                     (ExactMatrix(()), ExactMatrix(()))):
+            with pytest.raises(AlgebraError):
+                a.det_adjugate(b)
+
     @given(matrices)
     @settings(max_examples=50, deadline=None)
     def test_det_matches_cofactor_oracle(self, rows):

@@ -94,6 +94,12 @@ class TestExitCodes:
                                                             argv, flag):
         assert main(argv + flag) == 2
 
+    @pytest.mark.parametrize("flag", [["--base", "abc"], ["--radius", "abc"]])
+    def test_malformed_number_is_a_usage_error(self, capsys, flag):
+        # a --base that is not a complex literal exited 1 with a ValueError
+        assert main(["monodromy", "--input", TWO_POINT, "--point", "0", *flag]) == 2
+        assert "invalid" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         # a JSON true is neither an order nor a coefficient
         ["exponents", "--input", '{"order": true, "real_points": ["0", "1"], '
@@ -179,6 +185,23 @@ class TestExitCodes:
         # whose denominator has about 12300 digits
         code = main(["vandermonde", "--points", '["1/1000003", "2/999983"]',
                      "--plan", "[32, 32]"])
+        captured = capsys.readouterr()
+        assert code == 1
+        doc = json.loads(captured.out)
+        assert doc["schema"] == "fuchskit/1"
+        assert doc["error"]["type"] == "DomainError"
+        assert f"more than {sys.get_int_max_str_digits()} digits" in doc["error"]["message"]
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this Python prints integers of any length")
+    def test_closed_form_beyond_the_digit_limit_is_refused_before_it_is_built(self, capsys):
+        # 24 points of 4001 digits: multiplying out the closed form took
+        # seconds before it was refused as unprintable
+        points = json.dumps([str((j + 1) * 10 ** 4000 + j) for j in range(24)])
+        start = time.perf_counter()
+        code = main(["vandermonde", "--points", points, "--plan", json.dumps([1] * 24)])
+        assert time.perf_counter() - start < 2.0
         captured = capsys.readouterr()
         assert code == 1
         doc = json.loads(captured.out)

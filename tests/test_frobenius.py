@@ -91,31 +91,37 @@ class TestResonanceMatrices:
     def test_size_one(self):
         la = local_expansion(OP_BLOCKED, 0, 2)
         fm = f_matrices(la, 1)
-        assert fm.symbolic.entry(0, 0) == la.f(1)
-        assert fm.determinant == la.f(1)
+        assert fm.symbolic.entry(0, 0) == -la.f(1)
+        assert fm.determinant == -la.f(1)
 
     def test_size_two_layout(self):
         la = local_expansion(OP_MODEL, 0, 2)
         fm = f_matrices(la, 2)
         one = scalar(1)
-        assert fm.symbolic.entry(0, 0) == la.f(1).shift(one)
-        assert fm.symbolic.entry(0, 1) == la.f(2)
+        assert fm.symbolic.entry(0, 0) == -la.f(1).shift(one)
+        assert fm.symbolic.entry(0, 1) == -la.f(2)
         assert fm.symbolic.entry(1, 0) == la.f(0).shift(one)
-        assert fm.symbolic.entry(1, 1) == la.f(1)
+        assert fm.symbolic.entry(1, 1) == -la.f(1)
 
     def test_signed_flips_everything_but_the_subdiagonal(self):
-        la = local_expansion(OP_BLOCKED, 0, 2)
-        plain = f_matrices(la, 2)
-        signed = f_matrices(la, 2, signed=True)
-        assert signed.symbolic.entry(0, 0) == plain.symbolic.entry(0, 0) * scalar(-1)
-        assert signed.symbolic.entry(0, 1) == plain.symbolic.entry(0, 1) * scalar(-1)
-        assert signed.symbolic.entry(1, 0) == plain.symbolic.entry(1, 0)
+        la = local_expansion(OP_BLOCKED, 0, 3)
+        nu = 3
+        fm = f_matrices(la, nu)
+        for r in range(nu):
+            for c in range(nu):
+                if c == r - 1:
+                    want = la.f(0).shift(scalar(nu - r))
+                elif c >= r:
+                    want = -la.f(c - r + 1).shift(scalar(nu - 1 - c))
+                else:
+                    want = Polynomial.zero()
+                assert fm.symbolic.entry(r, c) == want
 
     def test_signed_determinant_is_the_obstruction(self):
-        assert f_matrices(local_expansion(OP_BLOCKED, 0, 2), 2,
-                          signed=True).determinant(scalar(0)) == scalar(1)
-        assert f_matrices(local_expansion(OP_MODEL, 0, 2), 2,
-                          signed=True).determinant(scalar(0)).is_zero()
+        assert f_matrices(local_expansion(OP_BLOCKED, 0, 2),
+                          2).determinant(scalar(0)) == scalar(1)
+        assert f_matrices(local_expansion(OP_MODEL, 0, 2),
+                          2).determinant(scalar(0)).is_zero()
 
     def test_depth_guard(self):
         la = local_expansion(OP_MODEL, 0, 1)

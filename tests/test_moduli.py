@@ -1,5 +1,6 @@
 """Dimension counts, constraint ranks, jet determinants, weight data."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -16,9 +17,11 @@ from fuchskit.moduli import (
     hodge_parameters,
     paired_plan,
     vdm_closed_form,
+    vdm_log10,
     verify_rank,
 )
 from fuchskit.operator import DomainError
+from fuchskit.sampling import random_scalar
 
 
 class TestDimensions:
@@ -203,7 +206,7 @@ class TestJetDeterminants:
         ((1000, 1), "exceeds the cap of 64"),
     ])
     def test_both_forms_share_the_plan_checks(self, plan, message):
-        for form in (gen_vandermonde, vdm_closed_form):
+        for form in (gen_vandermonde, vdm_closed_form, vdm_log10):
             with pytest.raises(DomainError, match=message):
                 form((0, 1), plan)
 
@@ -212,6 +215,26 @@ class TestJetDeterminants:
         assert vdm_closed_form((0, 0), (1, 1)) == scalar(0)
         assert gen_vandermonde((2, 2, 1), (2, 1, 1)).det() == scalar(0)
         assert vdm_closed_form((2, 2, 1), (2, 1, 1)) == scalar(0)
+        assert vdm_log10((0, 0), (1, 1)) is None
+        assert vdm_log10((2, 2, 1), (2, 1, 1)) is None
+
+    def test_log10_matches_the_closed_form(self):
+        rng = random.Random(7)
+        for _ in range(30):
+            count = rng.randint(1, 5)
+            pts = set()
+            while len(pts) < count:
+                pts.add(random_scalar(rng, max_num=40, dens=(1, 3, 7, 1000003),
+                                      gaussian=True))
+            pts = tuple(pts)
+            plan = tuple(rng.randint(1, 4) for _ in pts)
+            c = vdm_closed_form(pts, plan)
+            re, im = c.re, c.im
+            q = re.denominator * im.denominator
+            want = (math.log10((re.numerator * im.denominator) ** 2
+                               + (im.numerator * re.denominator) ** 2)
+                    - math.log10(q * q)) / 2
+            assert vdm_log10(pts, plan) == pytest.approx(want, abs=1e-9)
 
 
 class TestWeightData:
