@@ -20,7 +20,7 @@ from .connection import (
     exponent_data,
     genericity_check,
 )
-from .cyclic import find_cyclic, roundtrip_check
+from .cyclic import find_cyclic, roundtrip_report
 from .frobenius import (
     MAX_TRUNCATION,
     annihilator_from_solutions,
@@ -54,7 +54,7 @@ def _read_doc(raw: str, parser: argparse.ArgumentParser):
         return json.loads(Path(raw).read_text())
     except (OSError, UnicodeDecodeError) as exc:
         parser.error(f"cannot read input {raw}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         parser.error(f"input is not valid JSON: {exc}")
 
 
@@ -68,7 +68,7 @@ def _scalar_arg(text: str):
     """A scalar from a flag: JSON text, or a bare fraction such as 1/2."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         doc = text
     return scalar(doc)
 
@@ -76,7 +76,7 @@ def _scalar_arg(text: str):
 def _json_list(text: str, parser, flag: str):
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         parser.error(f"{flag} must be a JSON array: {exc}")
     if not isinstance(doc, list):
         parser.error(f"{flag} must be a JSON array")
@@ -162,7 +162,8 @@ def _cmd_annihilate(args, parser):
 def _cmd_cyclic(args, parser):
     op = _operator_arg(args, parser)
     result = find_cyclic(build_companion(op))
-    return {"cyclic": result.to_json(), "roundtrip": roundtrip_check(op).to_json()}
+    return {"cyclic": result.to_json(),
+            "roundtrip": roundtrip_report(op, result).to_json()}
 
 
 def _cmd_dimensions(args, parser):

@@ -1,4 +1,5 @@
-"""Scalar-form recovery through cyclic vectors.
+"""Scalar-form recovery through cyclic vectors: the one route from a
+connection to an equation.
 
 Pairing the flat row sections of a logarithmic connection against a fixed
 polynomial column v produces scalar functions.  When v, dv, d^2 v, ...
@@ -16,6 +17,11 @@ every D_j come from one fraction-free solve of [P_0 ... P_(m-1) | P_m]:
 D_j is entry j of adj(span) P_m.  Zeros of the spanning determinant that
 are not poles of the connection surface as extra apparent points of the
 recovered scalar form.
+
+The annihilator of a polynomial basis is the flat case B = 0 with the
+basis as the column v: the tower is the basis and its derivatives, the
+span is the Wronskian matrix, and its zeros are the apparent points
+(`frobenius.annihilator_from_solutions`).
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import ExactMatrix, Polynomial, RationalFunction, poly_root_search
-from .connection import LogConnection
+from .connection import LogConnection, build_companion
 from .operator import DomainError, FuchsianOperator
 
 
@@ -104,19 +110,19 @@ def find_cyclic(conn: LogConnection, candidates=None) -> CyclicResult:
             continue
         det = RationalFunction.make(d, conn.den ** (m * (m - 1) // 2))
         found = poly_root_search(det.num)
+        if not found.complete:
+            raise DomainError(
+                "the span determinant does not split over Q(i), so the "
+                "recovered form would keep a pole at a point outside Q(i); "
+                f"unfactored part {found.remainder}")
         locus = tuple(r for r, _ in found.roots if r not in conn.pole_points)
         psi = Polynomial.from_roots(tuple(conn.pole_points) + locus)
         numerators, coeffs_c, over = [], [], d
         for k in range(1, m + 1):
             dk = cramer.entry(m - k, 0)
             over = over * conn.den  # c_k = D_(m-k)/(D den^k)
-            q, r = divmod(dk * psi ** k, over)
-            if not r.is_zero():
-                raise DomainError(
-                    f"coefficient {k} of the recovered form keeps a pole at a "
-                    f"point outside Q(i); unfactored determinant part "
-                    f"{found.remainder}")
-            numerators.append(q)
+            # a regular singular form has poles of order at most k in c_k
+            numerators.append((dk * psi ** k).exact_div(over))
             coeffs_c.append(RationalFunction.make(dk, over))
         op = FuchsianOperator(order=m,
                               real_points=tuple(conn.pole_points),
@@ -127,8 +133,8 @@ def find_cyclic(conn: LogConnection, candidates=None) -> CyclicResult:
                             apparent_locus=locus,
                             unfactored=found.remainder, tried=tried)
     raise DomainError(
-        f"none of the {tried} candidate vectors spans; the connection may be "
-        "decomposable in the standard frame")
+        f"none of the {tried} candidate vectors spans: the tower v, dv, ... "
+        "of each is linearly dependent")
 
 
 @dataclass(frozen=True)
@@ -151,17 +157,19 @@ class RoundtripReport:
         }
 
 
+def roundtrip_report(op: FuchsianOperator, result: CyclicResult) -> RoundtripReport:
+    """Whether the cyclic recovery `result` of op's companion gives back
+    op's numerators and point set."""
+    rec = result.operator
+    coeffs_match = rec.coeffs == op.coeffs
+    points_match = set(rec.all_points) == set(op.all_points)
+    return RoundtripReport(ok=coeffs_match and points_match and rec.order == op.order,
+                           coeffs_match=coeffs_match, points_match=points_match,
+                           vector=result.vector, recovered=rec,
+                           apparent_locus=result.apparent_locus)
+
+
 def roundtrip_check(op: FuchsianOperator) -> RoundtripReport:
     """Companion form, then cyclic recovery; the numerators and the point
     set must come back unchanged."""
-    from .connection import build_companion
-
-    conn = build_companion(op)
-    res = find_cyclic(conn)
-    coeffs_match = res.operator.coeffs == op.coeffs
-    points_match = set(res.operator.all_points) == set(op.all_points)
-    ok = coeffs_match and points_match and res.operator.order == op.order
-    return RoundtripReport(ok=ok, coeffs_match=coeffs_match,
-                           points_match=points_match, vector=res.vector,
-                           recovered=res.operator,
-                           apparent_locus=res.apparent_locus)
+    return roundtrip_report(op, find_cyclic(build_companion(op)))

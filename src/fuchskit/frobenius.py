@@ -30,6 +30,8 @@ from .algebra import (
     scalar,
     series_of_rational,
 )
+from .connection import LogConnection
+from .cyclic import find_cyclic
 from .operator import (
     DomainError,
     FuchsianOperator,
@@ -348,34 +350,15 @@ def frobenius_oracle(op: FuchsianOperator, point, truncation: int | None = None)
 
 def annihilator_from_solutions(basis) -> FuchsianOperator:
     """Monic operator annihilating the given polynomial basis, with every
-    finite singular point (a Wronskian zero) apparent by construction."""
+    finite singular point (a Wronskian zero) apparent by construction:
+    cyclic recovery on the flat connection, the zero matrix over 1, with
+    the basis as the cyclic column, whose span is the Wronskian matrix."""
     polys = [as_polynomial(b) for b in json_array(basis, "basis")]
     m = len(polys)
     if m < 1:
         raise DomainError("empty basis")
-    rows = []
-    for p in polys:
-        row = [p]
-        for _ in range(m):
-            row.append(row[-1].derivative())
-        rows.append(row)
-    # W y^(m) = sum_j x_j y^(j) on the basis, for x = adj(M) P_m and the
-    # Wronskian matrix M = [P_0 ... P_(m-1)] of determinant W
-    wronskian, x = ExactMatrix.from_rows(r[:m] for r in rows).det_adjugate(
-        ExactMatrix.from_rows(r[m:] for r in rows))
-    if wronskian.is_zero():
-        raise DomainError("dependent basis: Wronskian vanishes identically")
-    found = poly_root_search(wronskian)
-    if not found.complete:
-        raise DomainError("Wronskian does not split over Q(i); "
-                          f"unfactored part {found.remainder}")
-    points = tuple(r for r, _ in found.roots)
-    psi = Polynomial.from_roots(points)
-    coeffs = []
-    for k in range(1, m + 1):
-        # poles at Wronskian zeros stay within order k, so this is exact
-        coeffs.append((x.entry(m - k, 0) * psi ** k).exact_div(wronskian))
-    out = FuchsianOperator(order=m, real_points=(), apparent_points=points,
-                           coeffs=tuple(coeffs))
+    flat = LogConnection(ExactMatrix.from_rows([[Polynomial.zero()] * m] * m),
+                         Polynomial.one(), ())
+    out = find_cyclic(flat, candidates=[polys]).operator
     assert validate_fuchsian(out).ok
     return out

@@ -229,22 +229,13 @@ def monodromy(conn: LogConnection, point, radius: float | None = None,
 
 def anchored_monodromy(conn: LogConnection, point, base_point: complex,
                        radius: float | None = None,
-                       rtol: float = _RTOL, atol: float = _ATOL, *,
-                       numeric: _NumericConnection | None = None,
-                       path: list | None = None) -> MonodromyResult:
-    """Loop from the base point: straight in, once around, straight back.
-
-    `numeric` is a numeric view of `conn` built by the caller, so that
-    several loops on one connection share it; `path` is this loop's
-    `_lollipop`, built and checked by the caller.
-    """
+                       rtol: float = _RTOL, atol: float = _ATOL) -> MonodromyResult:
+    """Loop from the base point: straight in, once around, straight back."""
     _check_tolerances(rtol, atol)
     center, r = _loop_geometry(conn, point, radius)
     b = _base(base_point)
-    if path is None:
-        path = _lollipop(center, r, b, [complex(q) for q in conn.pole_points])
-    num = _NumericConnection(conn) if numeric is None else numeric
-    mat = _transport(num, path, rtol, atol).T
+    path = _lollipop(center, r, b, [complex(q) for q in conn.pole_points])
+    mat = _transport(_NumericConnection(conn), path, rtol, atol).T
     return _finish(conn, LoopSpec(center=center, radius=r, base_point=b), mat)
 
 
@@ -351,12 +342,10 @@ def global_product(conn: LogConnection, base_point: complex | None = None,
     outer_radius = max(abs(p - center) for p in poles) + 1.0
     if abs(b - center) <= outer_radius:
         raise DomainError("base point sits inside the outer loop")
-    # every leg is checked here, before any transport
-    paths = [_lollipop(p, r, b, poles) for p, r in zip(poles, radii)]
-    num = _NumericConnection(conn)
-    results = [anchored_monodromy(conn, p, b, radius=r, rtol=rtol, atol=atol,
-                                  numeric=num, path=path)
-               for p, r, path in zip(conn.pole_points, radii, paths)]
+    for p, r in zip(poles, radii):  # every leg is checked before any transport
+        _lollipop(p, r, b, poles)
+    results = [anchored_monodromy(conn, p, b, radius=r, rtol=rtol, atol=atol)
+               for p, r in zip(conn.pole_points, radii)]
     # departure angles are measured from the direction of the outer center:
     # the base sees the whole outer circle, and so every pole, within a
     # quarter turn of it, far from the branch cut of the phase at +-pi
@@ -368,8 +357,8 @@ def global_product(conn: LogConnection, base_point: complex | None = None,
     for i in order:
         product = product @ results[i].matrix
     # every pole lies inside the outer circle, so its leg passes none
-    outer_mat = _transport(num, _lollipop(center, outer_radius, b, ()),
-                           rtol, atol).T
+    outer_mat = _transport(_NumericConnection(conn),
+                           _lollipop(center, outer_radius, b, ()), rtol, atol).T
     outer = _finish(conn, LoopSpec(center=center, radius=outer_radius,
                                    base_point=b), outer_mat)
     ordered = tuple(int(i) for i in order)

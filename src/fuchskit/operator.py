@@ -203,6 +203,10 @@ def degree_budget(order: int, num_real: int, num_apparent: int) -> AccessoryDegr
 # passes the bits of a number of that many digits: it could not be printed.
 MAX_DIGITS = 4300
 POWER_BITS = int(MAX_DIGITS * math.log2(10))
+# Deepest nesting of parentheses and unary signs in an expression.  A level
+# of parentheses is six frames of the recursive-descent parser, so at the
+# bound a parse stays near 700 frames, inside Python's default limit of 1000.
+MAX_NESTING = 100
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z_]+|\*\*|[()^*/+\-,:=']|\S)")
 
@@ -235,13 +239,24 @@ class _ExprParser:
     Grammar: sums/differences of products, '^' for powers, '/' only by a
     nonzero constant, unary minus, parentheses.  No implicit products.  A
     power of degree above `max_degree`, or past POWER_BITS, is refused
-    before it is built.
+    before it is built, and so is nesting deeper than MAX_NESTING.
     """
 
     def __init__(self, tokens, max_degree: int | None = None):
         self.toks = tokens
         self.pos = 0
         self.max_degree = max_degree
+        self.depth = 0
+
+    def nested(self, parse):
+        """parse() one level deeper in parentheses or unary signs."""
+        if self.depth >= MAX_NESTING:
+            raise DomainError(f"expression nests parentheses and signs deeper "
+                              f"than the bound of {MAX_NESTING}")
+        self.depth += 1
+        out = parse()
+        self.depth -= 1
+        return out
 
     def peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -280,10 +295,10 @@ class _ExprParser:
     def unary(self) -> Polynomial:
         if self.peek() == "-":
             self.take()
-            return Polynomial.zero() - self.unary()
+            return Polynomial.zero() - self.nested(self.unary)
         if self.peek() == "+":
             self.take()
-            return self.unary()
+            return self.nested(self.unary)
         return self.power()
 
     def power(self) -> Polynomial:
@@ -315,7 +330,7 @@ class _ExprParser:
         if tok == "z":
             return Polynomial.x()
         if tok == "(":
-            inner = self.expr()
+            inner = self.nested(self.expr)
             self.expect(")")
             return inner
         raise DomainError(f"unexpected token {tok!r} in expression")
@@ -339,21 +354,25 @@ def _parse_scalar_expr(text: str) -> GaussianRational:
 
 
 _EQ_LHS = re.compile(r"^\s*w\s*('+)\s*$")
-_TERM_TAIL = re.compile(r"^\s*(?:\^\s*(\d+))?\s*(\))?\s*\*?\s*w\s*('*)\s*$")
+_TERM_TAIL = re.compile(r"^\s*(?:(?:\^|\*\*)\s*(\d+))?\s*(\))?\s*\*?\s*w\s*('*)\s*$")
 
 
 def _split_top_level(s: str, seps: str):
-    """Split on separator chars at paren depth 0; keeps separators out."""
-    parts, signs, depth, start = [], [], 0, 0
+    """Split on separator chars at paren depth 0 that follow an operand,
+    so a sign after an operator or '(' stays a unary sign of its term;
+    keeps separators out."""
+    parts, signs, depth, start, last = [], [], 0, 0, "("
     for idx, ch in enumerate(s):
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
-        elif ch in seps and depth == 0 and idx > start:
+        elif ch in seps and depth == 0 and last not in "+-*/^(":
             parts.append(s[start:idx])
             signs.append(ch)
             start = idx + 1
+        if not ch.isspace():
+            last = ch
     parts.append(s[start:])
     return parts, signs
 
@@ -454,7 +473,7 @@ def parse_operator(doc: Union[str, Mapping]) -> FuchsianOperator:
     if stripped.startswith("{"):
         try:
             loaded = json.loads(stripped)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise DomainError(f"bad JSON: {exc}") from exc
         return _parse_json_doc(loaded)
     return _parse_text(doc)

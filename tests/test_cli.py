@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fuchskit.cli
+import fuchskit.cyclic
 from fuchskit.cli import build_parser, main
 from fuchskit.frobenius import annihilator_from_solutions
-from fuchskit.operator import MAX_DIGITS, POWER_BITS
+from fuchskit.operator import MAX_DIGITS, MAX_NESTING, POWER_BITS
 from fuchskit.sampling import second_order_with_exponents
 
 APPARENT_OP = json.dumps(annihilator_from_solutions([[1], [0, 0, 1]]).to_json())
@@ -176,6 +177,52 @@ class TestExitCodes:
         assert doc["schema"] == "fuchskit/1"
         assert doc["error"]["type"] == "DomainError"
         assert f"bound of {MAX_DIGITS} digits" in doc["error"]["message"]
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("text", [
+        "points: 0, 1\nw' = " + "(" * 200 + "1" + ")" * 200 + "/psi w",
+        "points: 0, 1\nw' = " + "-" * 1000 + "1/psi w",
+        "points: " + "-" * 1000 + "1, 2\nw' = 0",
+    ])
+    def test_text_nesting_past_its_bound_is_refused(self, capsys, tmp_path, text):
+        # the recursive-descent parser raised RecursionError here
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps(text))
+        code = main(["validate", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        doc = json.loads(captured.out)
+        assert doc["schema"] == "fuchskit/1"
+        assert doc["error"]["type"] == "DomainError"
+        assert f"bound of {MAX_NESTING}" in doc["error"]["message"]
+        assert "Traceback" not in captured.err
+
+    def test_deeply_nested_input_file_is_a_usage_error(self, capsys, tmp_path):
+        # json.loads raises RecursionError, not JSONDecodeError, on these
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        assert main(["validate", "--input", str(path)]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["genericity", "--exponents", "[" * 3000],
+        ["hodge-params", "--m", "2", "--n", "3", "--exponents", "[" * 3000],
+        ["validate", "--input", "[" * 3000],
+    ])
+    def test_deeply_nested_array_flag_is_a_usage_error(self, capsys, argv):
+        assert main(argv) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["apparent", "--input", APPARENT_OP, "--point", "[" * 3000],
+        ["apparent", "--input", APPARENT_OP, "--point", "[" * 1100],
+    ])
+    def test_deeply_nested_scalar_is_an_error_document(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        doc = json.loads(captured.out)
+        assert doc["schema"] == "fuchskit/1"
         assert "Traceback" not in captured.err
 
     @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
@@ -350,6 +397,20 @@ class TestOperatorCommands:
         assert code == 0
         assert doc["roundtrip"]["ok"] is True
         assert doc["roundtrip"]["apparent_locus"] == []
+
+    def test_cyclic_recovers_once(self, capsys, monkeypatch):
+        calls = []
+        original = fuchskit.cli.find_cyclic
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fuchskit.cli, "find_cyclic", counted)
+        monkeypatch.setattr(fuchskit.cyclic, "find_cyclic", counted)
+        code, doc = invoke(capsys, "cyclic", "--input", TWO_POINT)
+        assert code == 0 and doc["roundtrip"]["ok"] is True
+        assert len(calls) == 1
 
     def test_annihilate(self, capsys):
         code, doc = invoke(capsys, "annihilate", "--input",

@@ -19,6 +19,7 @@ from fuchskit.cyclic import (
     connection_derivative,
     find_cyclic,
     roundtrip_check,
+    roundtrip_report,
     standard_candidates,
 )
 from fuchskit.frobenius import annihilator_from_solutions
@@ -114,6 +115,13 @@ class TestRoundtrip:
         assert rep.ok
         # the recovered operator keeps 0 in its point set
         assert scalar(0) in rep.recovered.all_points
+
+    def test_report_from_a_held_recovery(self):
+        res = find_cyclic(build_companion(MODEL))
+        assert roundtrip_report(MODEL, res) == roundtrip_check(MODEL)
+        other = roundtrip_report(FLAT2, res)
+        assert not other.ok and not other.coeffs_match and not other.points_match
+        assert other.recovered == res.operator
 
     def test_constant_gauge_leaves_recovery_alone(self):
         conn = build_companion(MODEL)

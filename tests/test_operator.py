@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fuchskit.algebra import Polynomial, scalar
 from fuchskit.operator import (
     MAX_DIGITS,
+    MAX_NESTING,
     POWER_BITS,
     DomainError,
     FuchsianOperator,
@@ -184,6 +185,11 @@ class TestParseJson:
         op = parse_operator('{"order": 1, "real_points": ["0"], "coeffs": [["2"]]}')
         assert op == make(1, (0,), (Polynomial.constant(2),))
 
+    def test_deeply_nested_json_string(self):
+        # json.loads raises RecursionError here, not JSONDecodeError
+        with pytest.raises(DomainError, match="bad JSON"):
+            parse_operator('{"order": ' + "[" * 100_000)
+
     def test_repeated_point(self):
         doc = {"order": 1, "real_points": ["0", "0"], "coeffs": [[]]}
         with pytest.raises(DomainError, match="points not distinct"):
@@ -306,6 +312,42 @@ class TestParseText:
             parse_operator("points: " + long + ", 1\nw' = 3/psi w")
         # a constant of exactly MAX_DIGITS digits is still read
         assert parse_poly_expr("9" * MAX_DIGITS) == Polynomial.constant(10 ** MAX_DIGITS - 1)
+
+    def test_nesting_past_its_bound_is_refused(self):
+        # past about 200 parentheses or 1000 signs the parser hit the
+        # recursion limit
+        deep = MAX_NESTING + 1
+        for expr in ("(" * deep + "1" + ")" * deep, "-" * deep + "1",
+                     "(-" * (deep // 2 + 1) + "1" + ")" * (deep // 2 + 1),
+                     "(" * 200 + "1" + ")" * 200, "-" * 1000 + "1"):
+            with pytest.raises(DomainError, match=f"bound of {MAX_NESTING}"):
+                parse_operator(f"points: 0, 1\nw' = {expr}/psi w")
+            with pytest.raises(DomainError, match=f"bound of {MAX_NESTING}"):
+                parse_operator(f"points: {expr}, 2\nw' = 0")
+        # nesting at the bound is still read
+        at = MAX_NESTING
+        assert parse_poly_expr("(" * at + "z" + ")" * at) == Polynomial.x()
+        assert parse_poly_expr("-" * at + "1") == Polynomial.constant(1)
+
+    @pytest.mark.parametrize("spelling, plain", [
+        ("(z)/psi w' + -3/psi^2 w", "(z)/psi w' - 3/psi^2 w"),
+        ("(z)/psi w' +-3/psi^2 w", "(z)/psi w' - 3/psi^2 w"),
+        ("(z)/psi w' - +3/psi^2 w", "(z)/psi w' - 3/psi^2 w"),
+        ("(z)/psi w' - -3/psi^2 w", "(z)/psi w' + 3/psi^2 w"),
+        ("(z)/psi w' + 2*-3/psi^2 w", "(z)/psi w' - 6/psi^2 w"),
+        ("(z)/psi w' - 3/psi**2 w", "(z)/psi w' - 3/psi^2 w"),
+        ("(z)/psi w' + (-3)/psi ** 2 * w", "(z)/psi w' - 3/psi^2 w"),
+        ("-z/psi w' + 3/psi**2 w", "(-z)/psi w' + 3/psi^2 w"),
+    ])
+    def test_signs_and_powers_spell_the_plain_form(self, spelling, plain):
+        # the term splitter cut at a sign that follows an operator, and the
+        # term tail read only ^ for a psi power
+        assert (parse_operator("points: 0, 1\nw'' = " + spelling)
+                == parse_operator("points: 0, 1\nw'' = " + plain))
+
+    def test_dangling_sign_is_an_empty_term(self):
+        with pytest.raises(DomainError, match="empty term"):
+            parse_operator("points: 0, 1\nw'' = (z)/psi w' +")
 
     def test_order_cap(self):
         with pytest.raises(DomainError, match="order <= 3"):
