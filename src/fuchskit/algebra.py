@@ -2,6 +2,7 @@
 printed form of rational functions, Taylor coefficients, and matrix
 algebra by one elimination per entry ring: field elimination over Q(i),
 fraction-free Bareiss over Q(i)[s] for a determinant and adjugate.
+`document` and `Report` are the one rule by which a result becomes JSON.
 
 Q(i) has one layout, that of FLINT's fmpq_poly (Hart, ICMS 2010):
 Gaussian-integer numerators over one positive integer denominator, on
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt, lcm
@@ -38,12 +39,38 @@ class AlgebraError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# documents
+# ---------------------------------------------------------------------------
+
+def document(v):
+    """v's `to_json` when it has one, a list for a tuple or list, a dict item
+    by item, str for a Fraction, and any other value as it is."""
+    if hasattr(v, "to_json"):
+        return v.to_json()
+    if isinstance(v, (tuple, list)):
+        return [document(x) for x in v]
+    if isinstance(v, dict):
+        return {k: document(x) for k, x in v.items()}
+    if isinstance(v, Fraction):
+        return str(v)
+    return v
+
+
+class Report:
+    """A dataclass whose document is its fields, each as its own document."""
+
+    def to_json(self) -> dict:
+        return {f.name: document(getattr(self, f.name)) for f in fields(self)}
+
+
+# ---------------------------------------------------------------------------
 # scalars
 # ---------------------------------------------------------------------------
 
 ScalarLike = Union["GaussianRational", Fraction, int, str, dict]
 
 _HASH_IMAG, _HASH_HALF = sys.hash_info.imag, 1 << (sys.hash_info.width - 1)
+EXCERPT = 40  # characters of a rejected input quoted in an error message
 
 
 class GaussianRational:
@@ -223,8 +250,16 @@ def scalar(x: ScalarLike) -> GaussianRational:
             return GaussianRational(Fraction(str(x.get("re", 0)).strip()),
                                     Fraction(str(x.get("im", 0)).strip()))
     except (ZeroDivisionError, ValueError) as exc:
-        raise AlgebraError(f"cannot coerce {x!r} to a scalar: {exc}") from exc
-    raise AlgebraError(f"cannot coerce {x!r} to a scalar")
+        raise AlgebraError(f"cannot coerce {_excerpt(repr(x))} to a scalar: "
+                           f"{_excerpt(str(exc))}") from exc
+    raise AlgebraError(f"cannot coerce {_excerpt(repr(x))} to a scalar")
+
+
+def _excerpt(text: str) -> str:
+    """text, or its first EXCERPT characters and its length when longer."""
+    if len(text) <= EXCERPT:
+        return text
+    return f"{text[:EXCERPT]}... ({len(text)} characters)"
 
 
 ZERO = _gr(0, 0, 1)

@@ -41,6 +41,8 @@ from .moduli import (
 from .operator import DomainError, json_array, parse_operator, validate_fuchsian
 
 SCHEMA = "fuchskit/1"
+# json.loads raises RecursionError on well-formed input nested this deep too
+_TOO_DEEP = "is nested deeper than the JSON decoder allows"
 
 
 def _read_doc(raw: str, parser: argparse.ArgumentParser):
@@ -54,8 +56,10 @@ def _read_doc(raw: str, parser: argparse.ArgumentParser):
         return json.loads(Path(raw).read_text())
     except (OSError, UnicodeDecodeError) as exc:
         parser.error(f"cannot read input {raw}: {exc}")
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except json.JSONDecodeError as exc:
         parser.error(f"input is not valid JSON: {exc}")
+    except RecursionError:
+        parser.error(f"input {_TOO_DEEP}")
 
 
 def _operator_arg(args, parser):
@@ -76,8 +80,10 @@ def _scalar_arg(text: str):
 def _json_list(text: str, parser, flag: str):
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except json.JSONDecodeError as exc:
         parser.error(f"{flag} must be a JSON array: {exc}")
+    except RecursionError:
+        parser.error(f"{flag} {_TOO_DEEP}")
     if not isinstance(doc, list):
         parser.error(f"{flag} must be a JSON array")
     return doc

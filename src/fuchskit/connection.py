@@ -22,6 +22,7 @@ from .algebra import (
     ExactMatrix,
     Polynomial,
     RationalFunction,
+    Report,
     poly_gcd,
     poly_root_search,
     scalar,
@@ -101,18 +102,6 @@ def build_companion(op: FuchsianOperator) -> LogConnection:
     return LogConnection(companion_poly_matrix(op), psi_all(op), op.all_points)
 
 
-def infinity_gauge(m: int, n: int) -> ExactMatrix:
-    """Diagonal frame change diag(1, -z^(n-1), z^(2(n-1)), ...) linking the
-    affine lattice to the one regular at infinity."""
-    if m < 1 or n < 1:
-        raise DomainError("infinity_gauge needs m >= 1 and n >= 1")
-    rows = [[Polynomial.zero() for _ in range(m)] for _ in range(m)]
-    for k in range(m):
-        c = scalar((-1) ** k)
-        rows[k][k] = Polynomial.from_list([scalar(0)] * (k * (n - 1)) + [c])
-    return ExactMatrix.from_rows(rows)
-
-
 def apply_gauge(conn: LogConnection, g: ExactMatrix) -> LogConnection:
     """New frame w~ = w.g: the coefficient matrix g^{-1} B g + g^{-1} g' of
     B = num/den is adj(g)(num g + den g') over den det(g), both from one
@@ -133,7 +122,7 @@ def apply_gauge(conn: LogConnection, g: ExactMatrix) -> LogConnection:
 
 
 @dataclass(frozen=True)
-class ExponentData:
+class ExponentData(Report):
     point: object  # GaussianRational, or the string INFINITY
     exponent_matrix: ExactMatrix
     char_poly: Polynomial
@@ -141,17 +130,6 @@ class ExponentData:
     complete: bool
     remainder: Polynomial  # unfactored part of char_poly, 1 when complete
     ordinary: bool
-
-    def to_json(self) -> dict:
-        return {
-            "point": self.point if self.point == INFINITY else scalar(self.point).to_json(),
-            "exponent_matrix": self.exponent_matrix.to_json(),
-            "char_poly": self.char_poly.to_json(),
-            "eigenvalues": [e.to_json() for e in self.eigenvalues],
-            "complete": self.complete,
-            "remainder": self.remainder.to_json(),
-            "ordinary": self.ordinary,
-        }
 
 
 def _product_coeff(cs, inv: list, k: int):
@@ -213,12 +191,9 @@ def exponent_data(conn: LogConnection, point) -> ExponentData:
 
 
 @dataclass(frozen=True)
-class BundleType:
+class BundleType(Report):
     degrees: tuple
     total: int
-
-    def to_json(self) -> dict:
-        return {"degrees": list(self.degrees), "total": self.total}
 
 
 def bundle_type(op: FuchsianOperator) -> BundleType:
@@ -236,22 +211,9 @@ def bundle_type(op: FuchsianOperator) -> BundleType:
 
 
 @dataclass(frozen=True)
-class GenericityReport:
+class GenericityReport(Report):
     passes: bool
     witness: dict | None
-
-    def to_json(self) -> dict:
-        return {"passes": self.passes, "witness": _witness_json(self.witness)}
-
-
-def _witness_json(w):
-    if w is None:
-        return None
-    out = dict(w)
-    for key in ("difference", "total"):
-        if key in out:
-            out[key] = out[key].to_json()
-    return out
 
 
 def genericity_check(exponents) -> GenericityReport:
@@ -361,17 +323,10 @@ def _first_integer_selection(keys, k: int, d: int, spent: int):
 
 
 @dataclass(frozen=True)
-class RigidityReport:
+class RigidityReport(Report):
     dimension: int
     scalar_only: bool
     basis: tuple  # gauge matrices with Polynomial entries
-
-    def to_json(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "scalar_only": self.scalar_only,
-            "basis": [g.to_json() for g in self.basis],
-        }
 
 
 def _gauge_slots(m: int, n: int):

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import ExactMatrix, Polynomial, RationalFunction, poly_root_search
+from .algebra import ExactMatrix, Polynomial, RationalFunction, Report, poly_root_search
 from .connection import LogConnection, build_companion
 from .operator import DomainError, FuchsianOperator
 
@@ -67,7 +67,7 @@ def standard_candidates(size: int) -> tuple:
 
 
 @dataclass(frozen=True)
-class CyclicResult:
+class CyclicResult(Report):
     vector: tuple             # the cyclic column, polynomial entries
     determinant: RationalFunction
     coefficients: tuple       # c_1..c_m in d^m v = sum_k c_k d^(m-k) v
@@ -77,15 +77,7 @@ class CyclicResult:
     tried: int
 
     def to_json(self) -> dict:
-        return {
-            "vector": [p.to_json() for p in self.vector],
-            "determinant": self.determinant.to_json(),
-            "coefficients": [c.to_json() for c in self.coefficients],
-            "operator": self.operator.to_json(),
-            "apparent_locus": [str(a) for a in self.apparent_locus],
-            "unfactored": self.unfactored.to_json(),
-            "tried": self.tried,
-        }
+        return {**super().to_json(), "apparent_locus": [str(a) for a in self.apparent_locus]}
 
 
 def find_cyclic(conn: LogConnection, candidates=None) -> CyclicResult:
@@ -138,7 +130,7 @@ def find_cyclic(conn: LogConnection, candidates=None) -> CyclicResult:
 
 
 @dataclass(frozen=True)
-class RoundtripReport:
+class RoundtripReport(Report):
     ok: bool
     coeffs_match: bool
     points_match: bool
@@ -147,14 +139,7 @@ class RoundtripReport:
     apparent_locus: tuple
 
     def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "coeffs_match": self.coeffs_match,
-            "points_match": self.points_match,
-            "vector": [p.to_json() for p in self.vector],
-            "recovered": self.recovered.to_json(),
-            "apparent_locus": [str(a) for a in self.apparent_locus],
-        }
+        return {**super().to_json(), "apparent_locus": [str(a) for a in self.apparent_locus]}
 
 
 def roundtrip_report(op: FuchsianOperator, result: CyclicResult) -> RoundtripReport:

@@ -24,6 +24,7 @@ from .algebra import (
     GaussianRational,
     Polynomial,
     RationalFunction,
+    Report,
     ZERO,
     falling_factorial,
     poly_root_search,
@@ -139,36 +140,21 @@ def f_matrices(analysis: LocalAnalysis, nu: int) -> ResonanceMatrix:
 
 
 @dataclass(frozen=True)
-class ConditionResidual:
+class ConditionResidual(Report):
     mu: int
     kind: str  # "linear" | "quadratic" | "det_order"
     value: GaussianRational
     required_order: int
 
-    def to_json(self) -> dict:
-        return {"mu": self.mu, "kind": self.kind,
-                "value": self.value.to_json(),
-                "required_order": self.required_order}
-
 
 @dataclass(frozen=True)
-class ApparentVerdict:
+class ApparentVerdict(Report):
     is_apparent: bool
     is_special_apparent: bool
     exponents: tuple  # descending when extracted
     condition_residuals: tuple
     oracle_agrees: bool | None = None
     reason: str | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "is_apparent": self.is_apparent,
-            "is_special_apparent": self.is_special_apparent,
-            "exponents": [e.to_json() for e in self.exponents],
-            "condition_residuals": [c.to_json() for c in self.condition_residuals],
-            "oracle_agrees": self.oracle_agrees,
-            "reason": self.reason,
-        }
 
 
 def special_exponents(m: int) -> tuple:
@@ -293,19 +279,12 @@ class SeriesSolution:
 
 
 @dataclass(frozen=True)
-class OracleVerdict:
+class OracleVerdict(Report):
     is_apparent: bool
     exponents: tuple
     solutions: tuple
     truncation: int
     reason: str | None = None
-
-    def to_json(self) -> dict:
-        return {"is_apparent": self.is_apparent,
-                "exponents": [e.to_json() for e in self.exponents],
-                "solutions": [s.to_json() for s in self.solutions],
-                "truncation": self.truncation,
-                "reason": self.reason}
 
 
 def frobenius_oracle(op: FuchsianOperator, point, truncation: int | None = None) -> OracleVerdict:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import mul
 
-from .algebra import ExactMatrix, GaussianRational, ONE, ZERO, scalar
+from .algebra import ExactMatrix, GaussianRational, ONE, Report, ZERO, scalar
 from .operator import DomainError, check_order, degree_budget
 
 # Largest sum(plan).  The jet matrix is sum(plan) square, and its exact
@@ -45,7 +45,7 @@ def _condition_count(m: int, n: int, extra: int) -> int:
 
 
 @dataclass(frozen=True)
-class DimensionReport:
+class DimensionReport(Report):
     order: int
     num_real: int
     num_apparent: int
@@ -53,17 +53,6 @@ class DimensionReport:
     condition_count: int
     net_dimension: int      # parameters minus conditions; blind to num_apparent
     doubled_dimension: int  # twice that, for the associated pair family
-
-    def to_json(self) -> dict:
-        return {
-            "order": self.order,
-            "num_real": self.num_real,
-            "num_apparent": self.num_apparent,
-            "parameter_count": self.parameter_count,
-            "condition_count": self.condition_count,
-            "net_dimension": self.net_dimension,
-            "doubled_dimension": self.doubled_dimension,
-        }
 
 
 def dimensions(order: int, num_real: int, num_apparent: int = 0) -> DimensionReport:
@@ -188,21 +177,12 @@ def build_constraints(order: int, real_points, apparent_points=()) -> Constraint
 
 
 @dataclass(frozen=True)
-class RankReport:
+class RankReport(Report):
     total_rank: int
     expected_rank: int
     block_ranks: tuple
     block_dependencies: tuple  # rows minus rank, per block
     ok: bool
-
-    def to_json(self) -> dict:
-        return {
-            "total_rank": self.total_rank,
-            "expected_rank": self.expected_rank,
-            "block_ranks": list(self.block_ranks),
-            "block_dependencies": list(self.block_dependencies),
-            "ok": self.ok,
-        }
 
 
 def verify_rank(system: ConstraintSystem) -> RankReport:
@@ -315,27 +295,18 @@ def paired_plan(r: int) -> tuple:
 
 
 @dataclass(frozen=True)
-class WeightEntry:
+class WeightEntry(Report):
     mu: GaussianRational
     weight: GaussianRational  # (mu - beta) / 2
     fractional: Fraction      # real part of mu, mod 1
 
-    def to_json(self) -> dict:
-        return {"mu": self.mu.to_json(), "weight": self.weight.to_json(),
-                "fractional": str(self.fractional)}
-
 
 @dataclass(frozen=True)
-class WeightData:
+class WeightData(Report):
     order: int
     num_real: int
     beta: Fraction
     entries: tuple
-
-    def to_json(self) -> dict:
-        return {"order": self.order, "num_real": self.num_real,
-                "beta": str(self.beta),
-                "entries": [e.to_json() for e in self.entries]}
 
 
 def hodge_parameters(order: int, num_real: int, exponents=()) -> WeightData:

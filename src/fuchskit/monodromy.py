@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .algebra import scalar
-from .connection import LogConnection, residue_matrix
+from .algebra import Report, scalar
+from .connection import LogConnection, build_companion, residue_matrix
 from .operator import DomainError
 
 _RTOL = 1e-11
@@ -240,15 +240,11 @@ def anchored_monodromy(conn: LogConnection, point, base_point: complex,
 
 
 @dataclass(frozen=True)
-class ApparentNumericReport:
+class ApparentNumericReport(Report):
     ok: bool
     identity_distance: float
     char_poly_distance: float
     tol: float
-
-    def to_json(self) -> dict:
-        return {"ok": self.ok, "identity_distance": self.identity_distance,
-                "char_poly_distance": self.char_poly_distance, "tol": self.tol}
 
 
 def is_apparent_numeric(matrix: np.ndarray, tol: float = 1e-6) -> ApparentNumericReport:
@@ -395,8 +391,6 @@ def isomonodromy_sweep(operators, point=None, rtol: float = _RTOL,
     otherwise each member's global product is used.  Members of an
     isomonodromic family should show drift at the integration-error level.
     """
-    from .connection import build_companion
-
     _check_tolerances(rtol, atol)
     ops = list(operators)
     if not ops:

@@ -22,6 +22,7 @@ from .algebra import (
     AlgebraError,
     GaussianRational,
     Polynomial,
+    Report,
     scalar,
 )
 
@@ -61,7 +62,7 @@ def as_polynomial(c) -> Polynomial:
 
 
 @dataclass(frozen=True)
-class FuchsianOperator:
+class FuchsianOperator(Report):
     order: int
     real_points: tuple
     apparent_points: tuple
@@ -102,14 +103,6 @@ class FuchsianOperator:
             raise DomainError(f"coefficient index {k} outside 1..{self.order}")
         return self.coeffs[k - 1]
 
-    def to_json(self) -> dict:
-        return {
-            "order": self.order,
-            "real_points": [p.to_json() for p in self.real_points],
-            "apparent_points": [p.to_json() for p in self.apparent_points],
-            "coeffs": [c.to_json() for c in self.coeffs],
-        }
-
     def __str__(self) -> str:
         pts = ", ".join(str(p) for p in self.real_points) or "no finite points"
         app = ", ".join(str(p) for p in self.apparent_points)
@@ -125,7 +118,7 @@ def psi_all(op: FuchsianOperator) -> Polynomial:
 
 
 @dataclass(frozen=True)
-class DegreeCheck:
+class DegreeCheck(Report):
     k: int
     observed: int
     allowed: int
@@ -133,7 +126,7 @@ class DegreeCheck:
 
 
 @dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Report):
     # one entry per coefficient, k ascending
     fuchs_degree_ok: tuple
     infinity_regular: bool
@@ -144,15 +137,7 @@ class ValidationReport:
         return self.infinity_regular
 
     def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "fuchs_degree_ok": [
-                {"k": c.k, "observed": c.observed, "allowed": c.allowed, "ok": c.ok}
-                for c in self.fuchs_degree_ok
-            ],
-            "infinity_regular": self.infinity_regular,
-            "messages": list(self.messages),
-        }
+        return {"ok": self.ok, **super().to_json()}
 
 
 def validate_fuchsian(op: FuchsianOperator) -> ValidationReport:
@@ -401,11 +386,11 @@ def _parse_equation(line: str, real_points, apparent_points) -> FuchsianOperator
             if tail is None:
                 raise DomainError(f"cannot parse term {chunk.strip()!r}")
             k = _int_token(tail.group(1), "psi power") if tail.group(1) else 1
-            if tail.group(2) == ")":
-                num_part = num_part.strip()
-                if not num_part.startswith("("):
+            if tail.group(2) == ")":  # (num/psi): unary signs stay outside
+                body = num_part.lstrip("+- \t")
+                if not body.startswith("("):
                     raise DomainError(f"unbalanced parentheses in {chunk.strip()!r}")
-                num_part = num_part[1:]
+                num_part = num_part[:-len(body)] + body[1:]
             primes = len(tail.group(3))
             if k != order - primes:
                 raise DomainError(

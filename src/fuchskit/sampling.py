@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .algebra import GaussianRational, Polynomial, scalar
+from .algebra import GaussianRational, Polynomial, falling_factorial, scalar
 from .operator import FuchsianOperator, degree_budget
 
 
@@ -57,7 +57,6 @@ def random_operator(rng: random.Random, order: int, num_real: int,
 
 def _falling_basis_coeffs(target: Polynomial, order: int) -> list:
     """Write falling(x, order) - target as sum_k c_k * falling(x, order-k)."""
-    from .algebra import falling_factorial
     x = Polynomial.x()
     rem = falling_factorial(x, order) - target
     out = []

@@ -25,13 +25,28 @@ from oracles import (
 )
 from fuchskit.algebra import (
     ONE, ZERO, I, AlgebraError, ExactMatrix, GaussianRational, Polynomial,
-    RationalFunction, falling_factorial, poly_gcd,
+    RationalFunction, document, falling_factorial, poly_gcd,
     poly_root_search, scalar, series_of_rational,
 )
 
 fractions = st.fractions(min_value=-40, max_value=40, max_denominator=12)
 scalars = st.builds(GaussianRational, fractions, fractions)
 small_polys = st.lists(scalars, min_size=0, max_size=5).map(Polynomial.from_list)
+
+
+# ---------------------------------------------------------------- documents
+
+class TestDocument:
+    def test_each_kind_of_value(self):
+        z = GaussianRational(Fraction(1, 2), Fraction(-3))
+        assert document(z) == z.to_json() == {"re": "1/2", "im": "-3"}
+        assert document((1, (scalar(2), "a"), [])) == [1, ["2", "a"], []]
+        assert document({"a": {"b": (Fraction(1, 3), None)}, "c": z}) == {
+            "a": {"b": ["1/3", None]}, "c": {"re": "1/2", "im": "-3"}}
+        assert document(Fraction(-7, 2)) == "-7/2"
+        for v in (None, True, False, 0, -5, 2.5, "infinity"):
+            got = document(v)
+            assert got is v or (got == v and type(got) is type(v))
 
 
 # ------------------------------------------------------------------ scalars
@@ -47,6 +62,15 @@ class TestScalar:
     def test_parse_round_trip(self):
         for x in [scalar(3), scalar("-7/2"), GaussianRational(Fraction(1, 3), Fraction(-2))]:
             assert scalar(x.to_json()) == x
+
+    @pytest.mark.parametrize("bad", ["[" * 3000, {"re": "x" * 3000}, "9" * 3000 + "/0"])
+    def test_long_rejected_input_is_quoted_in_part(self, bad):
+        # Fraction's message repeats the input, so it was quoted twice
+        with pytest.raises(AlgebraError) as info:
+            scalar(bad)
+        msg = str(info.value)
+        assert f"({len(repr(bad))} characters)" in msg
+        assert len(msg) <= 2 * algebra.EXCERPT + 100
 
     @pytest.mark.parametrize("flag", [True, False])
     def test_bool_is_not_a_scalar(self, flag):

@@ -198,11 +198,14 @@ class TestExitCodes:
         assert "Traceback" not in captured.err
 
     def test_deeply_nested_input_file_is_a_usage_error(self, capsys, tmp_path):
-        # json.loads raises RecursionError, not JSONDecodeError, on these
+        # json.loads raises RecursionError, not JSONDecodeError, on these,
+        # well-formed or not; both were reported as "not valid JSON"
         path = tmp_path / "deep.json"
-        path.write_text("[" * 100_000)
-        assert main(["validate", "--input", str(path)]) == 2
-        assert "not valid JSON" in capsys.readouterr().err
+        for text in ("[" * 100_000, "[" * 100_000 + "]" * 100_000):
+            path.write_text(text)
+            assert main(["validate", "--input", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert "input is nested deeper than the JSON decoder allows" in err
 
     @pytest.mark.parametrize("argv", [
         ["genericity", "--exponents", "[" * 3000],
@@ -211,7 +214,9 @@ class TestExitCodes:
     ])
     def test_deeply_nested_array_flag_is_a_usage_error(self, capsys, argv):
         assert main(argv) == 2
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "nested deeper than the JSON decoder allows" in err
 
     @pytest.mark.parametrize("argv", [
         ["apparent", "--input", APPARENT_OP, "--point", "[" * 3000],
@@ -224,6 +229,9 @@ class TestExitCodes:
         doc = json.loads(captured.out)
         assert doc["schema"] == "fuchskit/1"
         assert "Traceback" not in captured.err
+        # the message quoted the whole input twice: 6180 bytes for 3000 '['
+        assert f"({len(argv[-1]) + 2} characters)" in doc["error"]["message"]
+        assert len(captured.out) < 400
 
     @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
                         reason="this Python prints integers of any length")

@@ -29,7 +29,6 @@ from fuchskit.connection import (
     companion_rigidity_check,
     exponent_data,
     genericity_check,
-    infinity_gauge,
     residue_matrix,
 )
 from fuchskit.operator import DomainError, FuchsianOperator, psi_all
@@ -133,23 +132,6 @@ class TestCompanion:
                     acc = rf_add(acc, rf_mul(vec[i], mat.entry(i, j)))
                 rhs.append(acc)
             assert lhs == rhs
-
-
-class TestInfinityGauge:
-    def test_m2_n3(self):
-        g = infinity_gauge(2, 3)
-        assert g.entry(0, 0) == Polynomial.one()
-        assert g.entry(1, 1) == Polynomial.of(0, 0, -1)
-        assert g.entry(0, 1) == PZ and g.entry(1, 0) == PZ
-
-    def test_m1(self):
-        assert infinity_gauge(1, 5) == ExactMatrix.from_rows([[Polynomial.one()]])
-
-    def test_m3_n2(self):
-        g = infinity_gauge(3, 2)
-        assert g.entry(0, 0) == Polynomial.one()
-        assert g.entry(1, 1) == Polynomial.of(0, -1)
-        assert g.entry(2, 2) == Polynomial.of(0, 0, 1)
 
 
 class TestExponents:

@@ -338,6 +338,9 @@ class TestParseText:
         ("(z)/psi w' - 3/psi**2 w", "(z)/psi w' - 3/psi^2 w"),
         ("(z)/psi w' + (-3)/psi ** 2 * w", "(z)/psi w' - 3/psi^2 w"),
         ("-z/psi w' + 3/psi**2 w", "(-z)/psi w' + 3/psi^2 w"),
+        ("-(z/psi) w'", "(-(z))/psi w'"),
+        ("+(z/psi) w'", "(z)/psi w'"),
+        ("(z)/psi w' - -(3/psi^2) w", "(z)/psi w' + 3/psi^2 w"),
     ])
     def test_signs_and_powers_spell_the_plain_form(self, spelling, plain):
         # the term splitter cut at a sign that follows an operator, and the
