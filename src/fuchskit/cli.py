@@ -38,11 +38,15 @@ from .moduli import (
     vdm_log10,
     verify_rank,
 )
-from .operator import DomainError, json_array, parse_operator, validate_fuchsian
+from .operator import (
+    _TOO_DEEP,
+    DomainError,
+    json_array,
+    parse_operator,
+    validate_fuchsian,
+)
 
 SCHEMA = "fuchskit/1"
-# json.loads raises RecursionError on well-formed input nested this deep too
-_TOO_DEEP = "is nested deeper than the JSON decoder allows"
 
 
 def _read_doc(raw: str, parser: argparse.ArgumentParser):

@@ -192,6 +192,8 @@ POWER_BITS = int(MAX_DIGITS * math.log2(10))
 # of parentheses is six frames of the recursive-descent parser, so at the
 # bound a parse stays near 700 frames, inside Python's default limit of 1000.
 MAX_NESTING = 100
+# json.loads raises RecursionError on well-formed input nested this deep too
+_TOO_DEEP = "is nested deeper than the JSON decoder allows"
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z_]+|\*\*|[()^*/+\-,:=']|\S)")
 
@@ -386,11 +388,11 @@ def _parse_equation(line: str, real_points, apparent_points) -> FuchsianOperator
             if tail is None:
                 raise DomainError(f"cannot parse term {chunk.strip()!r}")
             k = _int_token(tail.group(1), "psi power") if tail.group(1) else 1
-            if tail.group(2) == ")":  # (num/psi): unary signs stay outside
-                body = num_part.lstrip("+- \t")
-                if not body.startswith("("):
+            # a ) before w closes the numerator: 2*(z/psi) reads as 2*(z)/psi
+            if tail.group(2) == ")":
+                num_part += ")"
+                if num_part.count("(") != num_part.count(")"):
                     raise DomainError(f"unbalanced parentheses in {chunk.strip()!r}")
-                num_part = num_part[:-len(body)] + body[1:]
             primes = len(tail.group(3))
             if k != order - primes:
                 raise DomainError(
@@ -458,8 +460,10 @@ def parse_operator(doc: Union[str, Mapping]) -> FuchsianOperator:
     if stripped.startswith("{"):
         try:
             loaded = json.loads(stripped)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except json.JSONDecodeError as exc:
             raise DomainError(f"bad JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise DomainError(f"bad JSON: input {_TOO_DEEP}") from exc
         return _parse_json_doc(loaded)
     return _parse_text(doc)
 

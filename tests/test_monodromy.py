@@ -1,6 +1,7 @@
 """Numeric transport: local loops, apparency detection, global closure."""
 
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -13,7 +14,13 @@ from fuchskit.algebra import ExactMatrix, Polynomial, RationalFunction, scalar
 from fuchskit.connection import LogConnection, build_companion
 from fuchskit.frobenius import annihilator_from_solutions
 from fuchskit.monodromy import (
+    _ATOL,
+    _RTOL,
+    _line,
+    _lollipop,
     _NumericConnection,
+    _plan_loops,
+    _transport,
     anchored_monodromy,
     global_product,
     is_apparent_numeric,
@@ -115,13 +122,14 @@ class TestNumericView:
         conn = LogConnection(ExactMatrix.from_rows(
             [[e.num * den.exact_div(e.den) for e in row] for row in rows]), den, self.POLES)
         num = _NumericConnection(conn)
-        for pt in self.POINTS:
+        for pt, factor in itertools.product(self.POINTS, (1, -0.25 + 1.5j)):
             z = scalar(pt)
             want = np.array([[complex(rf_eval(rows[i][j], z)) for i in range(m)]
                              for j in range(m)])   # B(z)^T
-            got = num.at(complex(z))
+            got = num.at(complex(z), factor)
             assert got.shape == (m, m)
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            assert np.max(np.abs(got - factor * want)) <= (
+                1e-12 * np.max(np.abs(factor * want)))
 
     def test_path_through_a_pole_is_refused(self):
         # the circle of radius 1 about 0 passes through the pole 1
@@ -236,6 +244,28 @@ class TestAnchoredLoops:
         assert anchored.est_error < 1e-8
         assert monodromy(conn, 0, radius=5.0).est_error < 1e-8
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_three_segment_path(self, seed):
+        # the way back along the leg is solved for; integrating it, as a
+        # third segment, must give the same loop
+        rng = random.Random(seed)
+        n = 2 + seed % 3
+        points = rng.sample(range(-4, 5), n)
+        exps = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(6, 9))
+                for _ in points]
+        op = second_order_with_exponents(points, exps, quadratic_part=Fraction(1, 8))
+        conn = conn_of(op)
+        num = _NumericConnection(conn)
+        poles = [complex(p) for p in conn.pole_points]
+        b, radii = _plan_loops(poles)
+        for p, r in zip(conn.pole_points, radii):
+            got = anchored_monodromy(conn, p, b, radius=r).matrix
+            leg, circle = _lollipop(complex(p), r, b, poles)
+            start = leg(1.0)[0]
+            want = _transport(num, [leg, circle, _line(start, b)], _RTOL, _ATOL).T
+            scale = max(float(np.max(np.abs(want))), 1.0)
+            assert np.max(np.abs(got - want)) <= 1e-9 * scale
+
     def test_base_inside_loop_rejected(self):
         conn = conn_of(TWO_POINT)
         with pytest.raises(DomainError, match="inside"):
@@ -250,15 +280,25 @@ class TestGlobalProduct:
         assert g.closure_error < 1e-8
         assert g.scale < 50
 
-    def test_three_points_with_bounded_exponents(self):
+    def test_three_points_with_bounded_exponents(self, monkeypatch):
         op = second_order_with_exponents(
             (0, 1, -1), (Fraction(1, 2), Fraction(1, 3), Fraction(-1, 4)),
             quadratic_part=Fraction(1, 8))
         assert validate_fuchsian(op).ok
+        calls = []
+        integrate = fuchskit.monodromy.solve_ivp
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(fuchskit.monodromy, "solve_ivp", counted)
         g = global_product(conn_of(op))
         assert g.closure_error < 1e-8
         assert len(g.loops) == 3
         assert sorted(g.order_of_loops) == [0, 1, 2]
+        # a leg and a circle for each pole loop and for the outer loop
+        assert len(calls) == 2 * 3 + 2
 
     # poles i, -i and 2: from a base to the right of them, the phase of
     # pole - base jumps across the branch cut at +-pi

@@ -189,6 +189,11 @@ class TestParseJson:
         # json.loads raises RecursionError here, not JSONDecodeError
         with pytest.raises(DomainError, match="bad JSON"):
             parse_operator('{"order": ' + "[" * 100_000)
+        # well-formed, so the message speaks of depth, not of recursion
+        deep = '{"order": ' + "[" * 100_000 + "]" * 100_000 + "}"
+        with pytest.raises(DomainError, match="bad JSON: input is nested "
+                                              "deeper than the JSON decoder allows"):
+            parse_operator(deep)
 
     def test_repeated_point(self):
         doc = {"order": 1, "real_points": ["0", "0"], "coeffs": [[]]}
@@ -341,12 +346,19 @@ class TestParseText:
         ("-(z/psi) w'", "(-(z))/psi w'"),
         ("+(z/psi) w'", "(z)/psi w'"),
         ("(z)/psi w' - -(3/psi^2) w", "(z)/psi w' + 3/psi^2 w"),
+        ("2*(z/psi) w'", "(2*z)/psi w'"),
+        ("-2*(z/psi) w'", "(-2*z)/psi w'"),
     ])
     def test_signs_and_powers_spell_the_plain_form(self, spelling, plain):
         # the term splitter cut at a sign that follows an operator, and the
         # term tail read only ^ for a psi power
         assert (parse_operator("points: 0, 1\nw'' = " + spelling)
                 == parse_operator("points: 0, 1\nw'' = " + plain))
+
+    @pytest.mark.parametrize("term", ["z/psi) w'", "((z/psi) w'", "2*z/psi) w'"])
+    def test_unbalanced_wrapped_term(self, term):
+        with pytest.raises(DomainError, match="unbalanced parentheses"):
+            parse_operator("points: 0, 1\nw'' = " + term)
 
     def test_dangling_sign_is_an_empty_term(self):
         with pytest.raises(DomainError, match="empty term"):
