@@ -43,10 +43,16 @@ class AlgebraError(ValueError):
 # ---------------------------------------------------------------------------
 
 def document(v):
-    """v's `to_json` when it has one, a list for a tuple or list, a dict item
-    by item, str for a Fraction, and any other value as it is."""
+    """v's `to_json` when it has one, [re, im] floats for a complex number,
+    the document of its `tolist` for a numpy value, a list for a tuple or
+    list, a dict item by item, str for a Fraction, and any other value as
+    it is."""
     if hasattr(v, "to_json"):
         return v.to_json()
+    if isinstance(v, complex):
+        return [float(v.real), float(v.imag)]
+    if hasattr(v, "tolist"):
+        return document(v.tolist())
     if isinstance(v, (tuple, list)):
         return [document(x) for x in v]
     if isinstance(v, dict):

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .algebra import Report, scalar
+from .algebra import Report, document, scalar
 from .connection import LogConnection, build_companion, residue_matrix
 from .operator import DomainError
 
@@ -44,11 +44,6 @@ _RTOL = 1e-11
 _ATOL = 1e-13
 _RTOL_FLOOR = 100 * sys.float_info.epsilon  # scipy clamps any smaller rtol
 _CLEARANCE = 1e-9  # closest a straight leg may pass to a pole
-
-
-def _cx(v) -> list:
-    """A complex number as its JSON pair [re, im]."""
-    return [float(np.real(v)), float(np.imag(v))]
 
 
 class _NumericConnection:
@@ -80,23 +75,20 @@ class _NumericConnection:
         return (np.array(w) @ self._flat).reshape(self.size, self.size)
 
 
-def _transport(num: _NumericConnection, segments, rtol: float, atol: float) -> np.ndarray:
-    """Chain the fundamental solution of u' = B^T u along parametrized
-    segments; each segment maps t in [0, 1] to (z(t), dz/dt(t))."""
+def _transport(num: _NumericConnection, path, rtol: float, atol: float) -> np.ndarray:
+    """The fundamental solution of u' = B^T u along a parametrized path,
+    which maps t in [0, 1] to (z(t), dz/dt(t))."""
     m = num.size
-    u = np.eye(m, dtype=complex).reshape(-1)
 
-    for path in segments:
-        def rhs(t, y):
-            z, dz = path(t)
-            return (num.at(z, dz) @ y.reshape(m, m)).reshape(-1)
+    def rhs(t, y):
+        z, dz = path(t)
+        return (num.at(z, dz) @ y.reshape(m, m)).reshape(-1)
 
-        sol = solve_ivp(rhs, (0.0, 1.0), u, method="DOP853",
-                        rtol=rtol, atol=atol)
-        if not sol.success:
-            raise DomainError(f"transport integration failed: {sol.message}")
-        u = sol.y[:, -1]
-    return u.reshape(m, m)
+    sol = solve_ivp(rhs, (0.0, 1.0), np.eye(m, dtype=complex).reshape(-1),
+                    method="DOP853", rtol=rtol, atol=atol)
+    if not sol.success:
+        raise DomainError(f"transport integration failed: {sol.message}")
+    return sol.y[:, -1].reshape(m, m)
 
 
 def _line(z0: complex, z1: complex):
@@ -128,9 +120,9 @@ class LoopSpec:
     base_point: complex | None = None
 
     def to_json(self) -> dict:
-        out = {"center": _cx(self.center), "radius": self.radius}
+        out = {"center": document(self.center), "radius": self.radius}
         if self.base_point is not None:
-            out["base_point"] = _cx(self.base_point)
+            out["base_point"] = document(self.base_point)
         return out
 
 
@@ -138,18 +130,18 @@ class LoopSpec:
 class MonodromyResult:
     loop: LoopSpec
     matrix: np.ndarray
-    char_poly: np.ndarray    # highest power first, length size+1
+    char_poly: np.ndarray    # complex, highest power first, length size+1
     eigenvalues: np.ndarray
     est_error: float
 
     def to_json(self) -> dict:
         return {
             "loop": self.loop.to_json(),
-            "matrix": [[_cx(v) for v in row] for row in self.matrix],
-            "char_poly": [_cx(v) for v in self.char_poly],
-            "eigenvalues": [_cx(v) for v in sorted(
+            "matrix": document(self.matrix),
+            "char_poly": document(self.char_poly),
+            "eigenvalues": document(sorted(
                 self.eigenvalues, key=lambda w: (round(np.real(w), 9),
-                                                 round(np.imag(w), 9)))],
+                                                 round(np.imag(w), 9)))),
             "est_error": self.est_error,
         }
 
@@ -217,8 +209,8 @@ def _round_trip(num: _NumericConnection, lollipop, rtol: float,
     """Column-form transport in along the leg, around the circle and back:
     each integrated once, the way back being the inverse of the way in."""
     leg, circle = lollipop
-    inward = _transport(num, [leg], rtol, atol)
-    around = _transport(num, [circle], rtol, atol)
+    inward = _transport(num, leg, rtol, atol)
+    around = _transport(num, circle, rtol, atol)
     return np.linalg.solve(inward, around @ inward)
 
 
@@ -226,7 +218,7 @@ def _finish(conn: LogConnection, loop: LoopSpec,
             mat: np.ndarray) -> MonodromyResult:
     err = abs(complex(np.linalg.det(mat)) - _det_reference(conn, loop))
     return MonodromyResult(loop=loop, matrix=mat,
-                           char_poly=np.poly(mat),
+                           char_poly=np.poly(mat).astype(complex),
                            eigenvalues=np.linalg.eigvals(mat),
                            est_error=float(err))
 
@@ -240,7 +232,7 @@ def monodromy(conn: LogConnection, point, radius: float | None = None,
     """
     _check_tolerances(rtol, atol)
     center, r = _loop_geometry(conn, point, radius)
-    mat = _transport(_NumericConnection(conn), [_circle(center, r, 0.0)],
+    mat = _transport(_NumericConnection(conn), _circle(center, r, 0.0),
                      rtol, atol)
     # transpose back to the row-section action
     return _finish(conn, LoopSpec(center=center, radius=r), mat.T)
@@ -286,7 +278,7 @@ def is_apparent_numeric(matrix: np.ndarray, tol: float = 1e-6) -> ApparentNumeri
 
 
 @dataclass(frozen=True)
-class GlobalMonodromy:
+class GlobalMonodromy(Report):
     base_point: complex
     order_of_loops: tuple     # pole indices sorted by departure angle
     loops: tuple              # MonodromyResult per pole, same order
@@ -295,17 +287,6 @@ class GlobalMonodromy:
     closure_error: float      # max |product - outer matrix|
     scale: float              # largest entry met along the way; cancellation
                               # makes closure_error meaningful only against it
-
-    def to_json(self) -> dict:
-        return {
-            "base_point": _cx(self.base_point),
-            "order_of_loops": list(self.order_of_loops),
-            "loops": [r.to_json() for r in self.loops],
-            "product": [[_cx(v) for v in row] for row in self.product],
-            "outer": self.outer.to_json(),
-            "closure_error": self.closure_error,
-            "scale": self.scale,
-        }
 
 
 def _plan_loops(poles) -> tuple:
@@ -390,16 +371,11 @@ def global_product(conn: LogConnection, base_point: complex | None = None,
 
 
 @dataclass(frozen=True)
-class SweepResult:
+class SweepResult(Report):
     count: int
     point: str | None         # None means the global product was compared
-    char_polys: tuple         # one coefficient tuple per sample
+    char_polys: tuple         # one complex coefficient tuple per sample
     max_drift: float          # largest deviation from the first sample
-
-    def to_json(self) -> dict:
-        return {"count": self.count, "point": self.point,
-                "char_polys": [[_cx(v) for v in cp] for cp in self.char_polys],
-                "max_drift": self.max_drift}
 
 
 def isomonodromy_sweep(operators, point=None, rtol: float = _RTOL,
@@ -418,11 +394,10 @@ def isomonodromy_sweep(operators, point=None, rtol: float = _RTOL,
     for op in ops:
         conn = build_companion(op)
         if point is not None:
-            res = monodromy(conn, point, rtol=rtol, atol=atol)
-            cps.append(tuple(res.char_poly))
+            cp = monodromy(conn, point, rtol=rtol, atol=atol).char_poly
         else:
-            glob = global_product(conn, rtol=rtol, atol=atol)
-            cps.append(tuple(np.poly(glob.product)))
+            cp = np.poly(global_product(conn, rtol=rtol, atol=atol).product)
+        cps.append(tuple(cp.astype(complex)))
     base = np.array(cps[0])
     drift = 0.0
     for cp in cps[1:]:

@@ -20,7 +20,6 @@ from typing import Mapping, Union
 
 from .algebra import (
     AlgebraError,
-    GaussianRational,
     Polynomial,
     Report,
     scalar,
@@ -195,7 +194,7 @@ MAX_NESTING = 100
 # json.loads raises RecursionError on well-formed input nested this deep too
 _TOO_DEEP = "is nested deeper than the JSON decoder allows"
 
-_TOKEN = re.compile(r"\s*(\d+|[A-Za-z_]+|\*\*|[()^*/+\-,:=']|\S)")
+_TOKEN = re.compile(r"\s*(\d+|psi|[A-Za-z_]+|\*\*|[()^*/+\-,:=']|\S)")
 
 
 def _int_token(tok: str, what: str) -> int:
@@ -205,28 +204,21 @@ def _int_token(tok: str, what: str) -> int:
     return int(tok)
 
 
-def _tokenize(s: str):
-    out = []
-    pos = 0
-    while pos < len(s):
-        m = _TOKEN.match(s, pos)
-        if m is None:
-            break
-        tok = m.group(1)
-        if tok == "**":
-            tok = "^"
-        out.append(tok)
-        pos = m.end()
-    return out
+def _tokenize(s: str) -> list:
+    return ["^" if tok == "**" else tok for tok in _TOKEN.findall(s)]
 
 
 class _ExprParser:
-    """Recursive-descent parser for polynomial expressions in z over Q(i).
+    """Recursive-descent parser over the tokens of one line of the text form.
 
-    Grammar: sums/differences of products, '^' for powers, '/' only by a
-    nonzero constant, unary minus, parentheses.  No implicit products.  A
-    power of degree above `max_degree`, or past POWER_BITS, is refused
-    before it is built, and so is nesting deeper than MAX_NESTING.
+    A value is a pair (p, k): the polynomial p in z over Q(i), divided by
+    psi^k.  Grammar: sums/differences of products, '^' for powers, '/' only
+    by a nonzero constant or by psi, unary signs, parentheses; no implicit
+    products.  psi is only a divisor, '/psi' or '/psi^k': '*' adds the
+    powers of psi, '^e' multiplies them by e, and a sum refuses summands
+    with different powers.  A power of degree above `max_degree`, or past
+    POWER_BITS, is refused before it is built, and so is nesting deeper
+    than MAX_NESTING.
     """
 
     def __init__(self, tokens, max_degree: int | None = None):
@@ -258,68 +250,108 @@ class _ExprParser:
         if got != tok:
             raise DomainError(f"expected {tok!r}, got {got!r}")
 
-    def expr(self) -> Polynomial:
-        out = self.term()
-        while self.peek() in ("+", "-"):
-            if self.take() == "+":
-                out = out + self.term()
-            else:
-                out = out - self.term()
-        return out
+    def primes(self) -> int:
+        n = 0
+        while self.peek() == "'":
+            self.take()
+            n += 1
+        return n
 
-    def term(self) -> Polynomial:
-        out = self.unary()
+    def exponent(self, what: str) -> int:
+        """The nonnegative integer after a '^'."""
+        self.take()
+        e = self.take()
+        if e is None or not e.isdigit():
+            raise DomainError(f"exponent must be a nonnegative integer, got {e!r}")
+        return _int_token(e, what)
+
+    def polynomial(self) -> Polynomial:
+        """An expression without psi."""
+        num, k = self.expr()
+        if k:
+            raise DomainError("psi may appear only in the equation line")
+        return num
+
+    def wterm(self) -> tuple:
+        """A term of the equation's right side, a product then w and its
+        primes, as (numerator, power of psi, primes)."""
+        if self.peek() is None:
+            raise DomainError("empty term at the end of the right side")
+        num, k = self.term()
+        tok = self.take()
+        if tok != "w":
+            raise DomainError("unbalanced parentheses: ')' closes nothing" if tok == ")"
+                              else f"expected w after a coefficient, got {tok!r}")
+        return num, k, self.primes()
+
+    def expr(self) -> tuple:
+        num, k = self.term()
+        while self.peek() in ("+", "-"):
+            sign = self.take()
+            other, j = self.term()
+            if j != k:
+                raise DomainError(f"a sum of terms over psi^{k} and psi^{j}; "
+                                  f"a sum takes one power of psi")
+            num = num + other if sign == "+" else num - other
+        return num, k
+
+    def term(self) -> tuple:
+        num, k = self.unary()
         while self.peek() in ("*", "/"):
             if self.take() == "*":
-                out = out * self.unary()
+                if self.peek() == "w":  # an optional '*' before w ends the product
+                    break
+                other, j = self.unary()
+                num, k = num * other, k + j
+            elif self.peek() == "psi":
+                self.take()
+                k += self.exponent("psi power") if self.peek() == "^" else 1
             else:
-                d = self.unary()
-                if d.degree() != 0:
-                    raise DomainError("division only by a nonzero constant")
-                out = out * Polynomial.constant(scalar(1) / d.coeff(0))
-        return out
+                d, j = self.unary()
+                if j or d.degree() != 0:
+                    raise DomainError("division only by a nonzero constant or by psi")
+                num = num * Polynomial.constant(scalar(1) / d.coeff(0))
+        return num, k
 
-    def unary(self) -> Polynomial:
-        if self.peek() == "-":
-            self.take()
-            return Polynomial.zero() - self.nested(self.unary)
-        if self.peek() == "+":
-            self.take()
-            return self.nested(self.unary)
+    def unary(self) -> tuple:
+        if self.peek() in ("-", "+"):
+            sign = self.take()
+            num, k = self.nested(self.unary)
+            return (-num if sign == "-" else num), k
         return self.power()
 
-    def power(self) -> Polynomial:
-        base = self.atom()
-        if self.peek() == "^":
-            self.take()
-            e = self.take()
-            if e is None or not e.isdigit():
-                raise DomainError(f"exponent must be a nonnegative integer, got {e!r}")
-            e, bound = _int_token(e, "exponent"), self.max_degree
-            if bound is not None and base.degree() * e > max(bound, 0):
-                raise DomainError(f"power of degree {base.degree() * e} exceeds "
-                                  f"the degree bound {bound}")
-            height = max(map(abs, base.re + base.im + (base.den,)))
-            if height > 1 and (e > POWER_BITS or e * math.log2(height) > POWER_BITS):
-                raise DomainError(f"power {e} of a base of {height.bit_length()} bits exceeds "
-                                  f"the bound of {POWER_BITS} bits on e * log2(base height)")
-            return base ** e
-        return base
+    def power(self) -> tuple:
+        base, k = self.atom()
+        if self.peek() != "^":
+            return base, k
+        e, bound = self.exponent("exponent"), self.max_degree
+        if bound is not None and base.degree() * e > max(bound, 0):
+            raise DomainError(f"power of degree {base.degree() * e} exceeds "
+                              f"the degree bound {bound}")
+        height = max(map(abs, base.re + base.im + (base.den,)))
+        if height > 1 and (e > POWER_BITS or e * math.log2(height) > POWER_BITS):
+            raise DomainError(f"power {e} of a base of {height.bit_length()} bits exceeds "
+                              f"the bound of {POWER_BITS} bits on e * log2(base height)")
+        return base ** e, k * e
 
-    def atom(self) -> Polynomial:
+    def atom(self) -> tuple:
         tok = self.take()
         if tok is None:
             raise DomainError("unexpected end of expression")
-        if tok.isdigit():
-            return Polynomial.constant(_int_token(tok, "constant"))
-        if tok == "i":
-            return Polynomial.constant(scalar({"re": "0", "im": "1"}))
-        if tok == "z":
-            return Polynomial.x()
         if tok == "(":
             inner = self.nested(self.expr)
-            self.expect(")")
+            got = self.take()
+            if got != ")":
+                raise DomainError(f"unbalanced parentheses: expected ')', got {got!r}")
             return inner
+        if tok.isdigit():
+            return Polynomial.constant(_int_token(tok, "constant")), 0
+        if tok == "i":
+            return Polynomial.constant(scalar({"re": "0", "im": "1"})), 0
+        if tok == "z":
+            return Polynomial.x(), 0
+        if tok == "psi":
+            raise DomainError("psi may appear only as a divisor, /psi or /psi^k")
         raise DomainError(f"unexpected token {tok!r} in expression")
 
 
@@ -327,112 +359,77 @@ def parse_poly_expr(text: str, max_degree: int | None = None) -> Polynomial:
     """Parse an expression like '1/2 + 3*z - z^2' or '(1+i)*z'.  With
     `max_degree`, a non-constant power of higher degree is refused."""
     p = _ExprParser(_tokenize(text), max_degree)
-    out = p.expr()
+    out = p.polynomial()
     if p.peek() is not None:
         raise DomainError(f"trailing input {p.peek()!r} in expression {text!r}")
     return out
 
 
-def _parse_scalar_expr(text: str) -> GaussianRational:
-    p = parse_poly_expr(text, 0)
-    if p.degree() > 0:
-        raise DomainError(f"expected a number, got polynomial {text!r}")
-    return p.coeff(0)
+def _parse_points(toks) -> list:
+    """Numbers separated by commas; an empty entry is skipped."""
+    p = _ExprParser(toks, 0)
+    out = []
+    while p.peek() is not None:
+        if p.peek() != ",":
+            num = p.polynomial()
+            if num.degree() > 0:
+                raise DomainError(f"expected a number, got polynomial {num}")
+            out.append(num.coeff(0))
+        if p.peek() is not None:
+            p.expect(",")
+    return out
 
 
-_EQ_LHS = re.compile(r"^\s*w\s*('+)\s*$")
-_TERM_TAIL = re.compile(r"^\s*(?:(?:\^|\*\*)\s*(\d+))?\s*(\))?\s*\*?\s*w\s*('*)\s*$")
-
-
-def _split_top_level(s: str, seps: str):
-    """Split on separator chars at paren depth 0 that follow an operand,
-    so a sign after an operator or '(' stays a unary sign of its term;
-    keeps separators out."""
-    parts, signs, depth, start, last = [], [], 0, 0, "("
-    for idx, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch in seps and depth == 0 and last not in "+-*/^(":
-            parts.append(s[start:idx])
-            signs.append(ch)
-            start = idx + 1
-        if not ch.isspace():
-            last = ch
-    parts.append(s[start:])
-    return parts, signs
-
-
-def _parse_equation(line: str, real_points, apparent_points) -> FuchsianOperator:
-    lhs, _, rhs = line.partition("=")
-    m_lhs = _EQ_LHS.match(lhs)
-    if not m_lhs:
-        raise DomainError(f"left side must be w with primes, got {lhs.strip()!r}")
-    order = len(m_lhs.group(1))
+def _parse_equation(toks, num_points: int) -> tuple:
+    """The order and the coefficient numerators of the equation's tokens."""
+    p = _ExprParser(toks)
+    p.expect("w")
+    order = p.primes()
+    if not order or p.take() != "=":
+        raise DomainError("left side must be w with primes, then '='")
     if order > 3:
         raise DomainError("text form supports order <= 3; use the JSON form")
-    rhs = rhs.strip()
-    coeffs = {k: Polynomial.zero() for k in range(1, order + 1)}
-    if rhs != "0":
-        chunks, seps = _split_top_level(rhs, "+-")
-        signs = [1] + [(-1 if s == "-" else 1) for s in seps]
-        for sign, chunk in zip(signs, chunks):
-            if not chunk.strip():
-                raise DomainError(f"empty term in {rhs!r}")
-            hit = re.search(r"/\s*psi", chunk)
-            if hit is None:
-                raise DomainError(f"term {chunk.strip()!r} lacks a /psi factor")
-            num_part = chunk[:hit.start()]
-            tail = _TERM_TAIL.match(chunk[hit.end():])
-            if tail is None:
-                raise DomainError(f"cannot parse term {chunk.strip()!r}")
-            k = _int_token(tail.group(1), "psi power") if tail.group(1) else 1
-            # a ) before w closes the numerator: 2*(z/psi) reads as 2*(z)/psi
-            if tail.group(2) == ")":
-                num_part += ")"
-                if num_part.count("(") != num_part.count(")"):
-                    raise DomainError(f"unbalanced parentheses in {chunk.strip()!r}")
-            primes = len(tail.group(3))
-            if k != order - primes:
-                raise DomainError(
-                    f"term {chunk.strip()!r}: psi power {k} does not match "
-                    f"derivative order {primes} (need power {order - primes})")
-            if not coeffs[k].is_zero():
-                raise DomainError(f"duplicate term for psi^{k}")
-            # the Fuchs degree bound of the term, so that z^N stays cheap
-            bound = k * (len(real_points) + len(apparent_points) - 1)
-            num = parse_poly_expr(num_part, bound)
-            coeffs[k] = num if sign == 1 else Polynomial.zero() - num
-    return FuchsianOperator(order=order,
-                            real_points=tuple(real_points),
-                            apparent_points=tuple(apparent_points),
-                            coeffs=tuple(coeffs[k] for k in range(1, order + 1)))
+    # a cost guard only: a coefficient past its own term's Fuchs bound but
+    # within the equation's largest is reported by validate_fuchsian
+    p.max_degree = order * (num_points - 1)
+    coeffs = {}
+    sign = "+" if p.toks[p.pos:] != ["0"] else None
+    while sign is not None:
+        num, k, primes = p.wterm()
+        if not 0 < k == order - primes:
+            raise DomainError(f"psi power {k} does not match derivative order "
+                              f"{primes} in an equation of order {order}")
+        if k in coeffs:
+            raise DomainError(f"duplicate term for psi^{k}")
+        coeffs[k] = num if sign == "+" else -num
+        sign = p.take()
+        if sign not in ("+", "-", None):
+            raise DomainError(f"expected + or - between terms, got {sign!r}")
+    return order, tuple(coeffs.get(k, Polynomial.zero()) for k in range(1, order + 1))
 
 
 def _parse_text(text: str) -> FuchsianOperator:
-    real_points = []
-    apparent_points = []
+    points = {"points": [], "apparent": []}
     equation = None
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
-        if not line:
+        toks = _tokenize(line)
+        if not toks:
             continue
-        if line.lower().startswith("points"):
-            _, _, rest = line.partition(":")
-            real_points = [_parse_scalar_expr(c) for c in rest.split(",") if c.strip()]
-        elif line.lower().startswith("apparent"):
-            _, _, rest = line.partition(":")
-            apparent_points = [_parse_scalar_expr(c) for c in rest.split(",") if c.strip()]
-        elif line.startswith("w"):
+        if toks[0].lower() in points and toks[1:2] == [":"]:
+            points[toks[0].lower()] = _parse_points(toks[2:])
+        elif toks[0] == "w":
             if equation is not None:
                 raise DomainError("more than one equation line")
-            equation = line
+            equation = toks
         else:
             raise DomainError(f"unrecognized line {line!r}")
     if equation is None:
         raise DomainError("no equation line found")
-    return _parse_equation(equation, real_points, apparent_points)
+    real, apparent = points["points"], points["apparent"]
+    order, coeffs = _parse_equation(equation, len(real) + len(apparent))
+    return FuchsianOperator(order=order, real_points=tuple(real),
+                            apparent_points=tuple(apparent), coeffs=coeffs)
 
 
 def _parse_json_doc(doc: Mapping) -> FuchsianOperator:

@@ -12,6 +12,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -47,6 +48,15 @@ class TestDocument:
         for v in (None, True, False, 0, -5, 2.5, "infinity"):
             got = document(v)
             assert got is v or (got == v and type(got) is type(v))
+        # the numeric layer: complex numbers as [re, im] floats, numpy values
+        # through their tolist
+        assert document(complex(1, -2.5)) == [1.0, -2.5]
+        assert document(np.complex128(3)) == [3.0, 0.0]
+        got = document(np.array([[1, 2j], [0.5, -1 + 1j]]))
+        assert got == [[[1.0, 0.0], [0.0, 2.0]], [[0.5, 0.0], [-1.0, 1.0]]]
+        assert document(np.array([4.0, -0.5])) == [4.0, -0.5]
+        assert type(document(np.float64(2.5))) is float
+        assert document(np.arange(3)) == [0, 1, 2]
 
 
 # ------------------------------------------------------------------ scalars

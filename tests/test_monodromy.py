@@ -262,7 +262,10 @@ class TestAnchoredLoops:
             got = anchored_monodromy(conn, p, b, radius=r).matrix
             leg, circle = _lollipop(complex(p), r, b, poles)
             start = leg(1.0)[0]
-            want = _transport(num, [leg, circle, _line(start, b)], _RTOL, _ATOL).T
+            # column-form transports compose right to left along the path
+            want = (_transport(num, _line(start, b), _RTOL, _ATOL)
+                    @ _transport(num, circle, _RTOL, _ATOL)
+                    @ _transport(num, leg, _RTOL, _ATOL)).T
             scale = max(float(np.max(np.abs(want))), 1.0)
             assert np.max(np.abs(got - want)) <= 1e-9 * scale
 

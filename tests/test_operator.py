@@ -348,12 +348,58 @@ class TestParseText:
         ("(z)/psi w' - -(3/psi^2) w", "(z)/psi w' + 3/psi^2 w"),
         ("2*(z/psi) w'", "(2*z)/psi w'"),
         ("-2*(z/psi) w'", "(-2*z)/psi w'"),
+        ("z/psi*2 w'", "(2*z)/psi w'"),
+        ("(z/psi)*2 w'", "(2*z)/psi w'"),
+        ("2/psi/3 w'", "(2/3)/psi w'"),
+        ("(z/psi + 1/psi) w'", "(z+1)/psi w'"),
+        ("(z/psi)^2 w", "(z^2)/psi^2 w"),
+        ("z/psiw' + 3/psi^2w", "(z)/psi w' + 3/psi^2 w"),
     ])
     def test_signs_and_powers_spell_the_plain_form(self, spelling, plain):
         # the term splitter cut at a sign that follows an operator, and the
         # term tail read only ^ for a psi power
         assert (parse_operator("points: 0, 1\nw'' = " + spelling)
                 == parse_operator("points: 0, 1\nw'' = " + plain))
+
+    @pytest.mark.parametrize("term", ["(z - 3/psi) w", "(1/2 + z/psi) w",
+                                      "(1 + z/psi) w", "(z+1/psi) w"])
+    def test_a_sum_takes_one_power_of_psi(self, term):
+        # each of these was read as the whole parenthesis over psi
+        with pytest.raises(DomainError, match="a sum takes one power of psi"):
+            parse_operator("points: 0, 1\nw' = " + term)
+
+    @pytest.mark.parametrize("text", ["psi*z w'", "z/(psi) w'", "z/psi w' + 3*psi w"])
+    def test_psi_only_as_a_divisor(self, text):
+        with pytest.raises(DomainError, match="only as a divisor"):
+            parse_operator("points: 0, 1\nw'' = " + text)
+
+    def test_psi_is_not_a_point(self):
+        with pytest.raises(DomainError, match="only in the equation"):
+            parse_operator("points: 0, 1/psi\nw' = 0")
+
+    @pytest.mark.parametrize("term", ["z w''", "z/psi^0 w''"])
+    def test_w_of_the_equation_order_is_not_a_term(self, term):
+        # its psi power 0 has no coefficient slot; z/psi^0 w'' raised KeyError
+        with pytest.raises(DomainError, match="does not match"):
+            parse_operator("points: 0, 1\nw'' = " + term)
+
+    def test_coefficient_past_its_term_bound_is_left_to_validation(self):
+        # the power guard is the equation's largest bound, 2 here; the
+        # psi^1 term's own bound is 1
+        op = parse_operator("points: 0, 1\nw'' = z^2/psi w'")
+        assert op.coeffs == (Polynomial.of(0, 0, 1), Polynomial.zero())
+        assert validate_fuchsian(op).messages == ("coefficient 1: degree 2 exceeds bound 1",)
+
+    @pytest.mark.parametrize("text", ["points 0, 1\nw' = 0", "apparently: 2\nw' = 0",
+                                      "point: 0\nw' = 0"])
+    def test_header_needs_its_exact_keyword(self, text):
+        with pytest.raises(DomainError, match="unrecognized line"):
+            parse_operator(text)
+
+    @pytest.mark.parametrize("rhs", ["0/psi w + z/psi w", "z/psi w + 0/psi w"])
+    def test_duplicate_power_in_either_order(self, rhs):
+        with pytest.raises(DomainError, match="duplicate term for psi\\^1"):
+            parse_operator("points: 0, 1\nw' = " + rhs)
 
     @pytest.mark.parametrize("term", ["z/psi) w'", "((z/psi) w'", "2*z/psi) w'"])
     def test_unbalanced_wrapped_term(self, term):
