@@ -810,7 +810,14 @@ def _bareiss(a: list) -> tuple:
     pivot.  Rows are scaled to Z[i][s], so every exact_div divides
     integers, and the product of the scales divides out last.  A row swap negates one row, which keeps
     det M.  With B, rows above each pivot are cleared too (Nakos, Turner &
-    Williams, SIGSAM Bull. 31(3), 1997), which leaves det(M) M^-1 B there."""
+    Williams, SIGSAM Bull. 31(3), 1997), which leaves det(M) M^-1 B there.
+
+    A row with a zero in the pivot column is left alone: step k would only
+    scale it by P_k/P_(k-1), P_k the pivot of step k and P_-1 = 1.  These
+    factors telescope, so a row at level L, last updated at step L-1, holds
+    its step-k values over P_(k-1)/P_(L-1); its update divides by P_(L-1),
+    and it is caught up, on the columns still read, before it pivots and at
+    the end.  Each quotient is a minor of [M | B] (Sylvester), so exact."""
     m, ncols = len(a), len(a[0])
     scale = 1
     for i, row in enumerate(a):
@@ -818,20 +825,36 @@ def _bareiss(a: list) -> tuple:
         a[i] = [_as_poly(e) * d for e in row]
         scale *= d
     solve = ncols > m
-    prev = None
-    for r in range(m if solve else m - 1):
+    steps = m if solve else m - 1
+    piv, level = [Polynomial.one()], [0] * m  # piv[L] = P_(L-1)
+
+    def catch_up(i, k, cols):
+        low, level[i] = level[i], k
+        for j in cols if low < k else ():
+            v = a[i][j] * piv[k]
+            a[i][j] = v.exact_div(piv[low]) if low else v
+
+    for r in range(steps):
         if a[r][r].is_zero():
             r2 = next((i for i in range(r + 1, m) if not a[i][r].is_zero()), None)
             if r2 is None:
                 return Polynomial.zero(), None
             a[r], a[r2] = [-e for e in a[r2]], a[r]
+            level[r], level[r2] = level[r2], level[r]
+        catch_up(r, r, range(r, ncols))
+        prow, p = a[r], a[r][r]
         for i in range(0 if solve else r + 1, m):
-            if i == r:
+            row, low = a[i], level[i]
+            if i == r or row[r].is_zero():
                 continue
             for j in range(r + 1, ncols):
-                v = a[i][j] * a[r][r] - a[i][r] * a[r][j]
-                a[i][j] = v if prev is None else v.exact_div(prev)
-        prev = a[r][r]
+                v = row[j] * p - row[r] * prow[j]
+                row[j] = v.exact_div(piv[low]) if low else v
+            level[i] = r + 1
+        level[r] = r + 1
+        piv.append(p)
+    for i in range(m) if solve else (m - 1,):
+        catch_up(i, steps, range(m, ncols) if solve else (m - 1,))
     d = a[m - 1][m - 1]
     return (Polynomial(d.re, d.im, scale),
             [[Polynomial(e.re, e.im, scale) for e in row[m:]] for row in a])

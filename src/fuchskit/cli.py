@@ -386,8 +386,27 @@ def _emit(doc: dict, output: str, parser) -> None:
         parser.error(f"cannot write output {output}: {exc}")
 
 
+def _join_dash_values(argv: list, parser) -> list:
+    """`--point -1/2` as `--point=-1/2`: argparse takes a value that starts
+    with '-' for an option name.  Options match by name or prefix, as there."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = [a for p in sub.choices.values() for a in p._actions]
+    takes = [s for a in actions if a.nargs is None for s in a.option_strings]
+    names = [s for a in actions for s in a.option_strings]
+    out = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if (len(prev) > 2 and prev[:2] == "--" and any(s.startswith(prev) for s in takes)
+                and tok[:1] == "-" and not any(s.startswith(tok) for s in names)):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = _join_dash_values(sys.argv[1:] if argv is None else list(argv), parser)
     try:  # argparse and parser.error signal usage (2) or --help (0)
         args = parser.parse_args(argv)
         code, doc = 0, {"schema": SCHEMA, "command": args.command}

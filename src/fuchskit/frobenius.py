@@ -17,7 +17,10 @@ stand it would not, as direct series computation shows.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
+from math import lcm
+from operator import mul
 
 from .algebra import (
     ExactMatrix,
@@ -90,16 +93,9 @@ def local_expansion(op: FuchsianOperator, point, truncation: int) -> LocalAnalys
     for k in range(1, op.order + 1):
         rf = RationalFunction.make(op.coeffs[k - 1] * lin ** k, psi ** k)
         table.append(series_of_rational(rf, a, truncation + 1))
-    ff = [falling_factorial(Polynomial.x(), j) for j in range(op.order + 1)]
-    f0 = ff[op.order]
-    for k in range(1, op.order + 1):
-        f0 = f0 - ff[op.order - k] * table[k - 1][0]
-    higher = []
-    for l in range(1, truncation + 1):
-        fl = Polynomial.zero()
-        for k in range(1, op.order + 1):
-            fl = fl + ff[op.order - k] * table[k - 1][l]
-        higher.append(fl)
+    f0 = _on_falling([scalar(1)] + [-row[0] for row in table])
+    higher = [_on_falling([ZERO] + [row[l] for row in table])
+              for l in range(1, truncation + 1)]
     roots = poly_root_search(f0)
     return LocalAnalysis(point=a,
                          table=tuple(table),
@@ -109,6 +105,22 @@ def local_expansion(op: FuchsianOperator, point, truncation: int) -> LocalAnalys
                          exponents_complete=roots.complete,
                          truncation=truncation,
                          ordinary=a not in op.all_points)
+
+
+@functools.lru_cache(maxsize=64)
+def _falling_columns(m: int) -> tuple:
+    """Column j: the coefficients of s^j in [s]_m, [s]_(m-1), ..., [s]_0."""
+    rows = [falling_factorial(Polynomial.x(), m - k).re for k in range(m + 1)]
+    return tuple(zip(*(row + (0,) * k for k, row in enumerate(rows))))
+
+
+def _on_falling(weights: list) -> Polynomial:
+    """sum_k weights[k] [s]_(m-k), k = 0..m, on integer columns over one den."""
+    den = lcm(*(w.d for w in weights))
+    re, im = [w.a * (den // w.d) for w in weights], [w.b * (den // w.d) for w in weights]
+    cols = _falling_columns(len(weights) - 1)
+    return Polynomial([sum(map(mul, re, c)) for c in cols],
+                      [sum(map(mul, im, c)) for c in cols], den)
 
 
 @dataclass(frozen=True)
@@ -202,23 +214,19 @@ def _ladder_verdict(op: FuchsianOperator, point) -> ApparentVerdict:
     analysis = local_expansion(op, point, spread + 2)
     det_cache: dict[int, Polynomial] = {}
     residuals = []
-    all_ok = True
     for mu in range(2, m + 1):
         for kappa in range(1, mu):
             nu = exps[mu - 1 - kappa].as_int() - exps[mu - 1].as_int()
             if nu not in det_cache:
                 det_cache[nu] = f_matrices(analysis, nu).determinant
             shifted = det_cache[nu].shift(exps[mu - 1])
-            value = ZERO
-            for j in range(kappa):
-                c = shifted.coeff(j)
-                if not c.is_zero():
-                    value = c
-                    all_ok = False
-                    break
+            # the lowest nonzero coefficient below order kappa, if any
+            value = next((c for c in map(shifted.coeff, range(kappa)) if not c.is_zero()),
+                         ZERO)
             residuals.append(ConditionResidual(mu=mu, kind="det_order",
                                                value=value,
                                                required_order=kappa))
+    all_ok = all(r.value.is_zero() for r in residuals)
     special = exps == special_exponents(m)
     return ApparentVerdict(is_apparent=all_ok,
                            is_special_apparent=all_ok and special,
@@ -239,22 +247,17 @@ def special_apparent_check(op: FuchsianOperator, point) -> ApparentVerdict:
             f"exponents not special: expected {[str(e) for e in want]}, "
             f"got {[str(e) for e in analysis.exponent_list()]}")
     residuals = []
-    all_ok = True
     f0_top = analysis.f(0)(scalar(m - 1))
     f1_top = analysis.f(1)(scalar(m - 1))
     for mu in range(2, m + 1):
         at = scalar(m - mu)
         for l in range(1, mu - 1):
-            value = analysis.f(l)(at)
-            if not value.is_zero():
-                all_ok = False
             residuals.append(ConditionResidual(mu=mu, kind="linear",
-                                               value=value, required_order=1))
+                                               value=analysis.f(l)(at), required_order=1))
         quad = f1_top * analysis.f(mu - 1)(at) + analysis.f(mu)(at) * f0_top
-        if not quad.is_zero():
-            all_ok = False
         residuals.append(ConditionResidual(mu=mu, kind="quadratic",
                                            value=quad, required_order=1))
+    all_ok = all(r.value.is_zero() for r in residuals)
     return ApparentVerdict(is_apparent=all_ok,
                            is_special_apparent=all_ok,
                            exponents=exps,
@@ -300,16 +303,19 @@ def frobenius_oracle(op: FuchsianOperator, point, truncation: int | None = None)
     spread = exps[0].as_int() - exps[-1].as_int()
     depth = spread + 4 if truncation is None else max(truncation, spread + 1)
     analysis = local_expansion(op, point, depth)
+    # f_l(j) at an integer j is the same in the recursion of every exponent
+    f_at = functools.cache(lambda l, j: analysis.f(l)(scalar(j)))
     solutions = []
     ok = True
     for rho in reversed(exps):  # ascending
+        r = rho.as_int()
         coeffs = [scalar(1)]
         obstructions = []
         for t in range(1, depth + 1):
             rhs = ZERO
             for l in range(1, t + 1):
-                rhs = rhs + analysis.f(l)(rho + scalar(t - l)) * coeffs[t - l]
-            lead = analysis.f(0)(rho + scalar(t))
+                rhs = rhs + f_at(l, r + t - l) * coeffs[t - l]
+            lead = f_at(0, r + t)
             if lead.is_zero():
                 obstructions.append((t, rhs))
                 if not rhs.is_zero():

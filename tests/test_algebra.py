@@ -657,21 +657,30 @@ rectangular = st.tuples(st.integers(1, 5), st.integers(1, 5)).filter(
 
 
 # polynomial systems [M | B], M n x n and B with 1 or n columns; zero
-# entries are common, so row swaps and singular M are drawn often
+# entries are common, so row swaps, skipped rows and singular M are drawn
+# often, and M is upper Hessenberg in part of the draws
 poly_entries = st.one_of(
     st.just(Polynomial.zero()),
     st.lists(scalars, min_size=1, max_size=3).map(Polynomial.from_list))
 
 
-def _poly_system(n):
+def _poly_system(n, hessenberg=False):
     def block(cols):
         return st.lists(st.lists(poly_entries, min_size=cols, max_size=cols),
                         min_size=n, max_size=n)
-    return st.tuples(block(n), st.sampled_from([1, n]).flatmap(block))
+
+    def upper_hessenberg(rows):
+        return [[Polynomial.zero() if i > j + 1 else e for j, e in enumerate(row)]
+                for i, row in enumerate(rows)]
+    m = block(n).map(upper_hessenberg) if hessenberg else block(n)
+    return st.tuples(m, st.sampled_from([1, n]).flatmap(block))
 
 
-poly_systems = st.integers(min_value=1, max_value=4).flatmap(_poly_system)
+poly_systems = st.one_of(
+    st.integers(min_value=1, max_value=6).flatmap(_poly_system),
+    st.integers(min_value=1, max_value=6).flatmap(lambda n: _poly_system(n, True)))
 _z, _one, _zero = Polynomial.x(), Polynomial.one(), Polynomial.zero()
+_i = Polynomial.constant(I)
 
 
 class TestMatrix:
@@ -681,6 +690,20 @@ class TestMatrix:
               [[_one, _z, _zero], [_z, _one, _one], [_zero, _zero, _z]]))
     @example(([[_z, _one], [_z, _one]], [[_one], [_zero]]))          # singular
     @example(([[_zero]], [[_z]]))                                   # singular
+    # row 2 is skipped at step 0, then swapped in as the pivot row of step 1
+    @example(([[_z, _one, _zero], [_z, _one, _one], [_zero, _one, _z]],
+              [[_one], [_z], [_zero]]))
+    # row 3 is updated at step 0, skipped at step 1, updated at step 2
+    @example(([[_z, _zero, _one, _one], [_one, _z, _zero, _one],
+               [_zero, _one, _z, _zero], [_one, _zero, _one, _z]],
+              [[_one], [_zero], [_z], [_one]]))
+    # rows 0 and 1 are skipped in the last steps: their B columns catch up
+    @example(([[_z, _one, _zero], [_zero, _z, _zero], [_zero, _zero, _one + _z]],
+              [[_one, _z, _zero], [_z, _one, _one], [_one, _zero, _z]]))
+    # here a catch-up of whole rows, stale columns too, divides inexactly
+    @example(([[_zero, _zero, _i, _zero], [_zero, _i * _z, _zero, _i],
+               [_zero, _i, _zero, _zero], [_i, _zero, _i, _zero]],
+              [[_zero], [_zero], [_zero], [_zero]]))
     @settings(max_examples=50, deadline=None)
     def test_det_adjugate_matches_cofactor_oracle(self, system):
         rows, block = system

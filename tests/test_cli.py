@@ -24,6 +24,8 @@ from fuchskit.sampling import second_order_with_exponents
 APPARENT_OP = json.dumps(annihilator_from_solutions([[1], [0, 0, 1]]).to_json())
 TWO_POINT = json.dumps(second_order_with_exponents(
     (0, 1), (Fraction(1, 2), Fraction(1, 3))).to_json())
+NEGATIVE_POLE = json.dumps(second_order_with_exponents(
+    (0, Fraction(-1, 2)), (Fraction(1, 2), Fraction(1, 3))).to_json())
 
 
 json_values = st.recursive(
@@ -641,3 +643,26 @@ class TestPlumbing:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "monodromy" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("bare, joined", [
+        (["monodromy", "--point", "-1/2"], ["monodromy", "--point=-1/2"]),
+        (["monodromy", "--base", "-3-3j"], ["monodromy", "--base=-3-3j"]),
+        (["monodromy", "--point", "-1/2", "--base", "-3-3j", "--radius", "0.25"],
+         ["monodromy", "--point=-1/2", "--base=-3-3j", "--radius=0.25"]),
+        (["exponents", "--point", "-1/2"], ["exponents", "--point=-1/2"]),
+        (["oracle", "--point", "-1/2", "--truncation", "3"],
+         ["oracle", "--point=-1/2", "--truncation=3"]),
+        (["apparent", "--poi", "-1/2", "--oracle"], ["apparent", "--point=-1/2", "--oracle"]),
+    ])
+    def test_value_beginning_with_a_dash(self, capsys, bare, joined):
+        # argparse reads -1/2 and -3-3j as option names unless joined by =
+        argv = [bare[0], "--input", NEGATIVE_POLE, *bare[1:]]
+        code, doc = invoke(capsys, *argv)
+        assert code == 0 and "error" not in doc
+        assert (code, doc) == invoke(capsys, joined[0], "--input", NEGATIVE_POLE,
+                                     *joined[1:])
+
+    @pytest.mark.parametrize("name", ["--oracle", "--ora", "-h"])
+    def test_option_name_is_not_taken_for_a_value(self, capsys, name):
+        assert main(["apparent", "--input", APPARENT_OP, "--point", name]) == 2
+        assert "expected one argument" in capsys.readouterr().err

@@ -21,6 +21,7 @@ from fuchskit.frobenius import (
 )
 from fuchskit.operator import DomainError, FuchsianOperator, psi_all
 from fuchskit.sampling import prescribed_exponent_operator, random_operator
+from oracles import det_cofactor
 
 
 def _op(order, points, coeffs, apparent=()):
@@ -60,6 +61,26 @@ class TestLocalExpansion:
         la = local_expansion(OP_MODEL, 1, 1)
         assert la.ordinary
         assert la.indicial == falling_factorial(Polynomial.x(), 2)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_f_rows_against_falling_factorial_sums(self, m):
+        # f_0 = [s]_m - sum_k table[k][0] [s]_{m-k} and, for l >= 1,
+        # f_l = sum_k table[k][l] [s]_{m-k}, in plain Polynomial arithmetic
+        op = random_operator(random.Random(m), m, 2, gaussian=True)
+        gaussian = next(p for p in op.all_points if p.im)
+        x = Polynomial.x()
+        for point, ordinary in ((gaussian, False), (scalar("7/2"), True)):
+            la = local_expansion(op, point, 4)
+            assert la.ordinary == ordinary
+            f0 = falling_factorial(x, m)
+            for k in range(1, m + 1):
+                f0 = f0 - falling_factorial(x, m - k) * la.table[k - 1][0]
+            assert la.f(0) == f0
+            for l in range(1, 5):
+                fl = Polynomial.zero()
+                for k in range(1, m + 1):
+                    fl = fl + falling_factorial(x, m - k) * la.table[k - 1][l]
+                assert la.f(l) == fl
 
     def test_truncation_floor(self):
         with pytest.raises(DomainError):
@@ -122,6 +143,15 @@ class TestResonanceMatrices:
                           2).determinant(scalar(0)) == scalar(1)
         assert f_matrices(local_expansion(OP_MODEL, 0, 2),
                           2).determinant(scalar(0)).is_zero()
+
+    @pytest.mark.parametrize("nu", [1, 2, 3, 4, 5, 6])
+    def test_determinant_matches_cofactor_oracle(self, nu):
+        # the resonance matrices are upper Hessenberg, the case in which
+        # Bareiss skips most rows
+        op = random_operator(random.Random(70 + nu), 3, 2, gaussian=True)
+        fm = f_matrices(local_expansion(op, op.real_points[0], nu), nu)
+        rows = [list(r) for r in fm.symbolic.rows]
+        assert fm.determinant == det_cofactor(rows)
 
     def test_depth_guard(self):
         la = local_expansion(OP_MODEL, 0, 1)
