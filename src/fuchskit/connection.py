@@ -329,22 +329,17 @@ class RigidityReport(Report):
     basis: tuple  # gauge matrices with Polynomial entries
 
 
-def _gauge_slots(m: int, n: int):
-    """Unknown slots (row, col, z-power) of a lower-triangular gauge whose
-    (k,l) entry has degree <= (k-l)(n-1) and whose diagonal is constant."""
-    slots = []
-    for r in range(m):
-        for c in range(r + 1):
-            top = (r - c) * (n - 1)
-            for j in range(top + 1):
-                slots.append((r, c, j))
-    return slots
-
-
 def companion_rigidity_check(op1: FuchsianOperator, op2: FuchsianOperator) -> RigidityReport:
     """Dimension of the space of triangular gauges carrying the companion
     connection of op1 to that of op2.  Equal operators admit exactly the
-    scalars; distinct ones admit nothing."""
+    scalars; distinct ones admit nothing.
+
+    A gauge G is lower triangular, its (r, c) entry of degree at most
+    (r-c)(n-1), so its diagonal is constant.  Its unknowns are the
+    coefficients of those entries; the linear system is read off the
+    residuals A1 G + psi G' - G A2 of the unit gauges, one unknown set to
+    1, and its null space gives the basis.
+    """
     if op1.order != op2.order:
         raise DomainError("operators have different orders")
     if op1.order > 3:
@@ -353,49 +348,26 @@ def companion_rigidity_check(op1: FuchsianOperator, op2: FuchsianOperator) -> Ri
         raise DomainError("rigidity check expects no apparent points")
     if set(op1.real_points) != set(op2.real_points):
         raise DomainError("operators must share their singular points")
-    m = op1.order
-    n = op1.num_real
+    m, n = op1.order, op1.num_real
     psi = psi_all(op1)
-    a1 = companion_poly_matrix(op1)
-    a2 = companion_poly_matrix(op2)
-    slots = _gauge_slots(m, n)
-    columns = []
-    max_deg = 0
-    for (r, c, j) in slots:
-        g = [[Polynomial.zero() for _ in range(m)] for _ in range(m)]
-        g[r][c] = Polynomial.from_list([scalar(0)] * j + [scalar(1)])
-        gm = ExactMatrix.from_rows(g)
-        resid = a1 * gm + gm.map(lambda e: e.derivative()).scale(psi) - gm * a2
-        columns.append(resid)
-        for row in resid.rows:
-            for e in row:
-                max_deg = max(max_deg, e.degree())
-    rows = []
-    for i in range(m):
-        for jj in range(m):
-            for d in range(max_deg + 1):
-                rows.append([col.entry(i, jj).coeff(d) for col in columns])
-    system = ExactMatrix.from_rows(rows) if rows else ExactMatrix.from_rows([[scalar(0)] * len(slots)])
-    null = system.nullspace()
-    basis = []
-    for vec in null:
-        g = [[Polynomial.zero() for _ in range(m)] for _ in range(m)]
-        for (r, c, j), coeff in zip(slots, vec):
-            g[r][c] = g[r][c] + Polynomial.from_list([scalar(0)] * j + [coeff])
-        basis.append(ExactMatrix.from_rows(g))
-    scalar_only = len(null) == 1 and _is_scalar_matrix(basis[0])
-    return RigidityReport(dimension=len(null), scalar_only=scalar_only,
-                          basis=tuple(basis))
+    a1, a2 = companion_poly_matrix(op1), companion_poly_matrix(op2)
+    slots = [(r, c, j) for r in range(m) for c in range(r + 1)
+             for j in range((r - c) * (n - 1) + 1)]
 
+    def gauge(vec) -> ExactMatrix:
+        cs = [[[] for _ in range(m)] for _ in range(m)]
+        for (r, c, _), x in zip(slots, vec):  # the powers of an entry ascend
+            cs[r][c].append(x)
+        return ExactMatrix.from_rows(map(Polynomial.from_list, row) for row in cs)
 
-def _is_scalar_matrix(g: ExactMatrix) -> bool:
-    m, _ = g.shape()
-    diag = g.entry(0, 0)
-    if diag.degree() > 0:
-        return False
-    for i in range(m):
-        for j in range(m):
-            want = diag if i == j else Polynomial.zero()
-            if g.entry(i, j) != want:
-                return False
-    return True
+    resid = [a1 * g + g.map(Polynomial.derivative).scale(psi) - g * a2
+             for g in map(gauge, ExactMatrix.identity(len(slots)).rows)]
+    top = max(e.degree() for r in resid for row in r.rows for e in row)
+    system = ExactMatrix.from_rows(
+        [r.entry(i, j).coeff(d) for r in resid]
+        for i in range(m) for j in range(m) for d in range(max(top, 0) + 1))
+    basis = tuple(gauge(vec) for vec in system.nullspace())
+    scalar_only = (len(basis) == 1
+                   and basis[0] == ExactMatrix.identity(m, basis[0].entry(0, 0)))
+    return RigidityReport(dimension=len(basis), scalar_only=scalar_only,
+                          basis=basis)

@@ -80,12 +80,16 @@ class LocalAnalysis:
         return out
 
 
-def local_expansion(op: FuchsianOperator, point, truncation: int) -> LocalAnalysis:
-    if truncation < 1:
-        raise DomainError("truncation must be at least 1")
+def _check_cap(truncation: int) -> None:
     if truncation > MAX_TRUNCATION:
         raise DomainError(f"truncation {truncation} exceeds the cap of "
                           f"{MAX_TRUNCATION}")
+
+
+def local_expansion(op: FuchsianOperator, point, truncation: int) -> LocalAnalysis:
+    if truncation < 1:
+        raise DomainError("truncation must be at least 1")
+    _check_cap(truncation)
     a = scalar(point)
     psi = psi_all(op)
     lin = Polynomial.of(-a, 1)
@@ -294,7 +298,10 @@ def frobenius_oracle(op: FuchsianOperator, point, truncation: int | None = None)
     """Ground-truth apparency: run the recursion for every exponent and
     demand each resonance obstruction vanish.  A vanished obstruction leaves
     the resonant coefficient free; it is pinned to 0.  The default depth
-    covers every resonance with margin; a smaller request is raised."""
+    covers every resonance with margin; a smaller request is raised, and a
+    larger one than MAX_TRUNCATION is refused before any expansion."""
+    if truncation is not None:
+        _check_cap(truncation)
     first = local_expansion(op, point, 1)
     exps, reason = _integer_exponents(first)
     if exps is None:

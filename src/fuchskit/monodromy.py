@@ -13,10 +13,12 @@ are kept transposed and flattened, as one complex array of shape
 Horner pass for D(z), the powers z^k/D(z) in Python complex, and one
 product of that vector with the stack.
 
-An anchored loop runs from the base point along a straight leg, once around
-a circle and back along the same leg.  The leg is integrated once: the way
-back is the inverse of the way in, so the loop is solved for as
-inward^-1 (around inward).
+One routine, `_loop`, builds every loop and its result: the circle around
+a pole, the anchored loop around it and the outer loop of the global
+product.  An anchored loop runs from the base point along a straight leg,
+once around a circle and back along the same leg.  The leg is integrated
+once: the way back is the inverse of the way in, so the loop is solved for
+as inward^-1 (around inward).
 
 Each result carries a self-diagnosed error estimate: the determinant of the
 transport matrix is compared against the exponential of the exact trace
@@ -127,23 +129,12 @@ class LoopSpec:
 
 
 @dataclass(frozen=True)
-class MonodromyResult:
+class MonodromyResult(Report):
     loop: LoopSpec
     matrix: np.ndarray
     char_poly: np.ndarray    # complex, highest power first, length size+1
-    eigenvalues: np.ndarray
+    eigenvalues: np.ndarray  # sorted by real, then imaginary part (9 places)
     est_error: float
-
-    def to_json(self) -> dict:
-        return {
-            "loop": self.loop.to_json(),
-            "matrix": document(self.matrix),
-            "char_poly": document(self.char_poly),
-            "eigenvalues": document(sorted(
-                self.eigenvalues, key=lambda w: (round(np.real(w), 9),
-                                                 round(np.imag(w), 9)))),
-            "est_error": self.est_error,
-        }
 
 
 def _det_reference(conn: LogConnection, loop: LoopSpec) -> complex:
@@ -190,8 +181,8 @@ def _segment_distance(b: complex, end: complex, q: complex) -> float:
 
 def _lollipop(center: complex, radius: float, b: complex, poles) -> tuple:
     """The leg from b straight to the circle and the circle once around, as
-    (leg, circle); the loop returns along the leg, which _round_trip solves
-    for instead of integrating.  Refuses a base point inside the circle and
+    (leg, circle); the loop returns along the leg, which _loop solves for
+    instead of integrating.  Refuses a base point inside the circle and
     a straight leg passing within _CLEARANCE of one of `poles`."""
     d = b - center
     if abs(d) <= radius:
@@ -204,22 +195,28 @@ def _lollipop(center: complex, radius: float, b: complex, poles) -> tuple:
     return _line(b, start), _circle(center, radius, cmath.phase(d))
 
 
-def _round_trip(num: _NumericConnection, lollipop, rtol: float,
-                atol: float) -> np.ndarray:
-    """Column-form transport in along the leg, around the circle and back:
-    each integrated once, the way back being the inverse of the way in."""
-    leg, circle = lollipop
-    inward = _transport(num, leg, rtol, atol)
-    around = _transport(num, circle, rtol, atol)
-    return np.linalg.solve(inward, around @ inward)
-
-
-def _finish(conn: LogConnection, loop: LoopSpec,
-            mat: np.ndarray) -> MonodromyResult:
+def _loop(conn: LogConnection, center: complex, radius: float,
+          base: complex | None, rtol: float, atol: float) -> MonodromyResult:
+    """The one loop routine: the circle alone from angle 0 when `base` is
+    None, else the anchored loop of `_lollipop`, its leg integrated once
+    and the way back, the inverse of the way in, solved for."""
+    num = _NumericConnection(conn)
+    if base is None:
+        mat = _transport(num, _circle(center, radius, 0.0), rtol, atol)
+    else:
+        leg, circle = _lollipop(center, radius, base,
+                                [complex(q) for q in conn.pole_points])
+        inward = _transport(num, leg, rtol, atol)
+        around = _transport(num, circle, rtol, atol)
+        mat = np.linalg.solve(inward, around @ inward)
+    mat = mat.T  # back from the column form to the row-section action
+    loop = LoopSpec(center=center, radius=radius, base_point=base)
+    eigenvalues = sorted(np.linalg.eigvals(mat),
+                         key=lambda w: (round(w.real, 9), round(w.imag, 9)))
     err = abs(complex(np.linalg.det(mat)) - _det_reference(conn, loop))
     return MonodromyResult(loop=loop, matrix=mat,
                            char_poly=np.poly(mat).astype(complex),
-                           eigenvalues=np.linalg.eigvals(mat),
+                           eigenvalues=np.array(eigenvalues),
                            est_error=float(err))
 
 
@@ -232,10 +229,7 @@ def monodromy(conn: LogConnection, point, radius: float | None = None,
     """
     _check_tolerances(rtol, atol)
     center, r = _loop_geometry(conn, point, radius)
-    mat = _transport(_NumericConnection(conn), _circle(center, r, 0.0),
-                     rtol, atol)
-    # transpose back to the row-section action
-    return _finish(conn, LoopSpec(center=center, radius=r), mat.T)
+    return _loop(conn, center, r, None, rtol, atol)
 
 
 def anchored_monodromy(conn: LogConnection, point, base_point: complex,
@@ -244,10 +238,7 @@ def anchored_monodromy(conn: LogConnection, point, base_point: complex,
     """Loop from the base point: straight in, once around, straight back."""
     _check_tolerances(rtol, atol)
     center, r = _loop_geometry(conn, point, radius)
-    b = _base(base_point)
-    path = _lollipop(center, r, b, [complex(q) for q in conn.pole_points])
-    mat = _round_trip(_NumericConnection(conn), path, rtol, atol).T
-    return _finish(conn, LoopSpec(center=center, radius=r, base_point=b), mat)
+    return _loop(conn, center, r, _base(base_point), rtol, atol)
 
 
 @dataclass(frozen=True)
@@ -352,11 +343,7 @@ def global_product(conn: LogConnection, base_point: complex | None = None,
     product = np.eye(conn.size, dtype=complex)
     for i in order:
         product = product @ results[i].matrix
-    # every pole lies inside the outer circle, so its leg passes none
-    outer_mat = _round_trip(_NumericConnection(conn),
-                            _lollipop(center, outer_radius, b, ()), rtol, atol).T
-    outer = _finish(conn, LoopSpec(center=center, radius=outer_radius,
-                                   base_point=b), outer_mat)
+    outer = _loop(conn, center, outer_radius, b, rtol, atol)
     ordered = tuple(int(i) for i in order)
     closure = float(np.max(np.abs(product - outer.matrix)))
     scale = max([float(np.max(np.abs(r.matrix))) for r in results]

@@ -145,12 +145,11 @@ def validate_fuchsian(op: FuchsianOperator) -> ValidationReport:
     Distinctness of points is already enforced at construction; the report
     only concerns regularity at infinity.
     """
-    budget = op.num_real + op.num_apparent - 1
+    budget = degree_budget(op.order, op.num_real, op.num_apparent).degrees
     checks = []
     messages = []
-    for k in range(1, op.order + 1):
+    for k, allowed in enumerate(budget, 1):
         observed = op.coeffs[k - 1].degree()
-        allowed = k * budget
         # the zero polynomial (degree -1) always passes, even when the
         # formal bound is negative (operators with no finite points)
         ok = observed <= allowed or observed < 0
@@ -391,7 +390,7 @@ def _parse_equation(toks, num_points: int) -> tuple:
         raise DomainError("text form supports order <= 3; use the JSON form")
     # a cost guard only: a coefficient past its own term's Fuchs bound but
     # within the equation's largest is reported by validate_fuchsian
-    p.max_degree = order * (num_points - 1)
+    p.max_degree = degree_budget(order, num_points, 0).degrees[-1]
     coeffs = {}
     sign = "+" if p.toks[p.pos:] != ["0"] else None
     while sign is not None:

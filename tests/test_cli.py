@@ -127,6 +127,10 @@ class TestExitCodes:
         ["oracle", "--input", APPARENT_OP, "--point", "0",
          "--truncation", "1000000"],
         ["vandermonde", "--points", "[0]", "--plan", "[1000]"],
+        # exponents 0 and 1/2 at 0: no expansion past depth 1 is needed
+        ["oracle", "--point", "0", "--truncation", "1000000", "--input",
+         '{"order": 2, "real_points": ["0", "1"], "apparent_points": [], '
+         '"coeffs": [["1/2", "0"], ["1/3"]]}'],
     ])
     def test_size_beyond_its_cap_is_refused(self, capsys, argv):
         code = main(argv)

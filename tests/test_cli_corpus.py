@@ -43,6 +43,12 @@ PRESCRIBED_M2 = {"order": 2, "real_points": ["0", "2"], "apparent_points": [],
                  "coeffs": [["-4", "4"], ["0", "1", "-3"]]}
 PRESCRIBED_M3 = {"order": 3, "real_points": ["0", "-1"], "apparent_points": [],
                  "coeffs": [["3", "-2/3"], ["-3", "0", "-1"], ["0", "1", "-1", "4"]]}
+# rigidity: an order-3 operator whose self-gauges form a plane, not only the
+# scalars, and TWO_POINT with a second coefficient, which no gauge reaches
+WIDE_M3 = {"order": 3, "real_points": ["-2", "-1/2"], "apparent_points": [],
+           "coeffs": [["-3", "-6"], ["-4/3", "-6", "-6"], []]}
+TWO_POINT_SHIFTED = {"order": 2, "real_points": ["0", "1"], "apparent_points": [],
+                     "coeffs": [["1/2", "-7/6"], ["1/3"]]}
 
 
 # exponent tables: one generic, one with an integer difference at its
@@ -84,6 +90,12 @@ CASES = {
                                       "--point", "0", "--oracle"],
     "companion_two_point_rigidity": ["companion", "--input", _op(TWO_POINT),
                                      "--against", _op(TWO_POINT)],
+    "companion_prescribed_m3_rigidity": ["companion", "--input", _op(PRESCRIBED_M3),
+                                         "--against", _op(PRESCRIBED_M3)],
+    "companion_wide_m3_rigidity": ["companion", "--input", _op(WIDE_M3),
+                                   "--against", _op(WIDE_M3)],
+    "companion_two_point_not_rigid": ["companion", "--input", _op(TWO_POINT),
+                                      "--against", _op(TWO_POINT_SHIFTED)],
     "companion_random_m3": ["companion", "--input", _op(RANDOM_M3)],
     "cyclic_two_point": ["cyclic", "--input", _op(TWO_POINT)],
     "cyclic_random_m2": ["cyclic", "--input", _op(RANDOM_M2)],
@@ -105,6 +117,11 @@ def test_document_matches_golden(case, capsys):
     code, out = _run(CASES[case], capsys)
     assert code == 0
     assert out == (DATA / f"{case}.json").read_text()
+
+
+def test_goldens_are_the_cases():
+    # a golden without a case is never compared, a case without one fails
+    assert sorted(p.stem for p in DATA.glob("*.json")) == sorted(CASES)
 
 
 def _write_goldens() -> int:

@@ -302,6 +302,15 @@ class TestSeriesOracle:
         v = frobenius_oracle(OP_MODEL, 0, truncation=1)
         assert v.truncation >= 3
 
+    def test_cap_holds_without_integer_exponents(self):
+        # exponents 0 and 1/2 at 0: the verdict needs no deep expansion,
+        # yet a request past the cap is refused as on any other input
+        op = _op(2, (0, 1), ([Fraction(1, 2), 0], [Fraction(1, 3)]))
+        assert frobenius_oracle(op, 0).reason
+        assert frobenius_oracle(op, 0, truncation=MAX_TRUNCATION).truncation == 0
+        with pytest.raises(DomainError, match=f"cap of {MAX_TRUNCATION}"):
+            frobenius_oracle(op, 0, truncation=MAX_TRUNCATION + 1)
+
 
 class TestAnnihilator:
     def test_even_pair(self):

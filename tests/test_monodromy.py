@@ -357,6 +357,12 @@ def test_result_serializes():
     doc = res.to_json()
     assert doc["loop"]["radius"] == pytest.approx(1.0)
     assert len(doc["char_poly"]) == 2
+    # the eigenvalues are stored sorted and printed in that order: -1 (the
+    # exponent 1/2) before 1
+    loop = monodromy(conn_of(TWO_POINT), 0)
+    printed = [complex(*w) for w in loop.to_json()["eigenvalues"]]
+    assert printed == list(loop.eigenvalues)
+    assert printed == pytest.approx([-1, 1], abs=1e-8)
     g = global_product(conn_of(TWO_POINT)).to_json()
     assert g["closure_error"] < 1e-8
     assert len(g["loops"]) == 2
