@@ -49,6 +49,18 @@ WIDE_M3 = {"order": 3, "real_points": ["-2", "-1/2"], "apparent_points": [],
            "coeffs": [["-3", "-6"], ["-4/3", "-6", "-6"], []]}
 TWO_POINT_SHIFTED = {"order": 2, "real_points": ["0", "1"], "apparent_points": [],
                      "coeffs": [["1/2", "-7/6"], ["1/3"]]}
+# the annihilator of {1, z, z^3}, special and apparent at the origin with
+# exponents 3, 1, 0, and an operator with exponents 2, 0 at the origin whose
+# resonance is blocked at offset 2
+CUBIC_ANNIHILATOR = {"order": 3, "real_points": [], "apparent_points": ["0"],
+                     "coeffs": [["1"], [], []]}
+BLOCKED_M2 = {"order": 2, "real_points": ["0"], "apparent_points": [],
+              "coeffs": [["1"], ["0", "-1"]]}
+# a second numerator of degree 3 where the bound at infinity allows 2
+DEGREE_BOUND_VIOLATED = {"order": 2, "real_points": ["0"], "apparent_points": [],
+                         "coeffs": [["1"], ["0", "-1", "1", "1"]]}
+# 1, (z - 1)^2, z^3: the Wronskian 6z(z - 2) puts apparent points at 0 and 2
+BASIS_TWO_APPARENT = {"basis": [[1], [1, -2, 1], [0, 0, 0, 1]]}
 
 
 # exponent tables: one generic, one with an integer difference at its
@@ -79,6 +91,14 @@ CASES = {
     "constraints_m3_apparent": ["constraints", "--m", "3",
                                 "--points", '["0", "1", "-1", "1/2"]',
                                 "--apparent-points", '["3"]'],
+    "constraints_m1_gaussian": ["constraints", "--m", "1", "--points",
+                                '["0", {"re": 0, "im": 1}, {"re": 0, "im": -1}]'],
+    "constraints_m4_two_apparent": ["constraints", "--m", "4",
+                                    "--points", "[0, 1, -1]",
+                                    "--apparent-points", '["2", "1/2"]'],
+    "validate_random_m3": ["validate", "--input", _op(RANDOM_M3)],
+    "validate_degree_bound_violated": ["validate", "--input",
+                                       _op(DEGREE_BOUND_VIOLATED)],
     "exponents_two_point": ["exponents", "--input", _op(TWO_POINT)],
     "exponents_random_m3": ["exponents", "--input", _op(RANDOM_M3)],
     "exponents_gaussian_m2": ["exponents", "--input", _op(GAUSSIAN_M2)],
@@ -88,6 +108,16 @@ CASES = {
                                       "--point", "0", "--oracle"],
     "apparent_oracle_prescribed_m3": ["apparent", "--input", _op(PRESCRIBED_M3),
                                       "--point", "0", "--oracle"],
+    "oracle_blocked_m2": ["oracle", "--input", _op(BLOCKED_M2), "--point", "0",
+                          "--truncation", "4"],
+    "oracle_prescribed_m3": ["oracle", "--input", _op(PRESCRIBED_M3),
+                             "--point", "0"],
+    "special_apparent_cubic_annihilator": ["special-apparent", "--input",
+                                           _op(CUBIC_ANNIHILATOR), "--point", "0"],
+    "special_apparent_blocked_m2": ["special-apparent", "--input",
+                                    _op(BLOCKED_M2), "--point", "0"],
+    "annihilate_two_apparent_points": ["annihilate", "--input",
+                                       _op(BASIS_TWO_APPARENT)],
     "companion_two_point_rigidity": ["companion", "--input", _op(TWO_POINT),
                                      "--against", _op(TWO_POINT)],
     "companion_prescribed_m3_rigidity": ["companion", "--input", _op(PRESCRIBED_M3),
