@@ -343,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--apparent", type=int, default=0,
                    help="number of apparent points (net dimension ignores it)")
     p = add("constraints", _cmd_constraints,
-            "assemble the coefficient constraint matrix and verify its rank",
+            "constraint blocks, one per numerator, and their exact rank",
             needs_input=False)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--points", required=True,

@@ -4,8 +4,8 @@ Operators of a fixed shape form a finite-dimensional family: the numerator
 polynomials contribute coefficients, and the prescriptions at the marked
 points (exponent data at each finite point, top-coefficient data at
 infinity, jet data at the apparent points) remove most of them.  This
-module counts both sides, builds the block matrix realizing the linear
-part of the prescriptions, and verifies its rank exactly.
+module counts both sides, builds the linear part of the prescriptions as
+one matrix per numerator, and verifies its rank exactly.
 
 Only the linear layer lives here.  The handful of genuinely quadratic
 apparency conditions are evaluated pointwise by the series machinery in
@@ -22,7 +22,7 @@ from itertools import accumulate, repeat
 from operator import mul
 
 from .algebra import ExactMatrix, GaussianRational, ONE, Report, ZERO, scalar
-from .operator import DomainError, check_order, degree_budget
+from .operator import DomainError, check_order, degree_budget, json_array
 
 # Largest sum(plan).  The jet matrix is sum(plan) square, and its exact
 # elimination costs about the cube of that size in ever longer fractions.
@@ -75,7 +75,7 @@ def dimensions(order: int, num_real: int, num_apparent: int = 0) -> DimensionRep
 
 
 # ---------------------------------------------------------------------------
-# the constraint matrix
+# the constraint blocks
 
 
 @dataclass(frozen=True)
@@ -96,84 +96,66 @@ class ConstraintTag:
 
 @dataclass(frozen=True)
 class ConstraintSystem:
+    """The prescriptions as blocks: blocks[k-1] acts on the coefficients of
+    the k-th numerator only, and its rows are the tags with that k."""
     order: int
     real_points: tuple
     apparent_points: tuple
-    matrix: ExactMatrix
+    blocks: tuple
     tags: tuple
-    col_blocks: tuple  # (start, stop) of numerator k's coefficients
-    row_blocks: tuple  # (start, stop) of numerator k's rows
     expected_rank: int
 
     def to_json(self) -> dict:
+        """The direct sum's counts, with the (start, stop) of each block's
+        rows and columns in it, from the running sums of the block shapes."""
+        rows, cols = zip(*(b.shape() for b in self.blocks))
+        row_ends = list(accumulate(rows, initial=0))
+        col_ends = list(accumulate(cols, initial=0))
         return {
             "order": self.order,
             "real_points": [str(p) for p in self.real_points],
             "apparent_points": [str(a) for a in self.apparent_points],
-            "rows": self.matrix.shape()[0],
-            "cols": self.matrix.shape()[1],
+            "rows": row_ends[-1],
+            "cols": col_ends[-1],
             "tags": [t.to_json() for t in self.tags],
-            "col_blocks": list(self.col_blocks),
-            "row_blocks": list(self.row_blocks),
+            "col_blocks": list(zip(col_ends, col_ends[1:])),
+            "row_blocks": list(zip(row_ends, row_ends[1:])),
             "expected_rank": self.expected_rank,
         }
 
 
 def build_constraints(order: int, real_points, apparent_points=()) -> ConstraintSystem:
-    """Block matrix of the linear prescriptions on the numerators.
+    """The linear prescriptions on the numerators, one block per numerator.
 
     Block k acts on the coefficients of the k-th numerator and carries one
     value row per finite point, one top-coefficient row, and jet rows of
-    orders 1..k-1 at each apparent point.  Blocks do not interact.
+    orders 1..k-1 at each apparent point.  Blocks do not interact, so the
+    whole system is their direct sum.
     """
     m = check_order(order)
-    real = tuple(scalar(p) for p in real_points)
-    app = tuple(scalar(a) for a in apparent_points)
+    real = tuple(scalar(p) for p in json_array(real_points, "real points"))
+    app = tuple(scalar(a) for a in json_array(apparent_points, "apparent points"))
     pts = real + app
     if len(set(pts)) != len(pts):
         raise DomainError("points not distinct")
     n, extra = len(real), len(app)
     _check_points(n)
-    budget = degree_budget(m, n, extra)
-    col_blocks = []
-    start = 0
-    for k in range(1, m + 1):
-        width = budget.degrees[k - 1] + 1
-        col_blocks.append((start, start + width))
-        start += width
-    total_cols = start
-    rows: list = []
+    blocks: list = []
     tags: list = []
-    row_blocks = []
-    for k in range(1, m + 1):
-        lo, hi = col_blocks[k - 1]
-        width = hi - lo
-        block_start = len(rows)
-
-        def emit(entries, tag):
-            row = [ZERO] * total_cols
-            row[lo:hi] = entries
-            rows.append(row)
-            tags.append(tag)
-
-        for p in pts:
-            emit(list(accumulate(repeat(p, width - 1), mul, initial=ONE)),
-                 ConstraintTag(k=k, kind="exponent", point=str(p)))
-        emit([ZERO] * (width - 1) + [scalar(1)],
-             ConstraintTag(k=k, kind="top-coefficient", point="infinity"))
+    for k, degree in enumerate(degree_budget(m, n, extra).degrees, start=1):
+        rows = [list(accumulate(repeat(p, degree), mul, initial=ONE)) for p in pts]
+        rows.append([ZERO] * degree + [ONE])
+        tags += [ConstraintTag(k=k, kind="exponent", point=str(p)) for p in pts]
+        tags.append(ConstraintTag(k=k, kind="top-coefficient", point="infinity"))
         for a in app:
             for l in range(1, k):
-                emit(_jet_row(a, l, width),
-                     ConstraintTag(k=k, kind="derivative", point=str(a),
-                                   derivative_order=l))
-        row_blocks.append((block_start, len(rows)))
-    expected = _condition_count(m, n, extra)
+                rows.append(_jet_row(a, l, degree + 1))
+                tags.append(ConstraintTag(k=k, kind="derivative", point=str(a),
+                                          derivative_order=l))
+        blocks.append(ExactMatrix.from_rows(rows))
     return ConstraintSystem(order=m, real_points=real, apparent_points=app,
-                            matrix=ExactMatrix.from_rows(rows),
-                            tags=tuple(tags),
-                            col_blocks=tuple(col_blocks),
-                            row_blocks=tuple(row_blocks),
-                            expected_rank=expected)
+                            blocks=tuple(blocks), tags=tuple(tags),
+                            expected_rank=_condition_count(m, n, extra))
 
 
 @dataclass(frozen=True)
@@ -186,28 +168,20 @@ class RankReport(Report):
 
 
 def verify_rank(system: ConstraintSystem) -> RankReport:
-    """Exact rank of the constraint matrix, block by block.
+    """Exact rank of the constraint system: each block ranked once, and the
+    total their sum, which is the rank of their direct sum.
 
     The first block always carries exactly one dependency (values at every
     finite point already determine the top coefficient there); the others
     are expected to be independent.
     """
-    block_ranks = []
-    deps = []
-    for k in range(1, system.order + 1):
-        r0, r1 = system.row_blocks[k - 1]
-        lo, hi = system.col_blocks[k - 1]
-        sub = ExactMatrix.from_rows(
-            [[system.matrix.entry(r, c) for c in range(lo, hi)]
-             for r in range(r0, r1)])
-        rk = sub.rank()
-        block_ranks.append(rk)
-        deps.append((r1 - r0) - rk)
-    total = system.matrix.rank()
-    ok = total == system.expected_rank and total == sum(block_ranks)
+    ranks = tuple(b.rank() for b in system.blocks)
+    total = sum(ranks)
     return RankReport(total_rank=total, expected_rank=system.expected_rank,
-                      block_ranks=tuple(block_ranks),
-                      block_dependencies=tuple(deps), ok=ok)
+                      block_ranks=ranks,
+                      block_dependencies=tuple(b.shape()[0] - r
+                                               for b, r in zip(system.blocks, ranks)),
+                      ok=total == system.expected_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +196,8 @@ def _jet_row(b, l: int, width: int) -> list:
 
 def _jet_plan(points, plan) -> tuple:
     """Points as scalars and the plan as positive ints, one per point."""
-    pts = tuple(scalar(b) for b in points)
-    plan = tuple(plan)
+    pts = tuple(scalar(b) for b in json_array(points, "points"))
+    plan = json_array(plan, "plan")
     if any(isinstance(u, bool) or not isinstance(u, int) for u in plan):
         raise DomainError(f"multiplicities must be integers, got {list(plan)!r}")
     if len(pts) != len(plan):
@@ -319,7 +293,7 @@ def hodge_parameters(order: int, num_real: int, exponents=()) -> WeightData:
     _check_points(num_real)
     beta = Fraction((num_real - 1) * (order - 1), 2 * (num_real + 1))
     entries = []
-    for raw in exponents:
+    for raw in json_array(exponents, "exponents"):
         mu = scalar(raw)
         weight = (mu - scalar(beta)) / scalar(2)
         frac = mu.re - math.floor(mu.re)

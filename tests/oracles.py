@@ -4,7 +4,8 @@ They work entry by entry on reduced rational functions, each result the
 `RationalFunction.make` of the naive numerator/denominator pair, the way
 the package computed before connections, gauges and cyclic towers became
 polynomials over one denominator, so the tests can hold the package's
-fast paths against them.
+fast paths against them.  `block_diagonal` pads the constraint blocks into
+one matrix, so that its rank can be held against the sum of the block ranks.
 """
 import operator
 
@@ -62,6 +63,17 @@ def rf_eval(a, x):
 def entries(conn) -> ExactMatrix:
     """The entries num_ij/den of a connection as reduced rational functions."""
     return conn.num.map(lambda e: make(e, conn.den))
+
+
+def block_diagonal(blocks) -> ExactMatrix:
+    """The direct sum of scalar matrices as one matrix, zero off the blocks."""
+    width = sum(b.shape()[1] for b in blocks)
+    rows, start = [], 0
+    for b in blocks:
+        stop = start + b.shape()[1]
+        rows += [[ZERO] * start + list(r) + [ZERO] * (width - stop) for r in b.rows]
+        start = stop
+    return ExactMatrix.from_rows(rows)
 
 
 def det_cofactor(rows, add=operator.add, mul=operator.mul, neg=operator.neg):

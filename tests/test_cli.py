@@ -478,6 +478,24 @@ class TestCountingCommands:
         assert doc["rank"]["ok"] is True
         assert doc["rank"]["block_dependencies"] == [1, 0]
 
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="caps the address space with RLIMIT_AS")
+    def test_constraints_at_order_200_fit_in_300_mb(self):
+        # 200 blocks of at most 4 x 401 entries; padded into one 800 x 40200
+        # matrix they took about 500 MB
+        import resource
+
+        limit = 300 * 2 ** 20
+        src = str(Path(fuchskit.cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "fuchskit.cli", "constraints", "--m", "200",
+             "--points", "[0, 1, 2]"],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": src},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert '"ok": true' in proc.stdout
+
     def test_vandermonde(self, capsys):
         code, doc = invoke(capsys, "vandermonde", "--points", "[0, 1, 2]",
                            "--plan", "[2, 2, 1]")

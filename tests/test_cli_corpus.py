@@ -56,7 +56,7 @@ CUBIC_ANNIHILATOR = {"order": 3, "real_points": [], "apparent_points": ["0"],
                      "coeffs": [["1"], [], []]}
 BLOCKED_M2 = {"order": 2, "real_points": ["0"], "apparent_points": [],
               "coeffs": [["1"], ["0", "-1"]]}
-# a second numerator of degree 3 where the bound at infinity allows 2
+# a second numerator of degree 3 where the bound at infinity allows 0
 DEGREE_BOUND_VIOLATED = {"order": 2, "real_points": ["0"], "apparent_points": [],
                          "coeffs": [["1"], ["0", "-1", "1", "1"]]}
 # 1, (z - 1)^2, z^3: the Wronskian 6z(z - 2) puts apparent points at 0 and 2

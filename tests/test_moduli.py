@@ -22,6 +22,7 @@ from fuchskit.moduli import (
 )
 from fuchskit.operator import DomainError
 from fuchskit.sampling import random_scalar
+from oracles import block_diagonal
 
 
 class TestDimensions:
@@ -72,10 +73,30 @@ class TestDimensions:
                 call()
 
 
+def check_blocks(cs, n, extra):
+    """Block k has n+N+1+N(k-1) rows, one per tag with that k, and the
+    k(n+N-1)+1 coefficients of numerator k as columns; the document's counts
+    and bounds are the running sums of the block shapes."""
+    shapes = [b.shape() for b in cs.blocks]
+    assert len(shapes) == cs.order
+    for k, shape in enumerate(shapes, start=1):
+        assert shape == (n + extra + 1 + extra * (k - 1), k * (n + extra - 1) + 1)
+    assert [t.k for t in cs.tags] == [k for k, (rows, _) in enumerate(shapes, start=1)
+                                      for _ in range(rows)]
+    doc = cs.to_json()
+    row_ends = [sum(r for r, _ in shapes[:k]) for k in range(len(shapes) + 1)]
+    col_ends = [sum(c for _, c in shapes[:k]) for k in range(len(shapes) + 1)]
+    assert (doc["rows"], doc["cols"]) == (row_ends[-1], col_ends[-1])
+    assert doc["row_blocks"] == list(zip(row_ends, row_ends[1:]))
+    assert doc["col_blocks"] == list(zip(col_ends, col_ends[1:]))
+
+
 class TestConstraintMatrix:
     def test_shape_and_rank_plain(self):
         cs = build_constraints(2, (0, 1))
-        assert cs.matrix.shape() == (6, 5)
+        check_blocks(cs, 2, 0)
+        assert [b.shape() for b in cs.blocks] == [(3, 2), (3, 3)]
+        assert block_diagonal(cs.blocks).shape() == (6, 5)
         assert cs.expected_rank == 5
         rep = verify_rank(cs)
         assert rep.ok
@@ -84,7 +105,8 @@ class TestConstraintMatrix:
 
     def test_shape_and_rank_with_apparent_point(self):
         cs = build_constraints(2, (0, 1), (2,))
-        assert cs.matrix.shape() == (9, 8)
+        check_blocks(cs, 2, 1)
+        assert block_diagonal(cs.blocks).shape() == (9, 8)
         rep = verify_rank(cs)
         assert rep.ok and rep.total_rank == 8
         assert rep.block_dependencies == (1, 0)
@@ -102,14 +124,12 @@ class TestConstraintMatrix:
         assert cs.tags[0].kind == "exponent" and cs.tags[0].point == "0"
 
     def test_blocks_do_not_interact(self):
+        # the padded matrix has the rank of its blocks' direct sum
         cs = build_constraints(3, (0, 1, -1))
-        for k in range(1, 4):
-            r0, r1 = cs.row_blocks[k - 1]
-            lo, hi = cs.col_blocks[k - 1]
-            for r in range(r0, r1):
-                for c in range(cs.matrix.shape()[1]):
-                    if not lo <= c < hi:
-                        assert cs.matrix.entry(r, c).is_zero()
+        check_blocks(cs, 3, 0)
+        rep = verify_rank(cs)
+        assert block_diagonal(cs.blocks).rank() == sum(rep.block_ranks) == rep.total_rank
+        assert rep.block_ranks == tuple(b.rank() for b in cs.blocks)
 
     def test_rank_sweep(self):
         # the acceptance suite runs the full grid; spot check here
@@ -119,14 +139,25 @@ class TestConstraintMatrix:
             while len(pts) < n + extra:
                 pts.add(Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3])))
             pts = sorted(pts)
-            rep = verify_rank(build_constraints(m, pts[:n], pts[n:]))
+            cs = build_constraints(m, pts[:n], pts[n:])
+            check_blocks(cs, n, extra)
+            rep = verify_rank(cs)
             assert rep.ok
+            assert block_diagonal(cs.blocks).rank() == rep.total_rank
             assert rep.block_dependencies[0] == 1
             assert all(d == 0 for d in rep.block_dependencies[1:])
 
     def test_gaussian_points(self):
         cs = build_constraints(2, ("0", {"re": 0, "im": 1}, {"re": 0, "im": -1}))
-        assert verify_rank(cs).ok
+        rep = verify_rank(cs)
+        assert rep.ok
+        assert block_diagonal(cs.blocks).rank() == rep.total_rank
+
+    @pytest.mark.parametrize("real, apparent", [("01", ()), ((0, 1), "2")])
+    def test_points_must_be_an_array(self, real, apparent):
+        # a string is not read as its characters
+        with pytest.raises(DomainError, match="must be an array, got str"):
+            build_constraints(2, real, apparent)
 
     def test_guards(self):
         with pytest.raises(DomainError, match="distinct"):
@@ -210,6 +241,12 @@ class TestJetDeterminants:
             with pytest.raises(DomainError, match=message):
                 form((0, 1), plan)
 
+    @pytest.mark.parametrize("points, plan", [("12", (1, 1)), ((1, 2), "11")])
+    def test_both_forms_want_arrays(self, points, plan):
+        for form in (gen_vandermonde, vdm_closed_form, vdm_log10):
+            with pytest.raises(DomainError, match="must be an array, got str"):
+                form(points, plan)
+
     def test_coincident_points_degenerate_to_zero(self):
         assert gen_vandermonde((0, 0), (1, 1)).det() == scalar(0)
         assert vdm_closed_form((0, 0), (1, 1)) == scalar(0)
@@ -255,6 +292,10 @@ class TestWeightData:
         e = h.entries[0]
         assert e.fractional == Fraction(1, 3)
         assert (e.weight * scalar(2) + scalar(h.beta)) == e.mu
+
+    def test_exponents_must_be_an_array(self):
+        with pytest.raises(DomainError, match="must be an array, got str"):
+            hodge_parameters(2, 3, "12")
 
     def test_guards(self):
         with pytest.raises(DomainError):
