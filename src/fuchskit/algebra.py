@@ -864,6 +864,11 @@ def _bareiss(a: list) -> tuple:
 # root search over Q(i)
 # ---------------------------------------------------------------------------
 
+# The most evaluations, the sum of q^2 over the primes tried, spent finding a
+# prime at which the roots stay simple: the 17 primes q = 3 mod 4 up to 131.
+ROOT_SEARCH_BUDGET = 10 ** 5
+
+
 @dataclass(frozen=True)
 class RootSearchResult:
     """The roots of a polynomial in Q(i) and what is left of it.  `remainder`
@@ -919,10 +924,12 @@ def _lifted_roots(f: Polynomial) -> list:
     x = isqrt(N(c_0) N(c_n)) + 1 and denominators N(v) <= d = N(c_n).  The
     prime q is the first q = 3 mod 4, inert in Z[i] so that Z[i]/q is the
     field F_{q^2}, that does not divide c_n and at which every root of f
-    mod q is simple.  Every root of f in Q(i) reduces to one of those roots,
-    which Newton's iteration lifts uniquely modulo q^k; past 2xd, each part
-    of the lift is the only fraction within those bounds.  So every root is
-    a candidate, and a candidate is a root when exact substitution says so.
+    mod q is simple; the search is refused once the primes tried would cost
+    more than ROOT_SEARCH_BUDGET evaluations.  Every root of f in Q(i)
+    reduces to one of those roots, which Newton's iteration lifts uniquely
+    modulo q^k; past 2xd, each part of the lift is the only fraction within
+    those bounds.  So every root is a candidate, and a candidate is a root
+    when exact substitution says so.
     """
     cs = list(zip(reversed(f.re), reversed(f.im)))  # top coefficient first
     # f' over the denominator of f: f.derivative() may divide out a content
@@ -931,9 +938,15 @@ def _lifted_roots(f: Polynomial) -> list:
     (lr, li), (cr, ci) = cs[0], cs[-1]
     d = lr * lr + li * li
     x = isqrt((cr * cr + ci * ci) * d) + 1
+    spent = 0
     for q in _inert_primes():
-        if (lr % q or li % q) and (zs := _simple_roots_mod(cs, ds, q)) is not None:
-            break
+        if lr % q or li % q:
+            spent += q * q
+            if spent > ROOT_SEARCH_BUDGET:
+                raise AlgebraError("root search: the roots meet modulo every inert prime "
+                                   f"in the budget of {ROOT_SEARCH_BUDGET} evaluations")
+            if (zs := _simple_roots_mod(cs, ds, q)) is not None:
+                break
     found = []
     for zr, zi in zs:
         m = q

@@ -9,6 +9,7 @@ Output is deterministic: keys are sorted and no timestamps are emitted.
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from .algebra import AlgebraError, scalar
@@ -49,27 +50,52 @@ from .operator import (
 SCHEMA = "fuchskit/1"
 
 
-def _read_doc(raw: str, parser: argparse.ArgumentParser):
-    """Accept a file path, '-' for stdin, or inline JSON text."""
-    s = raw.strip()
+def _decode(text: str, prefix: str):
+    """json.loads, with each failure an argparse type error."""
     try:
-        if s.startswith("{") or s.startswith("["):
-            return json.loads(raw)
-        if s == "-":
-            return json.loads(sys.stdin.read())
-        return json.loads(Path(raw).read_text())
-    except (OSError, UnicodeDecodeError) as exc:
-        parser.error(f"cannot read input {raw}: {exc}")
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        parser.error(f"input is not valid JSON: {exc}")
+        raise argparse.ArgumentTypeError(f"{prefix}is not valid JSON: {exc}")
     except RecursionError:
-        parser.error(f"input {_TOO_DEEP}")
+        raise argparse.ArgumentTypeError(f"{prefix}{_TOO_DEEP}")
+    except ValueError as exc:  # a number past Python's int-from-text limit
+        raise argparse.ArgumentTypeError(f"{prefix}cannot be decoded: {exc}")
 
 
-def _operator_arg(args, parser):
-    if args.input is None:
-        parser.error("this subcommand requires --input")
-    return parse_operator(_read_doc(args.input, parser))
+def _document(text: str):
+    """Type of --input and --against: a path, '-' for stdin, or inline JSON."""
+    if text.strip().startswith(("{", "[")):
+        return _decode(text, "input ")
+    try:
+        raw = sys.stdin.read() if text.strip() == "-" else Path(text).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise argparse.ArgumentTypeError(f"cannot read input {text}: {exc}")
+    return _decode(raw, "input ")
+
+
+def _object_with(key: str, text: str) -> dict:
+    """Type of an --input that must be an object with `key` (via partial)."""
+    doc = _document(text)
+    if not isinstance(doc, dict) or key not in doc:
+        raise argparse.ArgumentTypeError(f'expected an object with a "{key}" key')
+    return doc
+
+
+def _exponent_rows(text: str) -> list:
+    """Type of genericity's --input: the rows, or {"exponents": rows}."""
+    doc = _document(text)
+    rows = doc.get("exponents") if isinstance(doc, dict) else doc
+    if not isinstance(rows, list):
+        raise argparse.ArgumentTypeError('expected rows or {"exponents": rows}')
+    return rows
+
+
+def _array(text: str) -> list:
+    """Type of the array flags: inline JSON text of an array."""
+    doc = _decode(text, "")
+    if not isinstance(doc, list):
+        raise argparse.ArgumentTypeError("must be a JSON array")
+    return doc
 
 
 def _scalar_arg(text: str):
@@ -81,42 +107,30 @@ def _scalar_arg(text: str):
     return scalar(doc)
 
 
-def _json_list(text: str, parser, flag: str):
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        parser.error(f"{flag} must be a JSON array: {exc}")
-    except RecursionError:
-        parser.error(f"{flag} {_TOO_DEEP}")
-    if not isinstance(doc, list):
-        parser.error(f"{flag} must be a JSON array")
-    return doc
-
-
 # --- subcommand bodies -----------------------------------------------------
 
 
-def _cmd_validate(args, parser):
-    op = _operator_arg(args, parser)
+def _cmd_validate(args):
+    op = parse_operator(args.input)
     report = validate_fuchsian(op)
     return {"ok": report.ok, "report": report.to_json(),
             "operator": op.to_json()}
 
 
-def _cmd_companion(args, parser):
-    op = _operator_arg(args, parser)
+def _cmd_companion(args):
+    op = parse_operator(args.input)
     conn = build_companion(op)
     out = {"connection": conn.to_json()}
     if not op.num_apparent:  # splitting type is only defined without them
         out["bundle_type"] = bundle_type(op).to_json()
     if args.against is not None:
-        other = parse_operator(_read_doc(args.against, parser))
+        other = parse_operator(args.against)
         out["rigidity"] = companion_rigidity_check(op, other).to_json()
     return out
 
 
-def _cmd_exponents(args, parser):
-    op = _operator_arg(args, parser)
+def _cmd_exponents(args):
+    op = parse_operator(args.input)
     conn = build_companion(op)
     wanted = list(conn.pole_points) + ["infinity"]
     if args.point is not None:
@@ -125,58 +139,45 @@ def _cmd_exponents(args, parser):
     return {"points": [exponent_data(conn, p).to_json() for p in wanted]}
 
 
-def _cmd_genericity(args, parser):
-    if args.exponents is not None:
-        rows = _json_list(args.exponents, parser, "--exponents")
-    else:
-        if args.input is None:
-            parser.error("genericity needs --exponents or --input")
-        doc = _read_doc(args.input, parser)
-        rows = doc.get("exponents") if isinstance(doc, dict) else doc
-        if not isinstance(rows, list):
-            parser.error("input must be a JSON array of exponent rows "
-                         "or an object with an \"exponents\" key")
-    return {"genericity": genericity_check(rows).to_json()}
+def _cmd_genericity(args):
+    return {"genericity": genericity_check(args.rows).to_json()}
 
 
-def _cmd_apparent(args, parser):
-    op = _operator_arg(args, parser)
+def _cmd_apparent(args):
+    op = parse_operator(args.input)
     point = _scalar_arg(args.point)
     verdict = apparent_check(op, point, run_oracle=args.oracle)
     return {"point": point.to_json(), **verdict.to_json()}
 
 
-def _cmd_special_apparent(args, parser):
-    op = _operator_arg(args, parser)
+def _cmd_special_apparent(args):
+    op = parse_operator(args.input)
     point = _scalar_arg(args.point)
     verdict = special_apparent_check(op, point)
     return {"point": point.to_json(), **verdict.to_json()}
 
 
-def _cmd_oracle(args, parser):
-    op = _operator_arg(args, parser)
+def _cmd_oracle(args):
+    op = parse_operator(args.input)
     verdict = frobenius_oracle(op, _scalar_arg(args.point),
                                truncation=args.truncation)
     return {"oracle": verdict.to_json()}
 
 
-def _cmd_annihilate(args, parser):
-    doc = _read_doc(args.input, parser) if args.input else None
-    if not isinstance(doc, dict) or "basis" not in doc:
-        parser.error("annihilate expects --input with {\"basis\": [[...], ...]}")
-    op = annihilator_from_solutions(doc["basis"])
+def _cmd_annihilate(args):
+    op = annihilator_from_solutions(args.input["basis"])
     return {"operator": op.to_json(),
             "validation": validate_fuchsian(op).to_json()}
 
 
-def _cmd_cyclic(args, parser):
-    op = _operator_arg(args, parser)
+def _cmd_cyclic(args):
+    op = parse_operator(args.input)
     result = find_cyclic(build_companion(op))
     return {"cyclic": result.to_json(),
             "roundtrip": roundtrip_report(op, result).to_json()}
 
 
-def _cmd_dimensions(args, parser):
+def _cmd_dimensions(args):
     report = dimensions(args.m, args.n, args.apparent)
     out = report.to_json()
     # short aliases for the headline numbers
@@ -185,10 +186,8 @@ def _cmd_dimensions(args, parser):
     return out
 
 
-def _cmd_constraints(args, parser):
-    points = _json_list(args.points, parser, "--points")
-    app = _json_list(args.apparent_points, parser, "--apparent-points")
-    system = build_constraints(args.m, points, app)
+def _cmd_constraints(args):
+    system = build_constraints(args.m, args.points, args.apparent_points)
     return {"system": system.to_json(), "rank": verify_rank(system).to_json()}
 
 
@@ -214,35 +213,32 @@ def _check_printable(value) -> None:
         raise _unprintable(limit)
 
 
-def _cmd_vandermonde(args, parser):
-    points = _json_list(args.points, parser, "--points")
-    plan = _json_list(args.plan, parser, "--plan")
+def _cmd_vandermonde(args):
     # A nonzero value with parts of at most `limit` digits lies between
     # 10^-limit and 2^(1/2) 10^limit in modulus, so this refuses nothing
     # printable, and it runs before the closed form is multiplied out.
-    limit, size = _digit_limit(), vdm_log10(points, plan)
+    limit, size = _digit_limit(), vdm_log10(args.points, args.plan)
     if limit and size is not None and abs(size) > limit + 1:
         raise _unprintable(limit)
-    closed = vdm_closed_form(points, plan)
+    closed = vdm_closed_form(args.points, args.plan)
     _check_printable(closed)  # before the elimination, the slow part
-    det = gen_vandermonde(points, plan).det()
+    det = gen_vandermonde(args.points, args.plan).det()
     _check_printable(det)
     return {"determinant": det.to_json(), "closed_form": closed.to_json(),
             "agree": det == closed}
 
 
-def _cmd_hodge_params(args, parser):
-    exps = []
-    if args.exponents is not None:
-        exps = _json_list(args.exponents, parser, "--exponents")
-    return {"weights": hodge_parameters(args.m, args.n, exps).to_json()}
+def _cmd_hodge_params(args):
+    return {"weights": hodge_parameters(args.m, args.n, args.exponents).to_json()}
 
 
 # The numeric commands import .monodromy (numpy and scipy) on first use, so
 # the exact commands start without them.
 
 
-def _cmd_monodromy(args, parser):
+def _cmd_monodromy(args):
+    if args.radius is not None and args.point is None:
+        raise argparse.ArgumentError(None, "--radius needs --point")
     from .monodromy import (
         anchored_monodromy,
         global_product,
@@ -250,7 +246,7 @@ def _cmd_monodromy(args, parser):
         monodromy,
     )
 
-    op = _operator_arg(args, parser)
+    op = parse_operator(args.input)
     conn = build_companion(op)
     if args.point is None:
         g = global_product(conn, base_point=args.base,
@@ -267,14 +263,13 @@ def _cmd_monodromy(args, parser):
             "apparent_numeric": is_apparent_numeric(res.matrix).to_json()}
 
 
-def _cmd_sweep(args, parser):
+def _cmd_sweep(args):
+    if args.point is not None and args.input.get("point") is not None:
+        raise argparse.ArgumentError(None, "--point conflicts with the family's point")
     from .monodromy import isomonodromy_sweep
 
-    doc = _read_doc(args.input, parser) if args.input else None
-    if not isinstance(doc, dict) or "operators" not in doc:
-        parser.error("sweep expects --input with {\"operators\": [...]}")
-    ops = [parse_operator(d) for d in json_array(doc["operators"], "operators")]
-    point = doc.get("point") if args.point is None else args.point
+    ops = [parse_operator(d) for d in json_array(args.input["operators"], "operators")]
+    point = args.input.get("point") if args.point is None else args.point
     if point is not None:
         point = _scalar_arg(point) if isinstance(point, str) else scalar(point)
     sw = isomonodromy_sweep(ops, point=point, rtol=args.rtol, atol=args.atol)
@@ -302,25 +297,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def add(name, fn, help_text, needs_input=True, parents=()):
+    def add(name, fn, help_text, input_type=_document, parents=()):
         p = sub.add_parser(name, help=help_text, parents=[common, *parents])
         p.set_defaults(fn=fn)
-        if needs_input:
-            p.add_argument("--input", default=None,
-                           help="operator document: path, '-', or inline JSON")
+        if input_type:
+            p.add_argument("--input", type=input_type, required=True,
+                           help="input document: path, '-', or inline JSON")
         return p
 
     add("validate", _cmd_validate, "check the infinity degree bounds")
     p = add("companion", _cmd_companion, "build the companion connection")
-    p.add_argument("--against", default=None,
+    p.add_argument("--against", type=_document, default=None,
                    help="second operator document; also run the rigidity check")
     p = add("exponents", _cmd_exponents, "residue matrices and local exponents")
     p.add_argument("--point", default=None,
                    help="restrict to one point (finite scalar or 'infinity')")
     p = add("genericity", _cmd_genericity,
-            "resonance and partial-sum integrality test on exponent rows")
-    p.add_argument("--exponents", default=None,
-                   help="inline JSON array of exponent rows, one row per point")
+            "resonance and partial-sum integrality test on exponent rows",
+            input_type=None)
+    rows = p.add_mutually_exclusive_group(required=True)
+    rows.add_argument("--exponents", dest="rows", type=_array,
+                      help="inline JSON array of exponent rows, one row per point")
+    rows.add_argument("--input", dest="rows", type=_exponent_rows,
+                      help='path, "-" or inline JSON of the rows or {"exponents": rows}')
     p = add("apparent", _cmd_apparent, "decide apparency at a point")
     p.add_argument("--point", required=True)
     p.add_argument("--oracle", action="store_true",
@@ -334,34 +333,35 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"series depth, at most {MAX_TRUNCATION}; raised to "
                         "cover every resonance")
     add("annihilate", _cmd_annihilate,
-        "smallest monic operator annihilating a polynomial basis")
+        "smallest monic operator annihilating a polynomial basis",
+        input_type=partial(_object_with, "basis"))
     add("cyclic", _cmd_cyclic, "cyclic vector search and roundtrip report")
     p = add("dimensions", _cmd_dimensions,
-            "parameter and condition counts for a family", needs_input=False)
+            "parameter and condition counts for a family", input_type=None)
     p.add_argument("--m", type=int, required=True, help="operator order")
     p.add_argument("--n", type=int, required=True, help="number of real points")
     p.add_argument("--apparent", type=int, default=0,
                    help="number of apparent points (net dimension ignores it)")
     p = add("constraints", _cmd_constraints,
             "constraint blocks, one per numerator, and their exact rank",
-            needs_input=False)
+            input_type=None)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--points", required=True,
+    p.add_argument("--points", type=_array, required=True,
                    help="JSON array of real points")
-    p.add_argument("--apparent-points", default="[]",
+    p.add_argument("--apparent-points", type=_array, default=[],
                    help="JSON array of apparent points")
     p = add("vandermonde", _cmd_vandermonde,
             "confluent block determinant against its closed form",
-            needs_input=False)
-    p.add_argument("--points", required=True, help="JSON array of points")
-    p.add_argument("--plan", required=True,
+            input_type=None)
+    p.add_argument("--points", type=_array, required=True, help="JSON array of points")
+    p.add_argument("--plan", type=_array, required=True,
                    help="JSON array of row counts per point, summing to "
                         f"at most {MAX_JET_SIZE}")
     p = add("hodge-params", _cmd_hodge_params,
-            "weight bookkeeping for an exponent list", needs_input=False)
+            "weight bookkeeping for an exponent list", input_type=None)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--exponents", default=None, help="JSON array of exponents")
+    p.add_argument("--exponents", type=_array, default=[], help="JSON array of exponents")
     p = add("monodromy", _cmd_monodromy,
             "numeric loop transport; global product when no point is given",
             parents=[numeric])
@@ -370,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", type=complex, default=None,
                    help="base point as a Python complex literal, e.g. '-2-3j'")
     p = add("sweep", _cmd_sweep, "characteristic-polynomial drift over a family",
-            parents=[numeric])
+            input_type=partial(_object_with, "operators"), parents=[numeric])
     p.add_argument("--point", default=None)
     return parser
 
@@ -411,9 +411,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         code, doc = 0, {"schema": SCHEMA, "command": args.command}
         try:
-            doc.update(args.fn(args, parser))
+            doc.update(args.fn(args))
         except (DomainError, AlgebraError, ValueError) as exc:
             code, doc["error"] = 1, {"type": type(exc).__name__, "message": str(exc)}
+        except argparse.ArgumentError as exc:  # an input the command would drop
+            parser.error(f"{args.command}: {exc}")
         _emit(doc, args.output, parser)
     except SystemExit as exc:
         return int(exc.code or 0)

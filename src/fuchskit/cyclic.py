@@ -47,7 +47,7 @@ def connection_derivative(conn: LogConnection, column, k: int) -> tuple:
 
 def standard_candidates(size: int) -> tuple:
     """Basis columns first, then the windows e_s + z e_(s+1) + ... ordered
-    by (length, start).  Capped at size^2 entries."""
+    by (length, start): size(size+1)/2 candidates in all."""
     zero = Polynomial.zero()
     x = Polynomial.x()
     cands = []
@@ -63,7 +63,7 @@ def standard_candidates(size: int) -> tuple:
                 v[s + i] = power
                 power = power * x
             cands.append(tuple(v))
-    return tuple(cands[: size * size])
+    return tuple(cands)
 
 
 @dataclass(frozen=True)

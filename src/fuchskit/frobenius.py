@@ -28,6 +28,7 @@ from .algebra import (
     Polynomial,
     RationalFunction,
     Report,
+    RootSearchResult,
     ZERO,
     falling_factorial,
     poly_root_search,
@@ -56,14 +57,9 @@ class LocalAnalysis:
     table: tuple          # table[k-1][l], k = 1..order, l = 0..truncation
     indicial: Polynomial  # f_0, in the exponent variable
     higher: tuple         # higher[l-1] = f_l, l = 1..truncation
-    exponents: tuple      # (root, multiplicity) pairs of f_0
-    exponents_complete: bool
+    roots: RootSearchResult  # the exponents: the roots of f_0 in Q(i)
     truncation: int
     ordinary: bool        # point was not among the operator's listed points
-
-    @property
-    def order(self) -> int:
-        return self.indicial.degree()
 
     def f(self, l: int) -> Polynomial:
         if l == 0:
@@ -72,12 +68,6 @@ class LocalAnalysis:
             raise DomainError(
                 f"table truncated at {self.truncation}, asked for f_{l}")
         return self.higher[l - 1]
-
-    def exponent_list(self) -> list:
-        out = []
-        for root, mult in self.exponents:
-            out.extend([root] * mult)
-        return out
 
 
 def _check_cap(truncation: int) -> None:
@@ -100,13 +90,11 @@ def local_expansion(op: FuchsianOperator, point, truncation: int) -> LocalAnalys
     f0 = _on_falling([scalar(1)] + [-row[0] for row in table])
     higher = [_on_falling([ZERO] + [row[l] for row in table])
               for l in range(1, truncation + 1)]
-    roots = poly_root_search(f0)
     return LocalAnalysis(point=a,
                          table=tuple(table),
                          indicial=f0,
                          higher=tuple(higher),
-                         exponents=roots.roots,
-                         exponents_complete=roots.complete,
+                         roots=poly_root_search(f0),
                          truncation=truncation,
                          ordinary=a not in op.all_points)
 
@@ -180,9 +168,9 @@ def special_exponents(m: int) -> tuple:
 
 def _integer_exponents(analysis: LocalAnalysis):
     """Descending integer exponents, or (None, reason)."""
-    if not analysis.exponents_complete:
+    if not analysis.roots.complete:
         return None, "non-integral exponents"
-    vals = analysis.exponent_list()
+    vals = analysis.roots.root_list()
     if any(not v.is_integer() for v in vals):
         return None, "non-integral exponents"
     if len(set(vals)) != len(vals):
@@ -207,12 +195,18 @@ def apparent_check(op: FuchsianOperator, point,
     return verdict
 
 
-def _ladder_verdict(op: FuchsianOperator, point) -> ApparentVerdict:
+def _ladder_exponents(op: FuchsianOperator, point) -> tuple:
+    """The prologue of the ladder and the oracle, on a depth-1 expansion:
+    (descending integer exponents, None), or (every exponent found, reason)."""
     first = local_expansion(op, point, 1)
     exps, reason = _integer_exponents(first)
-    if exps is None:
-        return ApparentVerdict(False, False, tuple(first.exponent_list()),
-                               (), reason=reason)
+    return (tuple(first.roots.root_list()), reason) if reason else (exps, None)
+
+
+def _ladder_verdict(op: FuchsianOperator, point) -> ApparentVerdict:
+    exps, reason = _ladder_exponents(op, point)
+    if reason:
+        return ApparentVerdict(False, False, exps, (), reason=reason)
     m = op.order
     spread = exps[0].as_int() - exps[-1].as_int()
     analysis = local_expansion(op, point, spread + 2)
@@ -249,7 +243,7 @@ def special_apparent_check(op: FuchsianOperator, point) -> ApparentVerdict:
     if exps != want:
         raise DomainError(
             f"exponents not special: expected {[str(e) for e in want]}, "
-            f"got {[str(e) for e in analysis.exponent_list()]}")
+            f"got {[str(e) for e in analysis.roots.root_list()]}")
     residuals = []
     f0_top = analysis.f(0)(scalar(m - 1))
     f1_top = analysis.f(1)(scalar(m - 1))
@@ -302,11 +296,9 @@ def frobenius_oracle(op: FuchsianOperator, point, truncation: int | None = None)
     larger one than MAX_TRUNCATION is refused before any expansion."""
     if truncation is not None:
         _check_cap(truncation)
-    first = local_expansion(op, point, 1)
-    exps, reason = _integer_exponents(first)
-    if exps is None:
-        return OracleVerdict(False, tuple(first.exponent_list()), (), 0,
-                             reason=reason)
+    exps, reason = _ladder_exponents(op, point)
+    if reason:
+        return OracleVerdict(False, exps, (), 0, reason=reason)
     spread = exps[0].as_int() - exps[-1].as_int()
     depth = spread + 4 if truncation is None else max(truncation, spread + 1)
     analysis = local_expansion(op, point, depth)

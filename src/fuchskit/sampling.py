@@ -89,13 +89,14 @@ def prescribed_exponent_operator(rng: random.Random, order: int, exponents,
     return FuchsianOperator(order=order, real_points=(scalar(0),) + pts,
                             apparent_points=(), coeffs=tuple(coeffs))
 
+
 def second_order_with_exponents(points, local_exponents,
                                 quadratic_part=None) -> FuchsianOperator:
     """Order-2 operator with exponent pair {0, q_j} at the j-th point.
 
     Deterministic and exact: the first numerator interpolates the values
-    (q_j - 1) psi'(p_j), the second is psi times quadratic_part, which only
-    moves the data at infinity.  Small q_j keep every finite local
+    (q_j - 1) psi'(p_j), the second is psi times the scalar quadratic_part,
+    which only moves the data at infinity.  Small q_j keep every finite local
     monodromy matrix well conditioned."""
     pts = tuple(scalar(p) for p in points)
     if len(set(pts)) != len(pts):
@@ -111,8 +112,6 @@ def second_order_with_exponents(points, local_exponents,
         h1 = h1 + basis * ((qs[j] - scalar(1)) * dpsi(p) / basis(p))
     if quadratic_part is None:
         g = Polynomial.zero()
-    elif isinstance(quadratic_part, Polynomial):
-        g = quadratic_part
     else:
         g = Polynomial.constant(scalar(quadratic_part))
     if g.degree() > len(pts) - 2:

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -903,6 +904,20 @@ class TestRootSearch:
         res = poly_root_search(Polynomial.from_roots(roots) * scalar(4))
         assert res.complete
         assert res.roots == tuple((r, 1) for r in roots)
+
+    def test_roots_congruent_modulo_every_prime_in_the_budget_are_refused(self):
+        # the roots meet at -1-i, the last residue tried, modulo each of the
+        # 17 primes up to 131; the 18th, 139, would pass ROOT_SEARCH_BUDGET
+        # (sixty such primes took 9.7 s before the budget)
+        primes = [q for q in range(3, 132, 4) if all(q % k for k in range(3, q, 2))]
+        assert sum(q * q for q in primes) <= algebra.ROOT_SEARCH_BUDGET < \
+            sum(q * q for q in primes + [139])
+        step = math.prod(primes)
+        roots = [GaussianRational(Fraction(-1 + k * step), Fraction(-1)) for k in range(3)]
+        start = time.perf_counter()
+        with pytest.raises(AlgebraError, match=f"budget of {algebra.ROOT_SEARCH_BUDGET}"):
+            poly_root_search(Polynomial.from_roots(roots))
+        assert time.perf_counter() - start < 1.0
 
     def test_coefficient_beyond_a_float(self):
         p = Polynomial.from_roots([scalar(10 ** 400), scalar(3), scalar("2/7")])

@@ -224,6 +224,36 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert "nested deeper than the JSON decoder allows" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        # each of these dropped one input without a word and exited 0
+        (["genericity", "--exponents", '[["1/5", "2/7"], ["1/3", "1/2"]]',
+          "--input", '[["0", "1"], ["1/3", "1/4"]]'], "not allowed with argument"),
+        (["monodromy", "--input", TWO_POINT, "--radius", "0.01"],
+         "--radius needs --point"),
+        (["sweep", "--point", "0", "--input",
+          json.dumps({"operators": [json.loads(TWO_POINT)], "point": "1"})],
+         "--point conflicts with the family's point"),
+    ])
+    def test_input_the_command_would_drop_is_a_usage_error(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert message in captured.err
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this Python reads integers of any length")
+    @pytest.mark.parametrize("command", [["validate", "--input"],
+                                         ["constraints", "--m", "2", "--points"]])
+    def test_number_past_the_digit_limit_is_a_usage_error(self, capsys, command):
+        # json.loads raises a plain ValueError on it, which was an error
+        # document of type ValueError
+        number = "1" * (sys.get_int_max_str_digits() + 1)
+        assert main([*command, f"[{number}, 0]"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert "cannot be decoded: Exceeds the limit" in captured.err
+        assert len(captured.err) < 1000
+
     @pytest.mark.parametrize("argv", [
         ["apparent", "--input", APPARENT_OP, "--point", "[" * 3000],
         ["apparent", "--input", APPARENT_OP, "--point", "[" * 1100],

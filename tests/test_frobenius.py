@@ -46,8 +46,8 @@ class TestLocalExpansion:
         la = local_expansion(OP_MODEL, 0, 2)
         assert la.indicial == Polynomial.of(0, -2, 1)  # s(s - 2)
         assert la.table[0][0] == scalar(1)
-        assert la.exponents_complete
-        assert sorted(v.as_int() for v in la.exponent_list()) == [0, 2]
+        assert la.roots.complete
+        assert sorted(v.as_int() for v in la.roots.root_list()) == [0, 2]
         assert not la.ordinary
 
     def test_depth_one_coefficients(self):
