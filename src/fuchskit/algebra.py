@@ -404,13 +404,14 @@ class Polynomial:
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
             raise AlgebraError("negative polynomial power")
-        out, base = Polynomial.one(), self
+        out, base = None, self  # square only while bits of k remain
         while k:
             if k & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             k >>= 1
-        return out
+            if k:
+                base = base * base
+        return Polynomial.one() if out is None else out
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (Polynomial, GaussianRational, int, Fraction)):

@@ -8,39 +8,17 @@ Output is deterministic: keys are sorted and no timestamps are emitted.
 
 import argparse
 import json
+import re
 import sys
 from functools import partial
 from pathlib import Path
 
 from .algebra import AlgebraError, scalar
-from .connection import (
-    INFINITY_NAMES,
-    build_companion,
-    bundle_type,
-    companion_rigidity_check,
-    exponent_data,
-    genericity_check,
-)
-from .cyclic import find_cyclic, roundtrip_report
-from .frobenius import (
-    MAX_TRUNCATION,
-    annihilator_from_solutions,
-    apparent_check,
-    frobenius_oracle,
-    special_apparent_check,
-)
-from .moduli import (
-    MAX_JET_SIZE,
-    build_constraints,
-    dimensions,
-    gen_vandermonde,
-    hodge_parameters,
-    vdm_closed_form,
-    vdm_log10,
-    verify_rank,
-)
 from .operator import (
     _TOO_DEEP,
+    MAX_DIGITS,
+    MAX_JET_SIZE,
+    MAX_TRUNCATION,
     DomainError,
     json_array,
     parse_operator,
@@ -99,7 +77,12 @@ def _array(text: str) -> list:
 
 
 def _scalar_arg(text: str):
-    """A scalar from a flag: JSON text, or a bare fraction such as 1/2."""
+    """A scalar from a flag: JSON text, or a bare fraction such as 1/2.  A
+    run of more than MAX_DIGITS digits is refused, as in the text form."""
+    longest = max(map(len, re.findall(r"\d+", text)), default=0)
+    if longest > MAX_DIGITS:
+        raise DomainError(f"point has a number of {longest} digits, past the "
+                          f"bound of {MAX_DIGITS} digits")
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError):
@@ -108,6 +91,10 @@ def _scalar_arg(text: str):
 
 
 # --- subcommand bodies -----------------------------------------------------
+
+# Each command imports what it calls on first use, so a cold call loads only
+# the modules it runs; only the numeric commands' .monodromy loads numpy and
+# scipy.
 
 
 def _cmd_validate(args):
@@ -118,6 +105,8 @@ def _cmd_validate(args):
 
 
 def _cmd_companion(args):
+    from .connection import build_companion, bundle_type, companion_rigidity_check
+
     op = parse_operator(args.input)
     conn = build_companion(op)
     out = {"connection": conn.to_json()}
@@ -130,6 +119,8 @@ def _cmd_companion(args):
 
 
 def _cmd_exponents(args):
+    from .connection import INFINITY_NAMES, build_companion, exponent_data
+
     op = parse_operator(args.input)
     conn = build_companion(op)
     wanted = list(conn.pole_points) + ["infinity"]
@@ -140,10 +131,14 @@ def _cmd_exponents(args):
 
 
 def _cmd_genericity(args):
+    from .connection import genericity_check
+
     return {"genericity": genericity_check(args.rows).to_json()}
 
 
 def _cmd_apparent(args):
+    from .frobenius import apparent_check
+
     op = parse_operator(args.input)
     point = _scalar_arg(args.point)
     verdict = apparent_check(op, point, run_oracle=args.oracle)
@@ -151,6 +146,8 @@ def _cmd_apparent(args):
 
 
 def _cmd_special_apparent(args):
+    from .frobenius import special_apparent_check
+
     op = parse_operator(args.input)
     point = _scalar_arg(args.point)
     verdict = special_apparent_check(op, point)
@@ -158,6 +155,8 @@ def _cmd_special_apparent(args):
 
 
 def _cmd_oracle(args):
+    from .frobenius import frobenius_oracle
+
     op = parse_operator(args.input)
     verdict = frobenius_oracle(op, _scalar_arg(args.point),
                                truncation=args.truncation)
@@ -165,12 +164,17 @@ def _cmd_oracle(args):
 
 
 def _cmd_annihilate(args):
+    from .frobenius import annihilator_from_solutions
+
     op = annihilator_from_solutions(args.input["basis"])
     return {"operator": op.to_json(),
             "validation": validate_fuchsian(op).to_json()}
 
 
 def _cmd_cyclic(args):
+    from .connection import build_companion
+    from .cyclic import find_cyclic, roundtrip_report
+
     op = parse_operator(args.input)
     result = find_cyclic(build_companion(op))
     return {"cyclic": result.to_json(),
@@ -178,6 +182,8 @@ def _cmd_cyclic(args):
 
 
 def _cmd_dimensions(args):
+    from .moduli import dimensions
+
     report = dimensions(args.m, args.n, args.apparent)
     out = report.to_json()
     # short aliases for the headline numbers
@@ -187,6 +193,8 @@ def _cmd_dimensions(args):
 
 
 def _cmd_constraints(args):
+    from .moduli import build_constraints, verify_rank
+
     system = build_constraints(args.m, args.points, args.apparent_points)
     return {"system": system.to_json(), "rank": verify_rank(system).to_json()}
 
@@ -214,6 +222,8 @@ def _check_printable(value) -> None:
 
 
 def _cmd_vandermonde(args):
+    from .moduli import gen_vandermonde, vdm_closed_form, vdm_log10
+
     # A nonzero value with parts of at most `limit` digits lies between
     # 10^-limit and 2^(1/2) 10^limit in modulus, so this refuses nothing
     # printable, and it runs before the closed form is multiplied out.
@@ -229,16 +239,15 @@ def _cmd_vandermonde(args):
 
 
 def _cmd_hodge_params(args):
+    from .moduli import hodge_parameters
+
     return {"weights": hodge_parameters(args.m, args.n, args.exponents).to_json()}
-
-
-# The numeric commands import .monodromy (numpy and scipy) on first use, so
-# the exact commands start without them.
 
 
 def _cmd_monodromy(args):
     if args.radius is not None and args.point is None:
         raise argparse.ArgumentError(None, "--radius needs --point")
+    from .connection import build_companion
     from .monodromy import (
         anchored_monodromy,
         global_product,

@@ -38,6 +38,7 @@ from .algebra import (
 from .connection import LogConnection
 from .cyclic import find_cyclic
 from .operator import (
+    MAX_TRUNCATION,
     DomainError,
     FuchsianOperator,
     as_polynomial,
@@ -45,10 +46,6 @@ from .operator import (
     psi_all,
     validate_fuchsian,
 )
-
-# Deepest series expansion.  The expansion and the oracle's recursion on it
-# cost O(N^2) in the depth N; the tests, goldens and benchmark need N <= 10.
-MAX_TRUNCATION = 100
 
 
 @dataclass(frozen=True)

@@ -22,11 +22,7 @@ from itertools import accumulate, repeat
 from operator import mul
 
 from .algebra import ExactMatrix, GaussianRational, ONE, Report, ZERO, scalar
-from .operator import DomainError, check_order, degree_budget, json_array
-
-# Largest sum(plan).  The jet matrix is sum(plan) square, and its exact
-# elimination costs about the cube of that size in ever longer fractions.
-MAX_JET_SIZE = 64
+from .operator import MAX_JET_SIZE, DomainError, check_order, degree_budget, json_array
 
 
 def _check_points(num_real: int) -> None:

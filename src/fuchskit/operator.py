@@ -192,6 +192,14 @@ POWER_BITS = int(MAX_DIGITS * math.log2(10))
 MAX_NESTING = 100
 # json.loads raises RecursionError on well-formed input nested this deep too
 _TOO_DEEP = "is nested deeper than the JSON decoder allows"
+# Deepest series expansion (`frobenius`).  The expansion and the oracle's
+# recursion on it cost O(N^2) in the depth N; the tests, goldens and
+# benchmark need N <= 10.
+MAX_TRUNCATION = 100
+# Largest sum(plan) of a confluent Vandermonde matrix (`moduli`).  The jet
+# matrix is sum(plan) square, and its exact elimination costs about the cube
+# of that size in ever longer fractions.
+MAX_JET_SIZE = 64
 
 _TOKEN = re.compile(r"\s*(\d+|psi|[A-Za-z_]+|\*\*|[()^*/+\-,:=']|\S)")
 

@@ -318,6 +318,15 @@ class TestPolynomial:
         assert a * (b + c) == a * b + a * c
         assert (a * b) * c == a * (b * c)
 
+    def test_power_is_the_repeated_product(self):
+        p = Polynomial.of("1/2", {"re": "-1", "im": "2/3"}, 0, I)
+        product = Polynomial.one()
+        for k in range(10):
+            assert p ** k == product
+            product = product * p
+        with pytest.raises(AlgebraError, match="negative"):
+            p ** -1
+
     def test_gcd(self):
         a = Polynomial.from_roots([scalar(1), scalar(2), I])
         b = Polynomial.from_roots([scalar(2), I, scalar(-5)])

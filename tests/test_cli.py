@@ -185,6 +185,23 @@ class TestExitCodes:
         assert f"bound of {MAX_DIGITS} digits" in doc["error"]["message"]
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["apparent", "--input", APPARENT_OP, "--point", "9" * (MAX_DIGITS + 700)],
+        ["exponents", "--input", TWO_POINT, "--point", "1/" + "9" * (MAX_DIGITS + 700)],
+        ["sweep", "--input", json.dumps({"operators": [json.loads(TWO_POINT)],
+                                         "point": "9" * (MAX_DIGITS + 700)})],
+    ], ids=["apparent", "exponents", "sweep"])
+    def test_point_past_the_digit_bound_is_refused(self, capsys, argv):
+        # json.loads and Fraction raised Python's ValueError or an
+        # AlgebraError on the digit limit of int-from-text conversion
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        doc = json.loads(captured.out)
+        assert doc["error"]["type"] == "DomainError"
+        assert f"bound of {MAX_DIGITS} digits" in doc["error"]["message"]
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize("text", [
         "points: 0, 1\nw' = " + "(" * 200 + "1" + ")" * 200 + "/psi w",
         "points: 0, 1\nw' = " + "-" * 1000 + "1/psi w",
@@ -444,13 +461,12 @@ class TestOperatorCommands:
 
     def test_cyclic_recovers_once(self, capsys, monkeypatch):
         calls = []
-        original = fuchskit.cli.find_cyclic
+        original = fuchskit.cyclic.find_cyclic
 
         def counted(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(fuchskit.cli, "find_cyclic", counted)
         monkeypatch.setattr(fuchskit.cyclic, "find_cyclic", counted)
         code, doc = invoke(capsys, "cyclic", "--input", TWO_POINT)
         assert code == 0 and doc["roundtrip"]["ok"] is True
@@ -682,15 +698,51 @@ class TestPlumbing:
             doc = json.loads(capsys.readouterr().out)
             assert doc["schema"] == "fuchskit/1"
 
+    # Per subcommand: a run that exits 0, and the fuchskit modules besides
+    # cli, algebra and operator that it loads, which are the ones it calls.
+    SERIES = {"connection", "cyclic", "frobenius"}
+    NUMERIC = {"connection", "monodromy"}
+    COLD_RUNS = {
+        "validate": (["--input", APPARENT_OP], set()),
+        "companion": (["--input", TWO_POINT], {"connection"}),
+        "exponents": (["--input", TWO_POINT], {"connection"}),
+        "genericity": (["--exponents", '[["1/5", "2/7"]]'], {"connection"}),
+        "apparent": (["--input", APPARENT_OP, "--point", "0", "--oracle"], SERIES),
+        "special-apparent": (["--input", APPARENT_OP, "--point", "0"], SERIES),
+        "oracle": (["--input", APPARENT_OP, "--point", "0"], SERIES),
+        "annihilate": (["--input", '{"basis": [[1], [0, 0, 1]]}'], SERIES),
+        "cyclic": (["--input", TWO_POINT], {"connection", "cyclic"}),
+        "dimensions": (["--m", "3", "--n", "3"], {"moduli"}),
+        "constraints": (["--m", "2", "--points", "[0, 1, 2]"], {"moduli"}),
+        "vandermonde": (["--points", "[0, 1, 2]", "--plan", "[2, 2, 1]"], {"moduli"}),
+        "hodge-params": (["--m", "2", "--n", "3"], {"moduli"}),
+        "monodromy": (["--input", TWO_POINT, "--point", "0"], NUMERIC),
+        "sweep": (["--point", "0", "--input",
+                   json.dumps({"operators": [json.loads(TWO_POINT)] * 2})], NUMERIC),
+    }
+
     def test_exact_commands_load_no_numeric_stack(self):
-        code = ("import fuchskit.cli, sys; "
-                "assert 'scipy' not in sys.modules and 'numpy' not in sys.modules; "
-                "assert 'mpmath' not in sys.modules")
+        """A cold call of each subcommand loads only the modules it runs;
+        only monodromy and sweep load numpy and scipy."""
+        code = ("import contextlib, io, json, sys\n"
+                "from fuchskit.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    code = main(sys.argv[1:])\n"
+                "print(json.dumps([code, sorted(sys.modules)]))")
         src = str(Path(fuchskit.cli.__file__).resolve().parents[1])
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, timeout=120,
-                              env={**os.environ, "PYTHONPATH": src})
-        assert proc.returncode == 0, proc.stderr
+        assert set(self.COLD_RUNS) == set(TestOptions.OPTIONS)
+        for command, (argv, runs) in self.COLD_RUNS.items():
+            proc = subprocess.run([sys.executable, "-c", code, command, *argv],
+                                  capture_output=True, text=True, timeout=120,
+                                  env={**os.environ, "PYTHONPATH": src})
+            assert proc.returncode == 0, proc.stderr
+            exit_code, modules = json.loads(proc.stdout)
+            assert exit_code == 0, command
+            loaded = {m.split(".")[1] for m in modules if m.startswith("fuchskit.")}
+            assert loaded == {"cli", "algebra", "operator"} | runs, command
+            numeric = "monodromy" in runs
+            assert ("numpy" in modules) == numeric == ("scipy" in modules), command
+            assert "mpmath" not in modules, command
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
