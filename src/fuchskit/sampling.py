@@ -90,6 +90,31 @@ def prescribed_exponent_operator(rng: random.Random, order: int, exponents,
                             apparent_points=(), coeffs=tuple(coeffs))
 
 
+def hypergeometric(a, b) -> FuchsianOperator:
+    """The equation of nF_{n-1}(a; b; z): prod_j (theta + b_j - 1) -
+    z prod_j (theta + a_j) with theta = z d/dz, n = len(a), and b the n - 1
+    lower parameters followed by b_n = 1.
+
+    Its singular points are 0, 1 and infinity, with exponents 1 - b_j at 0,
+    0, 1, ..., n - 2 and sum(b) - sum(a) - 1 at 1, and a_j at infinity.
+    Writing z^j d^j/dz^j = falling(theta, j), the two theta polynomials
+    have coefficients c_j and e_j in that basis, and numerator k over
+    psi^k = (z(z - 1))^k is (c_{n-k} - e_{n-k} z)(z - 1)^(k - 1).
+    Exact; for the Levelt oracle of the numeric layer."""
+    tops = [scalar(v) for v in a]
+    bottoms = [scalar(v) for v in b] + [scalar(1)]
+    n = len(tops)
+    if n < 1 or len(bottoms) != n:
+        raise ValueError("need n upper and n - 1 lower parameters, n >= 1")
+    c = _falling_basis_coeffs(Polynomial.from_roots([1 - v for v in bottoms]), n)
+    e = _falling_basis_coeffs(Polynomial.from_roots([-v for v in tops]), n)
+    z = Polynomial.x()
+    coeffs = tuple((z * e[k - 1] - Polynomial.constant(c[k - 1]))
+                   * (z - Polynomial.one()) ** (k - 1) for k in range(1, n + 1))
+    return FuchsianOperator(order=n, real_points=(scalar(0), scalar(1)),
+                            apparent_points=(), coeffs=coeffs)
+
+
 def second_order_with_exponents(points, local_exponents,
                                 quadratic_part=None) -> FuchsianOperator:
     """Order-2 operator with exponent pair {0, q_j} at the j-th point.
