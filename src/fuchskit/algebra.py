@@ -25,6 +25,7 @@ exact substitution, so the part it leaves unfactored has no root in Q(i).
 from __future__ import annotations
 
 import functools
+import re
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -36,6 +37,10 @@ from typing import Callable, Iterable, Sequence, Union
 
 class AlgebraError(ValueError):
     pass
+
+
+class DomainError(ValueError):
+    """Invalid operator data or an operation outside its domain."""
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +82,20 @@ ScalarLike = Union["GaussianRational", Fraction, int, str, dict]
 
 _HASH_IMAG, _HASH_HALF = sys.hash_info.imag, 1 << (sys.hash_info.width - 1)
 EXCERPT = 40  # characters of a rejected input quoted in an error message
+# Python's default digit limit for converting between int and text.  A
+# longer digit string is refused before `int()` would raise on it.
+MAX_DIGITS = 4300
+
+
+def check_digits(text: str, what: str) -> str:
+    """text, or DomainError when it holds a run of more than MAX_DIGITS
+    digits; only a text longer than the bound is searched."""
+    if len(text) > MAX_DIGITS:
+        longest = max(map(len, re.findall(r"\d+", text)))
+        if longest > MAX_DIGITS:
+            raise DomainError(f"{what} has a number of {longest} digits, past "
+                              f"the bound of {MAX_DIGITS} digits")
+    return text
 
 
 class GaussianRational:
@@ -249,16 +268,19 @@ def scalar(x: ScalarLike) -> GaussianRational:
         return _gr(x, 0, 1)
     if isinstance(x, Fraction):
         return _gr(x.numerator, 0, x.denominator)
+    if isinstance(x, str):
+        parts = [x, "0"]
+    elif isinstance(x, dict):
+        parts = [str(x.get("re", 0)), str(x.get("im", 0))]
+    else:
+        raise AlgebraError(f"cannot coerce {_excerpt(repr(x))} to a scalar")
+    for text in parts:  # outside the try: a DomainError is a ValueError too
+        check_digits(text, "scalar")
     try:
-        if isinstance(x, str):
-            return scalar(Fraction(x.strip()))
-        if isinstance(x, dict):
-            return GaussianRational(Fraction(str(x.get("re", 0)).strip()),
-                                    Fraction(str(x.get("im", 0)).strip()))
+        return GaussianRational(*(Fraction(t.strip()) for t in parts))
     except (ZeroDivisionError, ValueError) as exc:
         raise AlgebraError(f"cannot coerce {_excerpt(repr(x))} to a scalar: "
                            f"{_excerpt(str(exc))}") from exc
-    raise AlgebraError(f"cannot coerce {_excerpt(repr(x))} to a scalar")
 
 
 def _excerpt(text: str) -> str:

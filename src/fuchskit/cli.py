@@ -8,15 +8,13 @@ Output is deterministic: keys are sorted and no timestamps are emitted.
 
 import argparse
 import json
-import re
 import sys
 from functools import partial
 from pathlib import Path
 
-from .algebra import AlgebraError, scalar
+from .algebra import AlgebraError, check_digits, scalar
 from .operator import (
     _TOO_DEEP,
-    MAX_DIGITS,
     MAX_JET_SIZE,
     MAX_TRUNCATION,
     DomainError,
@@ -79,12 +77,8 @@ def _array(text: str) -> list:
 def _scalar_arg(text: str):
     """A scalar from a flag: JSON text, or a bare fraction such as 1/2.  A
     run of more than MAX_DIGITS digits is refused, as in the text form."""
-    longest = max(map(len, re.findall(r"\d+", text)), default=0)
-    if longest > MAX_DIGITS:
-        raise DomainError(f"point has a number of {longest} digits, past the "
-                          f"bound of {MAX_DIGITS} digits")
     try:
-        doc = json.loads(text)
+        doc = json.loads(check_digits(text, "point"))
     except (json.JSONDecodeError, RecursionError):
         doc = text
     return scalar(doc)
@@ -93,8 +87,8 @@ def _scalar_arg(text: str):
 # --- subcommand bodies -----------------------------------------------------
 
 # Each command imports what it calls on first use, so a cold call loads only
-# the modules it runs; only the numeric commands' .monodromy loads numpy and
-# scipy.
+# the modules it runs; only the numeric commands' .monodromy loads numpy,
+# and they parse every input before they import it.
 
 
 def _cmd_validate(args):
@@ -248,6 +242,9 @@ def _cmd_monodromy(args):
     if args.radius is not None and args.point is None:
         raise argparse.ArgumentError(None, "--radius needs --point")
     from .connection import build_companion
+
+    conn = build_companion(parse_operator(args.input))
+    point = None if args.point is None else _scalar_arg(args.point)
     from .monodromy import (
         anchored_monodromy,
         global_product,
@@ -255,13 +252,10 @@ def _cmd_monodromy(args):
         monodromy,
     )
 
-    op = parse_operator(args.input)
-    conn = build_companion(op)
-    if args.point is None:
+    if point is None:
         g = global_product(conn, base_point=args.base,
                            rtol=args.rtol, atol=args.atol)
         return {"global": g.to_json()}
-    point = _scalar_arg(args.point)
     if args.base is not None:
         res = anchored_monodromy(conn, point, args.base,
                                  radius=args.radius, rtol=args.rtol, atol=args.atol)
@@ -275,12 +269,12 @@ def _cmd_monodromy(args):
 def _cmd_sweep(args):
     if args.point is not None and args.input.get("point") is not None:
         raise argparse.ArgumentError(None, "--point conflicts with the family's point")
-    from .monodromy import isomonodromy_sweep
-
     ops = [parse_operator(d) for d in json_array(args.input["operators"], "operators")]
     point = args.input.get("point") if args.point is None else args.point
     if point is not None:
         point = _scalar_arg(point) if isinstance(point, str) else scalar(point)
+    from .monodromy import isomonodromy_sweep
+
     sw = isomonodromy_sweep(ops, point=point, rtol=args.rtol, atol=args.atol)
     return {"sweep": sw.to_json()}
 

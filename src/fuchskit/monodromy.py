@@ -2,16 +2,16 @@
 
 Everything else in the package is exact; this module is the one numeric
 layer.  Flat row sections satisfy w' = w B, so the column form u' = B(z)^T u
-is integrated with a high-order Runge-Kutta scheme along circles and
-anchored loops.  Counterclockwise transport around a point with local
-exponent mu produces the eigenvalue exp(+2 pi i mu).
+is integrated along circles and anchored loops by Taylor series in Python
+complex numbers (`solve_ivp`; Chudnovsky & Chudnovsky 1990, van der Hoeven
+1999).  Counterclockwise transport around a point with local exponent mu
+produces the eigenvalue exp(+2 pi i mu).
 
-The right-hand side is evaluated from the connection's own form B = A/D,
-one polynomial matrix A over one monic polynomial D.  The coefficients of A
-are kept transposed and flattened, as one complex array of shape
-(deg A + 1, m*m) indexed by power, so an evaluation of B(z)^T is one scalar
-Horner pass for D(z), the powers z^k/D(z) in Python complex, and one
-product of that vector with the stack.
+The series follow from the connection's own form B = A/D, one polynomial
+matrix A over one monic polynomial D: D u' = A^T u is a recurrence in the
+coefficients of A and D, shifted once to each node of the path.  numpy
+only handles the results: eigenvalues, characteristic polynomials, one
+solve and one determinant per loop.
 
 One routine, `_loop`, builds every loop and its result: the circle around
 a pole, the anchored loop around it and the outer loop of the global
@@ -33,10 +33,11 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .algebra import Report, document, scalar
 from .connection import LogConnection, build_companion, residue_matrix
@@ -44,53 +45,119 @@ from .operator import DomainError
 
 _RTOL = 1e-11
 _ATOL = 1e-13
-_RTOL_FLOOR = 100 * sys.float_info.epsilon  # scipy clamps any smaller rtol
+_RTOL_FLOOR = 100 * sys.float_info.epsilon  # below it rounding, not rtol, sets the error
 _CLEARANCE = 1e-9  # closest a straight leg may pass to a pole
 
 
 class _NumericConnection:
-    """Complex-coefficient view of the connection A/D, one contraction per
-    evaluation (see the module docstring)."""
+    """Complex view of the connection A/D: the coefficients of A^T, each
+    flattened row-major, and of D, lowest power first, and the poles."""
 
     def __init__(self, conn: LogConnection):
         m = self.size = conn.size
         deg = max(max(a.degree() for row in conn.num.rows for a in row), 0)
-        flat = np.zeros((deg + 1, m * m), dtype=complex)
+        flat = [[0j] * (m * m) for _ in range(deg + 1)]
         for i, row in enumerate(conn.num.rows):
             for j, a in enumerate(row):
                 for k, c in enumerate(a.coeffs):
-                    flat[k, j * m + i] = complex(c)
-        self._flat = flat
-        self._den = [complex(c) for c in reversed(conn.den.coeffs)]
+                    flat[k][j * m + i] = complex(c)
+        self._num = flat
+        self._den = [[complex(c)] for c in conn.den.coeffs]
+        self.poles = [complex(p) for p in conn.pole_points]
 
-    def at(self, z: complex, factor: complex = 1) -> np.ndarray:
-        """factor * B(z)^T, the matrix of the column form u' = B^T u."""
-        den = 0j
-        for c in self._den:
-            den = den * z + c
-        if den == 0 or not cmath.isfinite(den):
+    def expansion(self, z0: complex, h: complex) -> tuple:
+        """(alpha, delta) with h B^T(z0 + h s) = sum_j alpha_j s^j / sum_j
+        delta_j s^j: alpha_j = h^(j+1) a_j^T / d_0 and delta_j = h^j d_j /
+        d_0 for the Taylor coefficients a_j, d_j of A and D at z0."""
+        a, d = _shift(self._num, z0), [c for c, in _shift(self._den, z0)]
+        p = [h ** j / d[0] for j in range(max(len(a), len(d)) + 1)]
+        return ([[c * p[j + 1] for c in v] for j, v in enumerate(a)],
+                [c * p[j] for j, c in enumerate(d)])
+
+
+def _shift(coeffs: list, z0: complex) -> list:
+    """The coefficient vectors of p(z0 + s) from those of p(z)."""
+    out = [list(c) for c in coeffs]
+    for i in range(len(out) - 1):
+        for k in range(len(out) - 2, i - 1, -1):
+            out[k] = [x + z0 * y for x, y in zip(out[k], out[k + 1])]
+    return out
+
+
+# nodes, the columns of Y at the end, and Taylor coefficients computed
+_Walk = namedtuple("_Walk", "t y nfev")
+
+
+def solve_ivp(num: _NumericConnection, path, rtol: float, atol: float) -> _Walk:
+    """The fundamental solution Y of Y' = B^T Y, Y = 1 at the start, along
+    a path t -> (z, dz/dt), 0 <= t <= 1, of constant speed.
+
+    From a node z0 at distance rho from the nearest pole, the next node
+    lies an arc length rho/2 further on, or is the end.  Arc and chord stay
+    in the disc of radius rho/2 about z0, inside the disc of convergence,
+    so the chords are homotopic to the path.  A node within _CLEARANCE of
+    a pole raises DomainError.  On the chord z0 + h s the terms y_k = Y_k h^k
+    start from the current state y_0 and follow (`_series`)
+        (k+1) y_{k+1} = sum_j alpha_j y_{k-j} - sum_{j>=1} delta_j (k+1-j) y_{k+1-j};
+    they fall at least like 2^-k, so after two small terms the rest is
+    about one more.  The sum stops at the first k, largest entries, with
+        |y_(k-1)| + |y_k| <= share (rtol |y_0| + atol) / 4,
+    share being the chord's part of the path's length: the truncation
+    errors of a path add up to a quarter of the tolerance, a margin
+    measured on the closure of `global_product`, whose legs amplify them."""
+    m = num.size
+    cols = [[complex(i == l) for i in range(m)] for l in range(m)]
+    t, (z, dz) = 0.0, path(0.0)
+    nodes, nfev = [z], 0
+    while t < 1.0:
+        rho = min((abs(z - p) for p in num.poles), default=math.inf)
+        if rho <= _CLEARANCE:
             raise DomainError(f"transport path meets a pole or overflows at {z}")
-        w, p = [], factor / den
-        for _ in range(len(self._flat)):
-            w.append(p)
-            p *= z
-        return (np.array(w) @ self._flat).reshape(self.size, self.size)
+        share = min(1.0 - t, rho / (2 * abs(dz)))
+        t = min(1.0, t + share)
+        end = path(t)[0]
+        tol = share * (rtol * max(abs(x) for y in cols for x in y) + atol) / 4
+        cols, used = _series(num.expansion(z, end - z), cols, tol)
+        if not all(cmath.isfinite(x) for y in cols for x in y):
+            raise DomainError(f"transport path meets a pole or overflows at {end}")
+        z, nfev = end, nfev + used
+        nodes.append(z)
+    return _Walk(nodes, cols, nfev)
+
+
+def _series(expansion: tuple, cols: list, tol: float) -> tuple:
+    """The columns of the state at the end of a chord from their values
+    `cols` at its start, and the number of terms.  A column keeps its terms
+    as blocks (y_i, i y_i); row r holds, for j = w-1 down to 0, row r of
+    alpha_j and -delta_(j+1) in place r, so that entry r of (k+1) y_{k+1}
+    is one dot product with the last w blocks."""
+    alpha, delta = expansion
+    m = len(cols)
+    w = max(len(alpha), len(delta) - 1)
+    alpha = alpha + [[0j] * (m * m)] * (w - len(alpha))
+    gamma = delta[1:] + [0j] * (w + 1 - len(delta))
+    rows = [[x for j in reversed(range(w)) for x in alpha[j][r * m:r * m + m]
+             + [-gamma[j] if c == r else 0j for c in range(m)]] for r in range(m)]
+    span = 2 * m * w
+    terms = [[0j] * span + y + [0j] * m for y in cols]  # w zero blocks first
+    last, k = max(abs(x) for y in cols for x in y), 0
+    while True:
+        k += 1
+        size = 0.0
+        for col in terms:
+            scaled = [sum(map(mul, row, col[-span:])) for row in rows]
+            new = [s / k for s in scaled]
+            col += new
+            col += scaled
+            size = max(size, *map(abs, new))
+        if last + size <= tol or not math.isfinite(size):
+            return [[sum(col[span + r::2 * m]) for r in range(m)] for col in terms], k
+        last = size
 
 
 def _transport(num: _NumericConnection, path, rtol: float, atol: float) -> np.ndarray:
-    """The fundamental solution of u' = B^T u along a parametrized path,
-    which maps t in [0, 1] to (z(t), dz/dt(t))."""
-    m = num.size
-
-    def rhs(t, y):
-        z, dz = path(t)
-        return (num.at(z, dz) @ y.reshape(m, m)).reshape(-1)
-
-    sol = solve_ivp(rhs, (0.0, 1.0), np.eye(m, dtype=complex).reshape(-1),
-                    method="DOP853", rtol=rtol, atol=atol)
-    if not sol.success:
-        raise DomainError(f"transport integration failed: {sol.message}")
-    return sol.y[:, -1].reshape(m, m)
+    """Y of `solve_ivp` at the end of the path, as an m x m array."""
+    return np.array(solve_ivp(num, path, rtol, atol).y).T
 
 
 def _line(z0: complex, z1: complex):
@@ -112,7 +179,7 @@ def _check_tolerances(rtol: float, atol: float) -> None:
             raise DomainError(f"{name} must be finite and positive, got {tol}")
     if rtol < _RTOL_FLOOR:
         raise DomainError(f"rtol must be at least {_RTOL_FLOOR:.3g}, the "
-                          f"integrator's floor of 100 machine epsilons, got {rtol}")
+                          f"double-precision floor of 100 machine epsilons, got {rtol}")
 
 
 @dataclass(frozen=True)

@@ -19,15 +19,13 @@ from dataclasses import dataclass
 from typing import Mapping, Union
 
 from .algebra import (
+    MAX_DIGITS,
     AlgebraError,
+    DomainError,
     Polynomial,
     Report,
     scalar,
 )
-
-
-class DomainError(ValueError):
-    """Invalid operator data or an operation outside its domain."""
 
 
 def check_order(order) -> int:
@@ -180,11 +178,9 @@ def degree_budget(order: int, num_real: int, num_apparent: int) -> AccessoryDegr
 # parsing
 
 
-# Python's default digit limit for converting between int and text.  A
-# longer digit string is refused before `int()` would raise on it, and a
-# power is refused before it is built when e * log2(height of its base)
-# passes the bits of a number of that many digits: it could not be printed.
-MAX_DIGITS = 4300
+# MAX_DIGITS (`algebra`) bounds a digit string.  A power is refused before
+# it is built when e * log2(height of its base) passes the bits of a number
+# of that many digits: it could not be printed.
 POWER_BITS = int(MAX_DIGITS * math.log2(10))
 # Deepest nesting of parentheses and unary signs in an expression.  A level
 # of parentheses is six frames of the recursive-descent parser, so at the

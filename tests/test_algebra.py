@@ -83,6 +83,22 @@ class TestScalar:
         assert f"({len(repr(bad))} characters)" in msg
         assert len(msg) <= 2 * algebra.EXCERPT + 100
 
+    @pytest.mark.parametrize("text", ["9" * (algebra.MAX_DIGITS + 1),
+                                      "-1/" + "9" * (algebra.MAX_DIGITS + 1),
+                                      {"re": 0, "im": "9" * (algebra.MAX_DIGITS + 1)}])
+    def test_digit_string_past_the_bound_is_a_domain_error(self, text):
+        bound = algebra.MAX_DIGITS
+        with pytest.raises(algebra.DomainError, match=f"a number of {bound + 1} digits, "
+                                                      f"past the bound of {bound} digits"):
+            scalar(text)
+
+    def test_digit_bound_spares_exact_values(self):
+        # only text is checked: ints and Fractions of any size pass
+        big = 10 ** (algebra.MAX_DIGITS + 10)
+        assert scalar(big).a == big
+        assert scalar(Fraction(1, big)).d == big
+        assert scalar("9" * algebra.MAX_DIGITS).a == 10 ** algebra.MAX_DIGITS - 1
+
     @pytest.mark.parametrize("flag", [True, False])
     def test_bool_is_not_a_scalar(self, flag):
         with pytest.raises(AlgebraError):

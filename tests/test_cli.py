@@ -49,6 +49,9 @@ def check_exit_contract(argv):
         assert ("error" in doc) == (code == 1)
 
 
+TWO_POINT_FAMILY = json.dumps({"operators": [json.loads(TWO_POINT)] * 2})
+
+
 def invoke(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -201,6 +204,23 @@ class TestExitCodes:
         assert doc["error"]["type"] == "DomainError"
         assert f"bound of {MAX_DIGITS} digits" in doc["error"]["message"]
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--input", json.dumps({"order": 1, "real_points": ["0"],
+                                            "coeffs": [["9" * (MAX_DIGITS + 700)]]})],
+        ["validate", "--input", json.dumps({"order": 1, "coeffs": [["1"]], "real_points": [
+            {"re": "0", "im": "1/" + "9" * (MAX_DIGITS + 700)}]})],
+        ["genericity", "--exponents", json.dumps([["9" * (MAX_DIGITS + 700), "1/2"]])],
+    ], ids=["coefficient", "point", "exponent"])
+    def test_number_past_the_digit_bound_in_a_document_is_refused(self, capsys, argv):
+        # a string of digits inside a JSON document reached Fraction, and
+        # came out as a malformed coefficient or an AlgebraError quoting
+        # Python's own limit
+        code, doc = invoke(capsys, *argv)
+        assert code == 1
+        assert doc["error"]["type"] == "DomainError"
+        assert (f"has a number of {MAX_DIGITS + 700} digits, past the bound of "
+                f"{MAX_DIGITS} digits") in doc["error"]["message"]
 
     @pytest.mark.parametrize("text", [
         "points: 0, 1\nw' = " + "(" * 200 + "1" + ")" * 200 + "/psi w",
@@ -721,28 +741,51 @@ class TestPlumbing:
                    json.dumps({"operators": [json.loads(TWO_POINT)] * 2})], NUMERIC),
     }
 
-    def test_exact_commands_load_no_numeric_stack(self):
-        """A cold call of each subcommand loads only the modules it runs;
-        only monodromy and sweep load numpy and scipy."""
+    @staticmethod
+    def cold_run(argv: list) -> tuple:
+        """The exit code of a cold call, the modules it loaded, and the
+        packages outside the standard library among those it loaded."""
         code = ("import contextlib, io, json, sys\n"
+                "before = set(sys.modules)\n"
                 "from fuchskit.cli import main\n"
                 "with contextlib.redirect_stdout(io.StringIO()):\n"
                 "    code = main(sys.argv[1:])\n"
-                "print(json.dumps([code, sorted(sys.modules)]))")
+                "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+                "print(json.dumps([code, sorted(sys.modules),\n"
+                "                  sorted(new - set(sys.stdlib_module_names))]))")
         src = str(Path(fuchskit.cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code, *argv],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        return tuple(json.loads(proc.stdout))
+
+    def test_exact_commands_load_no_numeric_stack(self):
+        """A cold call of each subcommand loads only the modules it runs;
+        outside the standard library, only monodromy and sweep load a
+        package, and that package is numpy."""
         assert set(self.COLD_RUNS) == set(TestOptions.OPTIONS)
         for command, (argv, runs) in self.COLD_RUNS.items():
-            proc = subprocess.run([sys.executable, "-c", code, command, *argv],
-                                  capture_output=True, text=True, timeout=120,
-                                  env={**os.environ, "PYTHONPATH": src})
-            assert proc.returncode == 0, proc.stderr
-            exit_code, modules = json.loads(proc.stdout)
+            exit_code, modules, packages = self.cold_run([command, *argv])
             assert exit_code == 0, command
             loaded = {m.split(".")[1] for m in modules if m.startswith("fuchskit.")}
             assert loaded == {"cli", "algebra", "operator"} | runs, command
             numeric = "monodromy" in runs
-            assert ("numpy" in modules) == numeric == ("scipy" in modules), command
-            assert "mpmath" not in modules, command
+            assert packages == (["fuchskit", "numpy"] if numeric else ["fuchskit"]), command
+
+    @pytest.mark.parametrize("argv", [
+        ["monodromy", "--input", TWO_POINT, "--point", "9" * 5000],
+        ["sweep", "--input", TWO_POINT_FAMILY, "--point", "9" * 5000],
+        ["sweep", "--input", json.dumps({"operators": [json.loads(TWO_POINT)],
+                                         "point": "9" * 5000})],
+    ], ids=["monodromy", "sweep", "sweep-family-point"])
+    def test_refused_point_loads_no_numeric_stack(self, argv):
+        # the numeric commands parse their inputs before they import
+        # monodromy and numpy
+        exit_code, modules, packages = self.cold_run(argv)
+        assert exit_code == 1
+        assert "fuchskit.monodromy" not in modules and "numpy" not in modules
+        assert packages == ["fuchskit"]
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

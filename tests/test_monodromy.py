@@ -1,5 +1,6 @@
 """Numeric transport: local loops, apparency detection, global closure."""
 
+import cmath
 import functools
 import itertools
 import math
@@ -11,7 +12,7 @@ import pytest
 
 import fuchskit.monodromy
 from fuchskit.algebra import ExactMatrix, Polynomial, RationalFunction, scalar
-from fuchskit.connection import LogConnection, build_companion
+from fuchskit.connection import LogConnection, build_companion, exponent_data
 from fuchskit.frobenius import annihilator_from_solutions
 from fuchskit.monodromy import (
     _ATOL,
@@ -29,6 +30,7 @@ from fuchskit.monodromy import (
 )
 from fuchskit.operator import DomainError, FuchsianOperator, validate_fuchsian
 from fuchskit.sampling import (
+    distinct_points,
     prescribed_exponent_operator,
     second_order_with_exponents,
 )
@@ -126,7 +128,8 @@ class TestNumericView:
             z = scalar(pt)
             want = np.array([[complex(rf_eval(rows[i][j], z)) for i in range(m)]
                              for j in range(m)])   # B(z)^T
-            got = num.at(complex(z), factor)
+            # the stepper's zeroth Taylor term on a chord of step `factor`
+            got = np.array(num.expansion(complex(z), factor)[0][0]).reshape(m, m)
             assert got.shape == (m, m)
             assert np.max(np.abs(got - factor * want)) <= (
                 1e-12 * np.max(np.abs(factor * want)))
@@ -173,7 +176,7 @@ class TestNumericParameters:
 
 
     def test_rtol_below_integrator_floor(self):
-        # scipy would clamp it to 100 eps with a warning and then fail
+        # below 100 eps the rounding of double precision, not rtol, sets the error
         conn = conn_of(TWO_POINT)
         for call in (lambda: monodromy(conn, 0, rtol=1e-15),
                      lambda: anchored_monodromy(conn, 0, base_point=-3, rtol=1e-15),
@@ -327,6 +330,77 @@ class TestGlobalProduct:
                                 coeffs=([0], [0]))
         with pytest.raises(DomainError, match="poles"):
             global_product(conn_of(flat))
+
+
+class TestNumericContract:
+    """What the tolerances promise, and the loops against the exact layer."""
+
+    def test_rtol_sets_the_work_and_the_closure(self, monkeypatch):
+        # C = 100 in closure_error <= C rtol scale, fixed before the first run
+        coefficients = {}
+        integrate = fuchskit.monodromy.solve_ivp
+        for rtol in (1e-6, 1e-11):
+            counts = []
+
+            def counted(*args, **kwargs):
+                walk = integrate(*args, **kwargs)
+                counts.append(walk.nfev)
+                return walk
+
+            monkeypatch.setattr(fuchskit.monodromy, "solve_ivp", counted)
+            g = global_product(conn_of(TWO_POINT), rtol=rtol)
+            assert g.closure_error <= 100 * rtol * g.scale
+            coefficients[rtol] = sum(counts)
+        assert coefficients[1e-6] < coefficients[1e-11]
+
+    @staticmethod
+    def eigenvalue_error(result, exponents) -> tuple:
+        """Distance of the loop eigenvalues from exp(2 pi i mu), best
+        matched, and the bound for it: 1e-8 where the exp(2 pi i mu) are
+        distinct, 1e-5 where two coincide and a Jordan block makes them move
+        with the square root of the transport error (fixed beforehand)."""
+        want = [cmath.exp(2j * math.pi * complex(mu)) for mu in exponents]
+        err = min(max(abs(g - w) for g, w in zip(result.eigenvalues, perm))
+                  for perm in itertools.permutations(want))
+        distinct = all(not (a - b).is_integer()
+                       for a, b in itertools.combinations(exponents, 2))
+        return err, 1e-8 if distinct else 1e-5
+
+    # the classes of the monodromy workload of the benchmark: global
+    # products of 2 to 4 poles with |q| < 1, a loop at the apparent point 0
+    # of a monomial annihilator, and a loop at 0 with exponents 0 and 2 or 3
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("poles", [2, 3, 4])
+    def test_global_product_loops(self, poles, seed):
+        rng = random.Random(10 * poles + seed)
+        pts = distinct_points(rng, poles)
+        qs = [Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((4, 5, 7)))
+              for _ in pts]
+        conn = conn_of(second_order_with_exponents(
+            pts, qs, quadratic_part=Fraction(rng.choice((-1, 1)), rng.choice((1, 2, 4, 8)))))
+        g = global_product(conn)
+        for res, p in zip(g.loops, conn.pole_points):
+            err, bound = self.eigenvalue_error(res, exponent_data(conn, p).eigenvalues)
+            assert err <= bound, (p, err)
+
+    @pytest.mark.parametrize("degrees", [(0, 2), (0, 3), (1, 3), (0, 1, 3), (0, 2, 3)])
+    def test_annihilator_loop(self, degrees):
+        f = Polynomial.from_roots([scalar(1), scalar({"re": -2, "im": 1})])
+        op = annihilator_from_solutions(
+            [f * Polynomial.from_list([0] * d + [1]) for d in degrees])
+        conn = conn_of(op)
+        err, bound = self.eigenvalue_error(monodromy(conn, 0),
+                                           exponent_data(conn, 0).eigenvalues)
+        assert err <= bound
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("q", [Fraction(-2, 5), Fraction(3, 7)])
+    def test_blocked_loop(self, k, q):
+        conn = conn_of(second_order_with_exponents((0, 3), (k, q),
+                                                   quadratic_part=Fraction(1, 4)))
+        err, bound = self.eigenvalue_error(monodromy(conn, 0),
+                                           exponent_data(conn, 0).eigenvalues)
+        assert bound == 1e-5 and err <= bound
 
 
 class TestSweep:
