@@ -91,7 +91,7 @@ def check_digits(text: str, what: str) -> str:
     """text, or DomainError when it holds a run of more than MAX_DIGITS
     digits; only a text longer than the bound is searched."""
     if len(text) > MAX_DIGITS:
-        longest = max(map(len, re.findall(r"\d+", text)))
+        longest = max(map(len, re.findall(r"\d+", text)), default=0)
         if longest > MAX_DIGITS:
             raise DomainError(f"{what} has a number of {longest} digits, past "
                               f"the bound of {MAX_DIGITS} digits")
@@ -268,19 +268,20 @@ def scalar(x: ScalarLike) -> GaussianRational:
         return _gr(x, 0, 1)
     if isinstance(x, Fraction):
         return _gr(x.numerator, 0, x.denominator)
-    if isinstance(x, str):
-        parts = [x, "0"]
-    elif isinstance(x, dict):
-        parts = [str(x.get("re", 0)), str(x.get("im", 0))]
-    else:
-        raise AlgebraError(f"cannot coerce {_excerpt(repr(x))} to a scalar")
-    for text in parts:  # outside the try: a DomainError is a ValueError too
+    texts = [x] if isinstance(x, str) else (
+        [str(x.get("re", 0)), str(x.get("im", 0))] if isinstance(x, dict) else [])
+    for text in texts:  # outside the try: a DomainError is a ValueError too
         check_digits(text, "scalar")
     try:
-        return GaussianRational(*(Fraction(t.strip()) for t in parts))
+        if isinstance(x, str):
+            return scalar(Fraction(x.strip()))
+        if isinstance(x, dict):
+            return GaussianRational(Fraction(str(x.get("re", 0)).strip()),
+                                    Fraction(str(x.get("im", 0)).strip()))
     except (ZeroDivisionError, ValueError) as exc:
         raise AlgebraError(f"cannot coerce {_excerpt(repr(x))} to a scalar: "
                            f"{_excerpt(str(exc))}") from exc
+    raise AlgebraError(f"cannot coerce {_excerpt(repr(x))} to a scalar")
 
 
 def _excerpt(text: str) -> str:

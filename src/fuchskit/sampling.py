@@ -106,6 +106,7 @@ def hypergeometric(a, b) -> FuchsianOperator:
     n = len(tops)
     if n < 1 or len(bottoms) != n:
         raise ValueError("need n upper and n - 1 lower parameters, n >= 1")
+    # index k - 1 of these lists holds -c_{n-k} and -e_{n-k}
     c = _falling_basis_coeffs(Polynomial.from_roots([1 - v for v in bottoms]), n)
     e = _falling_basis_coeffs(Polynomial.from_roots([-v for v in tops]), n)
     z = Polynomial.x()

@@ -74,7 +74,8 @@ class TestScalar:
         for x in [scalar(3), scalar("-7/2"), GaussianRational(Fraction(1, 3), Fraction(-2))]:
             assert scalar(x.to_json()) == x
 
-    @pytest.mark.parametrize("bad", ["[" * 3000, {"re": "x" * 3000}, "9" * 3000 + "/0"])
+    @pytest.mark.parametrize("bad", ["[" * 3000, {"re": "x" * 3000}, "9" * 3000 + "/0",
+                                     "x" * 5000])
     def test_long_rejected_input_is_quoted_in_part(self, bad):
         # Fraction's message repeats the input, so it was quoted twice
         with pytest.raises(AlgebraError) as info:
