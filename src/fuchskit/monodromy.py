@@ -46,7 +46,7 @@ from .operator import DomainError
 _RTOL = 1e-11
 _ATOL = 1e-13
 _RTOL_FLOOR = 100 * sys.float_info.epsilon  # below it rounding, not rtol, sets the error
-_CLEARANCE = 1e-9  # closest a straight leg may pass to a pole
+_CLEARANCE = 1e-9  # closest a straight leg or a node of a walk may come to a pole
 
 
 class _NumericConnection:

@@ -20,6 +20,7 @@ compares the trace of every word of length <= 3 in the two matrices and
 their inverses (84 words) against the same word in the companion pair.
 """
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -69,11 +70,9 @@ def companion(roots) -> np.ndarray:
 
 def word_traces(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     letters = (x, np.linalg.inv(x), y, np.linalg.inv(y))
-    out = []
-    for length in (1, 2, 3):
-        for word in itertools.product(letters, repeat=length):
-            out.append(np.trace(np.linalg.multi_dot(word) if length > 1 else word[0]))
-    return np.array(out)
+    return np.array([np.trace(functools.reduce(np.matmul, word))
+                     for length in (1, 2, 3)
+                     for word in itertools.product(letters, repeat=length)])
 
 
 def exp_minus(params) -> list:
