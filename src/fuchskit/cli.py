@@ -50,10 +50,10 @@ def _document(text: str):
 
 
 def _object_with(key: str, text: str) -> dict:
-    """Type of an --input that must be an object with `key` (via partial)."""
+    """Type of an --input: an object with the one key `key` (via partial)."""
     doc = _document(text)
-    if not isinstance(doc, dict) or key not in doc:
-        raise argparse.ArgumentTypeError(f'expected an object with a "{key}" key')
+    if not isinstance(doc, dict) or set(doc) != {key}:
+        raise argparse.ArgumentTypeError(f'expected an object with the one key "{key}"')
     return doc
 
 
@@ -267,16 +267,10 @@ def _cmd_monodromy(args):
 
 
 def _cmd_sweep(args):
-    if args.point is not None and args.input.get("point") is not None:
-        raise argparse.ArgumentError(None, "--point conflicts with the family's point")
     ops = [parse_operator(d) for d in json_array(args.input["operators"], "operators")]
-    point = args.input.get("point") if args.point is None else args.point
-    if point is not None:
-        point = _scalar_arg(point) if isinstance(point, str) else scalar(point)
     from .monodromy import isomonodromy_sweep
 
-    sw = isomonodromy_sweep(ops, point=point, rtol=args.rtol, atol=args.atol)
-    return {"sweep": sw.to_json()}
+    return {"sweep": isomonodromy_sweep(ops, rtol=args.rtol, atol=args.atol).to_json()}
 
 
 # --- wiring ----------------------------------------------------------------
@@ -372,9 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=float, default=None)
     p.add_argument("--base", type=complex, default=None,
                    help="base point as a Python complex literal, e.g. '-2-3j'")
-    p = add("sweep", _cmd_sweep, "characteristic-polynomial drift over a family",
-            input_type=partial(_object_with, "operators"), parents=[numeric])
-    p.add_argument("--point", default=None)
+    add("sweep", _cmd_sweep, "drift of the loops' trace words over a family",
+        input_type=partial(_object_with, "operators"), parents=[numeric])
     return parser
 
 

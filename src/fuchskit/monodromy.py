@@ -10,27 +10,22 @@ produces the eigenvalue exp(+2 pi i mu).
 The series follow from the connection's own form B = A/D, one polynomial
 matrix A over one monic polynomial D: D u' = A^T u is a recurrence in the
 coefficients of A and D, shifted once to each node of the path.  numpy
-only handles the results: eigenvalues, characteristic polynomials, one
-solve and one determinant per loop.
-
-One routine, `_loop`, builds every loop and its result: the circle around
-a pole, the anchored loop around it and the outer loop of the global
-product.  An anchored loop runs from the base point along a straight leg,
-once around a circle and back along the same leg.  The leg is integrated
-once: the way back is the inverse of the way in, so the loop is solved for
-as inward^-1 (around inward).
+only handles the results: per loop one solve, the eigenvalues, the
+characteristic polynomial and the determinant, and the traces of words in
+the loops of a family.  One routine, `_loop`, builds every loop.
 
 Each result carries a self-diagnosed error estimate: the determinant of the
 transport matrix is compared against the exponential of the exact trace
-residues of every pole inside the loop, which the exact layer supplies for
-free.  On an anchored loop the leg cancels in the determinant, so the
-estimate sees only the circle; leg error shows in the closure error of the
-global product.
+residues of every pole inside the loop.  On an anchored loop the leg
+cancels in the determinant, so the estimate sees only the circle; leg error
+shows in the closure error of the global product.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
+import itertools
 import math
 import sys
 from collections import namedtuple
@@ -343,8 +338,7 @@ class GlobalMonodromy(Report):
     product: np.ndarray       # right-to-left over the loop order
     outer: MonodromyResult    # one loop around everything, same base
     closure_error: float      # max |product - outer matrix|
-    scale: float              # largest entry met along the way; cancellation
-                              # makes closure_error meaningful only against it
+    scale: float              # largest entry met; judge closure_error against it
 
 
 def _plan_loops(poles) -> tuple:
@@ -411,11 +405,10 @@ def global_product(conn: LogConnection, base_point: complex | None = None,
     for i in order:
         product = product @ results[i].matrix
     outer = _loop(conn, center, outer_radius, b, rtol, atol)
-    ordered = tuple(int(i) for i in order)
     closure = float(np.max(np.abs(product - outer.matrix)))
     scale = max([float(np.max(np.abs(r.matrix))) for r in results]
                 + [float(np.max(np.abs(outer.matrix))), 1.0])
-    return GlobalMonodromy(base_point=b, order_of_loops=ordered,
+    return GlobalMonodromy(base_point=b, order_of_loops=tuple(order),
                            loops=tuple(results), product=product,
                            outer=outer, closure_error=closure, scale=scale)
 
@@ -424,38 +417,52 @@ def global_product(conn: LogConnection, base_point: complex | None = None,
 # families
 
 
+def word_traces(matrices) -> np.ndarray:
+    """The trace of every word of length 1 to 3 in the letters M_1, M_1^-1,
+    M_2, ..., shorter words first; a common conjugation leaves them fixed."""
+    letters = [x for mat in matrices for x in (mat, np.linalg.inv(mat))]
+    return np.array([np.trace(functools.reduce(np.matmul, word))
+                     for length in (1, 2, 3)
+                     for word in itertools.product(letters, repeat=length)], dtype=complex)
+
+
 @dataclass(frozen=True)
 class SweepResult(Report):
     count: int
-    point: str | None         # None means the global product was compared
-    char_polys: tuple         # one complex coefficient tuple per sample
-    max_drift: float          # largest deviation from the first sample
+    base_point: complex
+    words: int              # trace words compared per member
+    max_drift: float        # largest deviation from the first member's traces
+    closure_rel_max: float  # the members' worst closure_error / scale
 
 
-def isomonodromy_sweep(operators, point=None, rtol: float = _RTOL,
-                       atol: float = _ATOL) -> SweepResult:
-    """Characteristic-polynomial drift across a family of operators.
-
-    With a point given, the loop runs around that point of each member;
-    otherwise each member's global product is used.  Members of an
-    isomonodromic family should show drift at the integration-error level.
-    """
+def isomonodromy_sweep(operators, rtol: float = _RTOL, atol: float = _ATOL) -> SweepResult:
+    """Drift of the `word_traces` of the members' loops around their real
+    points, matched by point.  One base point, planned on the union of all
+    members' poles, serves every member.  Loops around the listed apparent
+    points must pass `is_apparent_numeric` and are left out.  For m = 2
+    the words fix an irreducible tuple up to conjugation (Fricke); for
+    m >= 3 a drift disproves isomonodromy, a small one proves nothing."""
     _check_tolerances(rtol, atol)
     ops = list(operators)
     if not ops:
         raise DomainError("empty operator family")
-    cps = []
-    for op in ops:
-        conn = build_companion(op)
-        if point is not None:
-            cp = monodromy(conn, point, rtol=rtol, atol=atol).char_poly
-        else:
-            cp = np.poly(global_product(conn, rtol=rtol, atol=atol).product)
-        cps.append(tuple(cp.astype(complex)))
-    base = np.array(cps[0])
-    drift = 0.0
-    for cp in cps[1:]:
-        drift = max(drift, float(np.max(np.abs(np.array(cp) - base))))
-    return SweepResult(count=len(ops),
-                       point=None if point is None else str(scalar(point)),
-                       char_polys=tuple(cps), max_drift=drift)
+    points = ops[0].real_points
+    if any(set(op.real_points) != set(points) for op in ops):
+        raise DomainError("the members of a family must have the same real points")
+    conns = [build_companion(op) for op in ops]
+    poles = {complex(p) for conn in conns for p in conn.pole_points}
+    if not poles:
+        raise DomainError("the family has no finite poles to encircle")
+    base = _plan_loops(list(poles))[0]
+    traces, closure = [], 0.0
+    for op, conn in zip(ops, conns):
+        g = global_product(conn, base_point=base, rtol=rtol, atol=atol)
+        loops = {p: r.matrix for p, r in zip(conn.pole_points, g.loops)}
+        for p in op.apparent_points:
+            if not is_apparent_numeric(loops[p]).ok:
+                raise DomainError(f"the loop around the apparent point {p} is not trivial")
+        traces.append(word_traces([loops[p] for p in points]))
+        closure = max(closure, g.closure_error / g.scale)
+    drift = max(float(np.max(np.abs(t - traces[0]), initial=0.0)) for t in traces)
+    return SweepResult(count=len(ops), base_point=base, words=len(traces[0]),
+                       max_drift=drift, closure_rel_max=closure)

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -19,7 +20,7 @@ import fuchskit.cyclic
 from fuchskit.cli import build_parser, main
 from fuchskit.frobenius import annihilator_from_solutions
 from fuchskit.operator import MAX_DIGITS, MAX_NESTING, POWER_BITS
-from fuchskit.sampling import second_order_with_exponents
+from fuchskit.sampling import random_operator, second_order_with_exponents
 
 APPARENT_OP = json.dumps(annihilator_from_solutions([[1], [0, 0, 1]]).to_json())
 TWO_POINT = json.dumps(second_order_with_exponents(
@@ -50,6 +51,9 @@ def check_exit_contract(argv):
 
 
 TWO_POINT_FAMILY = json.dumps({"operators": [json.loads(TWO_POINT)] * 2})
+# a member with a coefficient of 5000 digits, past the text form's bound
+DIGITS_FAMILY = json.dumps({"operators": [{"order": 1, "real_points": ["0"],
+                                            "coeffs": [["9" * (MAX_DIGITS + 700)]]}]})
 
 
 def invoke(capsys, *argv):
@@ -191,8 +195,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["apparent", "--input", APPARENT_OP, "--point", "9" * (MAX_DIGITS + 700)],
         ["exponents", "--input", TWO_POINT, "--point", "1/" + "9" * (MAX_DIGITS + 700)],
-        ["sweep", "--input", json.dumps({"operators": [json.loads(TWO_POINT)],
-                                         "point": "9" * (MAX_DIGITS + 700)})],
+        ["sweep", "--input", DIGITS_FAMILY],
     ], ids=["apparent", "exponents", "sweep"])
     def test_point_past_the_digit_bound_is_refused(self, capsys, argv):
         # json.loads and Fraction raised Python's ValueError or an
@@ -267,9 +270,11 @@ class TestExitCodes:
           "--input", '[["0", "1"], ["1/3", "1/4"]]'], "not allowed with argument"),
         (["monodromy", "--input", TWO_POINT, "--radius", "0.01"],
          "--radius needs --point"),
-        (["sweep", "--point", "0", "--input",
+        (["sweep", "--input",
           json.dumps({"operators": [json.loads(TWO_POINT)], "point": "1"})],
-         "--point conflicts with the family's point"),
+         'expected an object with the one key "operators"'),
+        (["annihilate", "--input", json.dumps({"basis": [[1], [0, 1]], "order": 2})],
+         'expected an object with the one key "basis"'),
     ])
     def test_input_the_command_would_drop_is_a_usage_error(self, capsys, argv, message):
         assert main(argv) == 2
@@ -400,15 +405,13 @@ class TestExitCodes:
         doc[field] = value
         check_exit_contract(["validate", "--input", json.dumps(doc)])
 
-    @given(st.sampled_from((("sweep", "operators"), ("sweep", "point"),
-                            ("annihilate", "basis"), ("genericity", "exponents"))),
+    @given(st.sampled_from((("sweep", "operators"), ("annihilate", "basis"),
+                            ("genericity", "exponents"))),
            json_values)
     @settings(max_examples=150, deadline=None)
     def test_any_payload_field(self, command_key, value):
         command, key = command_key
-        doc = {"operators": []} if key == "point" else {}
-        doc[key] = value
-        check_exit_contract([command, "--input", json.dumps(doc)])
+        check_exit_contract([command, "--input", json.dumps({key: value})])
         if command == "genericity":
             check_exit_contract([command, "--exponents=" + json.dumps(value)])
 
@@ -597,6 +600,16 @@ class TestNumericCommands:
         assert code == 0
         assert doc["sweep"]["count"] == 3
         assert doc["sweep"]["max_drift"] < 1e-9
+        # the trace vectors themselves are not printed
+        assert set(doc["sweep"]) == {"count", "base_point", "words", "max_drift",
+                                     "closure_rel_max"}
+
+    def test_sweep_refuses_an_apparent_point_that_is_not(self, capsys):
+        fam = {"operators": [random_operator(random.Random(3), 2, 2, 1).to_json()]}
+        code, doc = invoke(capsys, "sweep", "--input", json.dumps(fam))
+        assert code == 1
+        assert doc["error"]["type"] == "DomainError"
+        assert "apparent point 3" in doc["error"]["message"]
 
     def test_monodromy_not_a_pole(self, capsys):
         code, doc = invoke(capsys, "monodromy", "--input", TWO_POINT,
@@ -676,7 +689,7 @@ class TestOptions:
         "hodge-params": ["--exponents", "--m", "--n"],
         "monodromy": ["--atol", "--base", "--input", "--point", "--radius",
                       "--rtol"],
-        "sweep": ["--atol", "--input", "--point", "--rtol"],
+        "sweep": ["--atol", "--input", "--rtol"],
     }
 
     def test_option_strings_of_every_subcommand(self):
@@ -737,8 +750,7 @@ class TestPlumbing:
         "vandermonde": (["--points", "[0, 1, 2]", "--plan", "[2, 2, 1]"], {"moduli"}),
         "hodge-params": (["--m", "2", "--n", "3"], {"moduli"}),
         "monodromy": (["--input", TWO_POINT, "--point", "0"], NUMERIC),
-        "sweep": (["--point", "0", "--input",
-                   json.dumps({"operators": [json.loads(TWO_POINT)] * 2})], NUMERIC),
+        "sweep": (["--input", TWO_POINT_FAMILY], NUMERIC),
     }
 
     @staticmethod
@@ -775,10 +787,8 @@ class TestPlumbing:
 
     @pytest.mark.parametrize("argv", [
         ["monodromy", "--input", TWO_POINT, "--point", "9" * 5000],
-        ["sweep", "--input", TWO_POINT_FAMILY, "--point", "9" * 5000],
-        ["sweep", "--input", json.dumps({"operators": [json.loads(TWO_POINT)],
-                                         "point": "9" * 5000})],
-    ], ids=["monodromy", "sweep", "sweep-family-point"])
+        ["sweep", "--input", DIGITS_FAMILY],
+    ], ids=["monodromy", "sweep"])
     def test_refused_point_loads_no_numeric_stack(self, argv):
         # the numeric commands parse their inputs before they import
         # monodromy and numpy

@@ -20,8 +20,6 @@ compares the trace of every word of length <= 3 in the two matrices and
 their inverses (84 words) against the same word in the companion pair.
 """
 
-import functools
-import itertools
 import random
 from fractions import Fraction
 
@@ -30,7 +28,7 @@ import pytest
 
 from fuchskit.algebra import scalar
 from fuchskit.connection import build_companion, exponent_data, genericity_check
-from fuchskit.monodromy import _RTOL, global_product
+from fuchskit.monodromy import _RTOL, global_product, word_traces
 from fuchskit.operator import validate_fuchsian
 from fuchskit.sampling import hypergeometric
 
@@ -68,13 +66,6 @@ def companion(roots) -> np.ndarray:
     return mat
 
 
-def word_traces(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    letters = (x, np.linalg.inv(x), y, np.linalg.inv(y))
-    return np.array([np.trace(functools.reduce(np.matmul, word))
-                     for length in (1, 2, 3)
-                     for word in itertools.product(letters, repeat=length)])
-
-
 def exp_minus(params) -> list:
     return [np.exp(-2j * np.pi * float(v)) for v in params]
 
@@ -85,8 +76,8 @@ def test_global_monodromy_is_the_companion_pair(n, seed):
     a, b = draw(n, seed)
     g = global_product(build_companion(hypergeometric(a, b)))
     at_zero = next(r for r in g.loops if r.loop.center == 0)
-    got = word_traces(g.outer.matrix, at_zero.matrix)
-    want = word_traces(companion(exp_minus(a)), companion(exp_minus(b + [1])))
+    got = word_traces([g.outer.matrix, at_zero.matrix])
+    want = word_traces([companion(exp_minus(a)), companion(exp_minus(b + [1]))])
     assert len(got) == 84
     bound = TRACE_FACTOR * (g.closure_error + _RTOL * g.scale)
     assert np.max(np.abs(got - want)) <= bound, (a, b, g.closure_error, g.scale)

@@ -32,6 +32,7 @@ from fuchskit.operator import DomainError, FuchsianOperator, validate_fuchsian
 from fuchskit.sampling import (
     distinct_points,
     prescribed_exponent_operator,
+    random_operator,
     second_order_with_exponents,
 )
 from oracles import rf_eval
@@ -170,7 +171,7 @@ class TestNumericParameters:
         for call in (lambda: monodromy(conn, 0, **kw),
                      lambda: anchored_monodromy(conn, 0, base_point=-3, **kw),
                      lambda: global_product(conn, **kw),
-                     lambda: isomonodromy_sweep([TWO_POINT], point=0, **kw)):
+                     lambda: isomonodromy_sweep([TWO_POINT], **kw)):
             with pytest.raises(DomainError, match=which):
                 call()
 
@@ -181,7 +182,7 @@ class TestNumericParameters:
         for call in (lambda: monodromy(conn, 0, rtol=1e-15),
                      lambda: anchored_monodromy(conn, 0, base_point=-3, rtol=1e-15),
                      lambda: global_product(conn, rtol=1e-15),
-                     lambda: isomonodromy_sweep([TWO_POINT], point=0, rtol=1e-15)):
+                     lambda: isomonodromy_sweep([TWO_POINT], rtol=1e-15)):
             with pytest.raises(DomainError, match="floor"):
                 call()
 
@@ -416,14 +417,46 @@ class TestSweep:
                                            quadratic_part=None),
                second_order_with_exponents((0, 1), (Fraction(1, 2), Fraction(1, 2)),
                                            quadratic_part=Fraction(1, 4))]
-        fixed_point = isomonodromy_sweep(fam, point=0)
-        assert fixed_point.max_drift < 1e-8  # local spectra agree by design
-        overall = isomonodromy_sweep(fam)
-        assert overall.max_drift > 1e-3     # the global product does not
+        # the exponents at infinity move, and with them the loops' traces
+        assert isomonodromy_sweep(fam).max_drift > 1e-3
 
     def test_empty_family(self):
         with pytest.raises(DomainError):
             isomonodromy_sweep([])
+        with pytest.raises(DomainError, match="no finite poles"):
+            isomonodromy_sweep([annihilator_from_solutions([[1], [0, 1]])])
+
+    # Fixed before the first run.  With exponents 1/3, 1/5, -1/4 at 0, 1, -2,
+    # the constant quadratic part is an accessory parameter: it keeps every
+    # local class, the exponents at infinity included, and so the
+    # characteristic polynomials of each loop and of their product.
+    ACCESSORY = [second_order_with_exponents(
+        (0, 1, -2), (Fraction(1, 3), Fraction(1, 5), Fraction(-1, 4)),
+        quadratic_part=t) for t in (0, Fraction(1, 2), 1, Fraction(3, 2))]
+
+    def test_accessory_parameter_moves_the_traces(self):
+        sw = isomonodromy_sweep(self.ACCESSORY)
+        assert sw.count == 4 and sw.words == 6 + 6 ** 2 + 6 ** 3
+        assert sw.max_drift > 1
+        assert sw.closure_rel_max < 1e-9
+
+    def test_loops_are_matched_by_point(self):
+        op = self.ACCESSORY[1]
+        listed = FuchsianOperator(order=2, real_points=(1, -2, 0),
+                                  apparent_points=(), coeffs=op.coeffs)
+        assert isomonodromy_sweep([op, listed]).max_drift <= 1e-9
+
+    def test_members_with_different_real_points(self):
+        other = second_order_with_exponents(
+            (0, 1, 2), (Fraction(1, 3), Fraction(1, 5), Fraction(-1, 4)))
+        with pytest.raises(DomainError, match="same real points"):
+            isomonodromy_sweep([self.ACCESSORY[0], other])
+
+    def test_listed_apparent_point_that_is_not_apparent(self):
+        op = random_operator(random.Random(3), 2, 2, 1)
+        assert op.apparent_points == (scalar(3),)
+        with pytest.raises(DomainError, match="apparent point 3 is not trivial"):
+            isomonodromy_sweep([op])
 
 
 def test_result_serializes():
