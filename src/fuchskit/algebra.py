@@ -50,8 +50,8 @@ class DomainError(ValueError):
 def document(v):
     """v's `to_json` when it has one, [re, im] floats for a complex number,
     the document of its `tolist` for a numpy value, a list for a tuple or
-    list, a dict item by item, str for a Fraction, and any other value as
-    it is."""
+    list, a dict item by item, and any other value (a bool, an int, a
+    float, a str or None) as it is."""
     if hasattr(v, "to_json"):
         return v.to_json()
     if isinstance(v, complex):
@@ -62,8 +62,6 @@ def document(v):
         return [document(x) for x in v]
     if isinstance(v, dict):
         return {k: document(x) for k, x in v.items()}
-    if isinstance(v, Fraction):
-        return str(v)
     return v
 
 
@@ -764,10 +762,8 @@ class ExactMatrix:
               for j in range(n)] for i in range(m)])
         return mat.det()
 
-    def to_json(self):
-        def enc(e):
-            return e.to_json() if hasattr(e, "to_json") else str(e)
-        return [[enc(e) for e in row] for row in self.rows]
+    def to_json(self) -> list:
+        return document(self.rows)
 
 
 def _has_polynomial(rows) -> bool:

@@ -232,12 +232,6 @@ def _cmd_vandermonde(args):
             "agree": det == closed}
 
 
-def _cmd_hodge_params(args):
-    from .moduli import hodge_parameters
-
-    return {"weights": hodge_parameters(args.m, args.n, args.exponents).to_json()}
-
-
 def _cmd_monodromy(args):
     if args.radius is not None and args.point is None:
         raise argparse.ArgumentError(None, "--radius needs --point")
@@ -354,11 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan", type=_array, required=True,
                    help="JSON array of row counts per point, summing to "
                         f"at most {MAX_JET_SIZE}")
-    p = add("hodge-params", _cmd_hodge_params,
-            "weight bookkeeping for an exponent list", input_type=None)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--exponents", type=_array, default=[], help="JSON array of exponents")
     p = add("monodromy", _cmd_monodromy,
             "numeric loop transport; global product when no point is given",
             parents=[numeric])

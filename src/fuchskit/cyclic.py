@@ -73,7 +73,7 @@ class CyclicResult(Report):
     coefficients: tuple       # c_1..c_m in d^m v = sum_k c_k d^(m-k) v
     operator: FuchsianOperator
     apparent_locus: tuple     # determinant zeros away from the poles
-    unfactored: Polynomial    # part of the determinant numerator not split
+    unfactored: Polynomial    # constant: find_cyclic refuses a numerator that does not split
     tried: int
 
     def to_json(self) -> dict:

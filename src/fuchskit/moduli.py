@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import mul
 
@@ -258,41 +257,3 @@ def paired_plan(r: int) -> tuple:
     if r < 0:
         raise DomainError("r must be non-negative")
     return (2,) * r + (1, 1)
-
-
-# ---------------------------------------------------------------------------
-# weight parameters
-
-
-@dataclass(frozen=True)
-class WeightEntry(Report):
-    mu: GaussianRational
-    weight: GaussianRational  # (mu - beta) / 2
-    fractional: Fraction      # real part of mu, mod 1
-
-
-@dataclass(frozen=True)
-class WeightData(Report):
-    order: int
-    num_real: int
-    beta: Fraction
-    entries: tuple
-
-
-def hodge_parameters(order: int, num_real: int, exponents=()) -> WeightData:
-    """Normalized weight data attached to a list of exponents.
-
-    beta is the shape constant (n-1)(m-1)/(2(n+1)); each exponent mu gets
-    the half-shifted weight (mu-beta)/2 and the residue of its real part
-    mod 1."""
-    check_order(order)
-    _check_points(num_real)
-    beta = Fraction((num_real - 1) * (order - 1), 2 * (num_real + 1))
-    entries = []
-    for raw in json_array(exponents, "exponents"):
-        mu = scalar(raw)
-        weight = (mu - scalar(beta)) / scalar(2)
-        frac = mu.re - math.floor(mu.re)
-        entries.append(WeightEntry(mu=mu, weight=weight, fractional=frac))
-    return WeightData(order=order, num_real=num_real, beta=beta,
-                      entries=tuple(entries))

@@ -42,6 +42,7 @@ _RTOL = 1e-11
 _ATOL = 1e-13
 _RTOL_FLOOR = 100 * sys.float_info.epsilon  # below it rounding, not rtol, sets the error
 _CLEARANCE = 1e-9  # closest a straight leg or a node of a walk may come to a pole
+_APPARENT_TOL = 1e-6  # largest distance at which a loop still counts as trivial
 
 
 class _NumericConnection:
@@ -308,10 +309,10 @@ class ApparentNumericReport(Report):
     ok: bool
     identity_distance: float
     char_poly_distance: float
-    tol: float
+    tol: float = _APPARENT_TOL
 
 
-def is_apparent_numeric(matrix: np.ndarray, tol: float = 1e-6) -> ApparentNumericReport:
+def is_apparent_numeric(matrix: np.ndarray) -> ApparentNumericReport:
     """Trivial-monodromy test: the matrix must be close to the identity AND
     its characteristic polynomial close to (x - 1)^size.  The second check
     alone would also accept unipotent matrices, so both are required."""
@@ -321,9 +322,8 @@ def is_apparent_numeric(matrix: np.ndarray, tol: float = 1e-6) -> ApparentNumeri
     want = np.array([math.comb(m, k) * (-1.0) ** k for k in range(m + 1)],
                     dtype=complex)
     cp = float(np.max(np.abs(np.poly(mat) - want)))
-    return ApparentNumericReport(ok=ident <= tol and cp <= tol,
-                                 identity_distance=ident,
-                                 char_poly_distance=cp, tol=tol)
+    return ApparentNumericReport(ok=ident <= _APPARENT_TOL and cp <= _APPARENT_TOL,
+                                 identity_distance=ident, char_poly_distance=cp)
 
 
 # ---------------------------------------------------------------------------

@@ -268,7 +268,7 @@ def test_criterion_10_numeric_monodromy():
         point = op.apparent_points[0]
         assert apparent_check(op, point).is_apparent
         loop = monodromy(build_companion(op), point)
-        rep = is_apparent_numeric(loop.matrix, tol=1e-6)
+        rep = is_apparent_numeric(loop.matrix)
         assert rep.ok
         agreeing.append(rep.identity_distance)
     blocked_ops = [
@@ -280,7 +280,7 @@ def test_criterion_10_numeric_monodromy():
     for op in blocked_ops:
         assert not apparent_check(op, 0).is_apparent
         loop = monodromy(build_companion(op), 0)
-        assert not is_apparent_numeric(loop.matrix, tol=1e-6).ok
+        assert not is_apparent_numeric(loop.matrix).ok
 
     # global product closes up to the identity comparison loop
     crafted = second_order_with_exponents(

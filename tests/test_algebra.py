@@ -43,9 +43,8 @@ class TestDocument:
         z = GaussianRational(Fraction(1, 2), Fraction(-3))
         assert document(z) == z.to_json() == {"re": "1/2", "im": "-3"}
         assert document((1, (scalar(2), "a"), [])) == [1, ["2", "a"], []]
-        assert document({"a": {"b": (Fraction(1, 3), None)}, "c": z}) == {
+        assert document({"a": {"b": (scalar("1/3"), None)}, "c": z}) == {
             "a": {"b": ["1/3", None]}, "c": {"re": "1/2", "im": "-3"}}
-        assert document(Fraction(-7, 2)) == "-7/2"
         for v in (None, True, False, 0, -5, 2.5, "infinity"):
             got = document(v)
             assert got is v or (got == v and type(got) is type(v))

@@ -78,6 +78,12 @@ class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobulate"]) == 2
 
+    def test_retired_subcommand_is_a_usage_error(self, capsys):
+        # hodge-params printed a weight formula that the paper does not state
+        assert main(["hodge-params", "--m", "2", "--n", "3"]) == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "Traceback" not in err
+
     def test_unknown_flag_rejected(self, capsys):
         assert main(["dimensions", "--m", "2", "--n", "2", "--wat"]) == 2
 
@@ -116,7 +122,7 @@ class TestExitCodes:
                                  '"coeffs": [[true, "1"]]}'],
         ["exponents", "--input", '{"order": 1, "real_points": ["0", "1"], '
                                  '"coeffs": [[true, "1"]]}'],
-        ["hodge-params", "--m", "2", "--n", "3", "--exponents", "[true]"],
+        ["constraints", "--m", "2", "--points", "[true, 1]"],
         # multiplicities are integers, never rounded
         ["vandermonde", "--points", "[0, 1, 2]", "--plan", "[1.9, 2.2, 1]"],
         ["vandermonde", "--points", "[0, 1]", "--plan", "[true, 1]"],
@@ -255,7 +261,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["genericity", "--exponents", "[" * 3000],
-        ["hodge-params", "--m", "2", "--n", "3", "--exponents", "[" * 3000],
+        ["constraints", "--m", "2", "--points", "[" * 3000],
         ["validate", "--input", "[" * 3000],
     ])
     def test_deeply_nested_array_flag_is_a_usage_error(self, capsys, argv):
@@ -572,12 +578,6 @@ class TestCountingCommands:
         assert doc["agree"] is True
         assert doc["determinant"] == "4"
 
-    def test_hodge_params(self, capsys):
-        code, doc = invoke(capsys, "hodge-params", "--m", "2", "--n", "3",
-                           "--exponents", '["1/2", "-3/2"]')
-        assert code == 0
-        assert doc["weights"]["beta"] == "1/4"
-
 
 class TestNumericCommands:
     def test_point_monodromy_with_apparency_report(self, capsys):
@@ -686,7 +686,6 @@ class TestOptions:
         "dimensions": ["--apparent", "--m", "--n"],
         "constraints": ["--apparent-points", "--m", "--points"],
         "vandermonde": ["--plan", "--points"],
-        "hodge-params": ["--exponents", "--m", "--n"],
         "monodromy": ["--atol", "--base", "--input", "--point", "--radius",
                       "--rtol"],
         "sweep": ["--atol", "--input", "--rtol"],
@@ -748,7 +747,6 @@ class TestPlumbing:
         "dimensions": (["--m", "3", "--n", "3"], {"moduli"}),
         "constraints": (["--m", "2", "--points", "[0, 1, 2]"], {"moduli"}),
         "vandermonde": (["--points", "[0, 1, 2]", "--plan", "[2, 2, 1]"], {"moduli"}),
-        "hodge-params": (["--m", "2", "--n", "3"], {"moduli"}),
         "monodromy": (["--input", TWO_POINT, "--point", "0"], NUMERIC),
         "sweep": (["--input", TWO_POINT_FAMILY], NUMERIC),
     }

@@ -1,4 +1,4 @@
-"""Dimension counts, constraint ranks, jet determinants, weight data."""
+"""Dimension counts, constraint ranks, jet determinants."""
 
 import math
 import random
@@ -14,7 +14,6 @@ from fuchskit.moduli import (
     build_constraints,
     dimensions,
     gen_vandermonde,
-    hodge_parameters,
     paired_plan,
     vdm_closed_form,
     vdm_log10,
@@ -67,8 +66,7 @@ class TestDimensions:
     @pytest.mark.parametrize("order", [0, -2, True, 2.0])
     def test_order_must_be_a_positive_int(self, order):
         for call in (lambda: dimensions(order, 3),
-                     lambda: build_constraints(order, (0, 1)),
-                     lambda: hodge_parameters(order, 3)):
+                     lambda: build_constraints(order, (0, 1))):
             with pytest.raises(DomainError, match="positive integer"):
                 call()
 
@@ -272,33 +270,3 @@ class TestJetDeterminants:
                                + (im.numerator * re.denominator) ** 2)
                     - math.log10(q * q)) / 2
             assert vdm_log10(pts, plan) == pytest.approx(want, abs=1e-9)
-
-
-class TestWeightData:
-    def test_beta_values(self):
-        assert hodge_parameters(2, 3).beta == Fraction(1, 4)
-        assert hodge_parameters(3, 2).beta == Fraction(1, 3)
-        assert hodge_parameters(2, 2).beta == Fraction(1, 6)
-
-    def test_entry_fields(self):
-        h = hodge_parameters(2, 3, [Fraction(1, 2), Fraction(-3, 2), 2])
-        assert h.entries[0].weight == scalar(Fraction(1, 8))
-        assert h.entries[0].fractional == Fraction(1, 2)
-        assert h.entries[1].fractional == Fraction(1, 2)  # floor, not truncation
-        assert h.entries[2].fractional == 0
-
-    def test_complex_exponent(self):
-        h = hodge_parameters(2, 3, [{"re": "1/3", "im": 1}])
-        e = h.entries[0]
-        assert e.fractional == Fraction(1, 3)
-        assert (e.weight * scalar(2) + scalar(h.beta)) == e.mu
-
-    def test_exponents_must_be_an_array(self):
-        with pytest.raises(DomainError, match="must be an array, got str"):
-            hodge_parameters(2, 3, "12")
-
-    def test_guards(self):
-        with pytest.raises(DomainError):
-            hodge_parameters(0, 3)
-        with pytest.raises(DomainError):
-            hodge_parameters(2, 1)

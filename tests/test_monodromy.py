@@ -231,6 +231,7 @@ class TestApparentNumeric:
     def test_identity_accepts(self):
         rep = is_apparent_numeric(np.eye(3, dtype=complex))
         assert rep.ok and rep.identity_distance == 0.0
+        assert rep.to_json()["tol"] == 1e-6  # the document still names its bound
 
 
 class TestAnchoredLoops:
