@@ -80,8 +80,8 @@ ScalarLike = Union["GaussianRational", Fraction, int, str, dict]
 
 _HASH_IMAG, _HASH_HALF = sys.hash_info.imag, 1 << (sys.hash_info.width - 1)
 EXCERPT = 40  # characters of a rejected input quoted in an error message
-# Python's default digit limit for converting between int and text.  A
-# longer digit string is refused before `int()` would raise on it.
+# The most digits of a number that fuchskit reads or prints, whatever
+# Python's own int-to-text limit is set to; 4300 is that limit's default.
 MAX_DIGITS = 4300
 
 

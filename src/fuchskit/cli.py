@@ -12,8 +12,10 @@ import sys
 from functools import partial
 from pathlib import Path
 
-from .algebra import AlgebraError, check_digits, scalar
+from .algebra import MAX_DIGITS, AlgebraError, check_digits, scalar
 from .operator import (
+    _ATOL,
+    _RTOL,
     _TOO_DEEP,
     MAX_JET_SIZE,
     MAX_TRUNCATION,
@@ -193,37 +195,28 @@ def _cmd_constraints(args):
     return {"system": system.to_json(), "rank": verify_rank(system).to_json()}
 
 
-def _digit_limit() -> int:
-    """The most digits Python converts an int to text with
-    (sys.get_int_max_str_digits); 0, or a Python without the limit, means
-    none."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
-
-
-def _unprintable(limit: int) -> DomainError:
-    return DomainError(f"the result has a number of more than {limit} "
-                       "digits, the output digit limit of Python's "
-                       "int-to-text conversion")
+_UNPRINTABLE = (f"the result has a number of more than {MAX_DIGITS} digits, "
+                "the bound on the numbers that fuchskit reads and prints")
 
 
 def _check_printable(value) -> None:
-    """DomainError when a numerator or denominator of the scalar value has
-    more digits than the output digit limit."""
-    limit = _digit_limit()
-    if limit and any(abs(n) >= 10 ** limit for f in (value.re, value.im)
-                     for n in (f.numerator, f.denominator)):
-        raise _unprintable(limit)
+    """DomainError when a part of the scalar value's document has more than
+    MAX_DIGITS digits; a real value prints its canonical a and d, no gcd."""
+    parts = ((value.a, value.d) if not value.b else
+             (n for f in (value.re, value.im) for n in (f.numerator, f.denominator)))
+    if any(abs(n) >= 10 ** MAX_DIGITS for n in parts):
+        raise DomainError(_UNPRINTABLE)
 
 
 def _cmd_vandermonde(args):
     from .moduli import gen_vandermonde, vdm_closed_form, vdm_log10
 
-    # A nonzero value with parts of at most `limit` digits lies between
-    # 10^-limit and 2^(1/2) 10^limit in modulus, so this refuses nothing
-    # printable, and it runs before the closed form is multiplied out.
-    limit, size = _digit_limit(), vdm_log10(args.points, args.plan)
-    if limit and size is not None and abs(size) > limit + 1:
-        raise _unprintable(limit)
+    # A nonzero value with parts of at most MAX_DIGITS digits lies between
+    # 10^-MAX_DIGITS and 2^(1/2) 10^MAX_DIGITS in modulus, so this refuses
+    # nothing printable, and it runs before the closed form is multiplied out.
+    size = vdm_log10(args.points, args.plan)
+    if size is not None and abs(size) > MAX_DIGITS + 1:
+        raise DomainError(_UNPRINTABLE)
     closed = vdm_closed_form(args.points, args.plan)
     _check_printable(closed)  # before the elimination, the slow part
     det = gen_vandermonde(args.points, args.plan).det()
@@ -281,9 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", default="-",
                         help="output path, or - for standard output (default)")
     numeric = argparse.ArgumentParser(add_help=False)
-    numeric.add_argument("--rtol", type=float, default=1e-11,
+    numeric.add_argument("--rtol", type=float, default=_RTOL,
                          help="relative tolerance for numeric transport")
-    numeric.add_argument("--atol", type=float, default=1e-13,
+    numeric.add_argument("--atol", type=float, default=_ATOL,
                          help="absolute tolerance for numeric transport")
 
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")

@@ -76,9 +76,6 @@ class CyclicResult(Report):
     unfactored: Polynomial    # constant: find_cyclic refuses a numerator that does not split
     tried: int
 
-    def to_json(self) -> dict:
-        return {**super().to_json(), "apparent_locus": [str(a) for a in self.apparent_locus]}
-
 
 def find_cyclic(conn: LogConnection, candidates=None) -> CyclicResult:
     """First spanning candidate wins; the scan order is fixed, so the result
@@ -137,9 +134,6 @@ class RoundtripReport(Report):
     vector: tuple
     recovered: FuchsianOperator
     apparent_locus: tuple
-
-    def to_json(self) -> dict:
-        return {**super().to_json(), "apparent_locus": [str(a) for a in self.apparent_locus]}
 
 
 def roundtrip_report(op: FuchsianOperator, result: CyclicResult) -> RoundtripReport:

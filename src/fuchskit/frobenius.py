@@ -264,16 +264,10 @@ def special_apparent_check(op: FuchsianOperator, point) -> ApparentVerdict:
 
 
 @dataclass(frozen=True)
-class SeriesSolution:
+class SeriesSolution(Report):
     exponent: GaussianRational
     coeffs: tuple        # c_0 .. c_truncation in powers of (z - point)
-    obstructions: tuple  # (offset, value) at each resonance crossed
-
-    def to_json(self) -> dict:
-        return {"exponent": self.exponent.to_json(),
-                "coeffs": [c.to_json() for c in self.coeffs],
-                "obstructions": [{"offset": o, "value": v.to_json()}
-                                 for o, v in self.obstructions]}
+    obstructions: tuple  # {"offset", "value"} at each resonance crossed
 
 
 @dataclass(frozen=True)
@@ -313,7 +307,7 @@ def frobenius_oracle(op: FuchsianOperator, point, truncation: int | None = None)
                 rhs = rhs + f_at(l, r + t - l) * coeffs[t - l]
             lead = f_at(0, r + t)
             if lead.is_zero():
-                obstructions.append((t, rhs))
+                obstructions.append({"offset": t, "value": rhs})
                 if not rhs.is_zero():
                     ok = False
                 coeffs.append(ZERO)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import mul
 
-from .algebra import ExactMatrix, GaussianRational, ONE, Report, ZERO, scalar
+from .algebra import ExactMatrix, GaussianRational, ONE, Report, ZERO, document, scalar
 from .operator import MAX_JET_SIZE, DomainError, check_order, degree_budget, json_array
 
 
@@ -79,11 +79,11 @@ class ConstraintTag:
     point (derivative_order > 0 marks a jet row at an apparent point)."""
     k: int
     kind: str  # "exponent" | "top-coefficient" | "derivative"
-    point: str
+    point: GaussianRational | str  # "infinity" for the top-coefficient row
     derivative_order: int = 0
 
     def to_json(self) -> dict:
-        out = {"k": self.k, "kind": self.kind, "point": self.point}
+        out = {"k": self.k, "kind": self.kind, "point": document(self.point)}
         if self.derivative_order:
             out["derivative_order"] = self.derivative_order
         return out
@@ -108,8 +108,8 @@ class ConstraintSystem:
         col_ends = list(accumulate(cols, initial=0))
         return {
             "order": self.order,
-            "real_points": [str(p) for p in self.real_points],
-            "apparent_points": [str(a) for a in self.apparent_points],
+            "real_points": document(self.real_points),
+            "apparent_points": document(self.apparent_points),
             "rows": row_ends[-1],
             "cols": col_ends[-1],
             "tags": [t.to_json() for t in self.tags],
@@ -140,12 +140,12 @@ def build_constraints(order: int, real_points, apparent_points=()) -> Constraint
     for k, degree in enumerate(degree_budget(m, n, extra).degrees, start=1):
         rows = [list(accumulate(repeat(p, degree), mul, initial=ONE)) for p in pts]
         rows.append([ZERO] * degree + [ONE])
-        tags += [ConstraintTag(k=k, kind="exponent", point=str(p)) for p in pts]
+        tags += [ConstraintTag(k=k, kind="exponent", point=p) for p in pts]
         tags.append(ConstraintTag(k=k, kind="top-coefficient", point="infinity"))
         for a in app:
             for l in range(1, k):
                 rows.append(_jet_row(a, l, degree + 1))
-                tags.append(ConstraintTag(k=k, kind="derivative", point=str(a),
+                tags.append(ConstraintTag(k=k, kind="derivative", point=a,
                                           derivative_order=l))
         blocks.append(ExactMatrix.from_rows(rows))
     return ConstraintSystem(order=m, real_points=real, apparent_points=app,

@@ -36,10 +36,8 @@ import numpy as np
 
 from .algebra import Report, document, scalar
 from .connection import LogConnection, build_companion, residue_matrix
-from .operator import DomainError
+from .operator import _ATOL, _RTOL, DomainError
 
-_RTOL = 1e-11
-_ATOL = 1e-13
 _RTOL_FLOOR = 100 * sys.float_info.epsilon  # below it rounding, not rtol, sets the error
 _CLEARANCE = 1e-9  # closest a straight leg or a node of a walk may come to a pole
 _APPARENT_TOL = 1e-6  # largest distance at which a loop still counts as trivial

@@ -196,6 +196,9 @@ MAX_TRUNCATION = 100
 # matrix is sum(plan) square, and its exact elimination costs about the cube
 # of that size in ever longer fractions.
 MAX_JET_SIZE = 64
+# Default tolerances of numeric transport: `monodromy` and the CLI's flags.
+_RTOL = 1e-11
+_ATOL = 1e-13
 
 _TOKEN = re.compile(r"\s*(\d+|psi|[A-Za-z_]+|\*\*|[()^*/+\-,:=']|\S)")
 

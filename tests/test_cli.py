@@ -17,9 +17,11 @@ from hypothesis import given, settings, strategies as st
 
 import fuchskit.cli
 import fuchskit.cyclic
+from fuchskit.algebra import ExactMatrix, Polynomial
 from fuchskit.cli import build_parser, main
+from fuchskit.connection import LogConnection
 from fuchskit.frobenius import annihilator_from_solutions
-from fuchskit.operator import MAX_DIGITS, MAX_NESTING, POWER_BITS
+from fuchskit.operator import MAX_DIGITS, MAX_NESTING, POWER_BITS, as_polynomial
 from fuchskit.sampling import random_operator, second_order_with_exponents
 
 APPARENT_OP = json.dumps(annihilator_from_solutions([[1], [0, 0, 1]]).to_json())
@@ -317,8 +319,6 @@ class TestExitCodes:
         assert f"({len(argv[-1]) + 2} characters)" in doc["error"]["message"]
         assert len(captured.out) < 400
 
-    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
-                        reason="this Python prints integers of any length")
     def test_result_beyond_the_output_digit_limit_is_refused(self, capsys):
         # the determinant is (0! 1! ... 31!)^2 (2/999983 - 1/1000003)^1024,
         # whose denominator has about 12300 digits
@@ -329,11 +329,9 @@ class TestExitCodes:
         doc = json.loads(captured.out)
         assert doc["schema"] == "fuchskit/1"
         assert doc["error"]["type"] == "DomainError"
-        assert f"more than {sys.get_int_max_str_digits()} digits" in doc["error"]["message"]
+        assert f"more than {MAX_DIGITS} digits" in doc["error"]["message"]
         assert "Traceback" not in captured.err
 
-    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
-                        reason="this Python prints integers of any length")
     def test_closed_form_beyond_the_digit_limit_is_refused_before_it_is_built(self, capsys):
         # 24 points of 4001 digits: multiplying out the closed form took
         # seconds before it was refused as unprintable
@@ -346,8 +344,21 @@ class TestExitCodes:
         doc = json.loads(captured.out)
         assert doc["schema"] == "fuchskit/1"
         assert doc["error"]["type"] == "DomainError"
-        assert f"more than {sys.get_int_max_str_digits()} digits" in doc["error"]["message"]
+        assert f"more than {MAX_DIGITS} digits" in doc["error"]["message"]
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("point", [
+        f"{10 ** 200 - 1}/{10 ** 200}",
+        {"re": f"{10 ** 200 - 1}/{10 ** 200}", "im": f"1/{10 ** 200}"},
+    ])
+    def test_closed_form_past_the_digit_bound_is_refused(self, capsys, point):
+        # a modulus near 1 passes the magnitude pre-check, but the 64th
+        # power of the point has a denominator of some 12800 digits
+        code, doc = invoke(capsys, "vandermonde", "--points", json.dumps(["0", point]),
+                           "--plan", "[8, 8]")
+        assert code == 1
+        assert doc["error"]["type"] == "DomainError"
+        assert f"more than {MAX_DIGITS} digits" in doc["error"]["message"]
 
     @pytest.mark.parametrize("m", ["-2", "0"])
     def test_constraints_order_below_one(self, capsys, m):
@@ -500,6 +511,23 @@ class TestOperatorCommands:
         code, doc = invoke(capsys, "cyclic", "--input", TWO_POINT)
         assert code == 0 and doc["roundtrip"]["ok"] is True
         assert len(calls) == 1
+
+    def test_cyclic_locus_reads_back_as_a_point(self, capsys):
+        # {1, z^3 + 3z}: cyclic recovery of the flat connection and the
+        # annihilator print the Wronskian zeros -i and i alike, and each
+        # printed point decides as apparent
+        basis = [[1], [0, 3, 0, 1]]
+        flat = LogConnection(ExactMatrix.from_rows([[Polynomial.zero()] * 2] * 2),
+                             Polynomial.one(), ())
+        found = fuchskit.cyclic.find_cyclic(flat, candidates=[[as_polynomial(b) for b in basis]])
+        locus = found.to_json()["apparent_locus"]
+        code, doc = invoke(capsys, "annihilate", "--input", json.dumps({"basis": basis}))
+        assert code == 0
+        assert len(locus) == 2 and locus == doc["operator"]["apparent_points"]
+        for point in locus:
+            code, verdict = invoke(capsys, "apparent", "--input", json.dumps(doc["operator"]),
+                                   "--point", json.dumps(point))
+            assert code == 0 and verdict["is_apparent"] is True
 
     def test_annihilate(self, capsys):
         code, doc = invoke(capsys, "annihilate", "--input",

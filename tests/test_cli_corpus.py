@@ -149,6 +149,16 @@ def test_document_matches_golden(case, capsys):
     assert out == (DATA / f"{case}.json").read_text()
 
 
+def test_printed_points_read_back(capsys):
+    # the real points of a constraints document, Gaussian ones included,
+    # given back as --points reproduce that document
+    golden = (DATA / "constraints_m1_gaussian.json").read_text()
+    points = json.loads(golden)["system"]["real_points"]
+    code, out = _run(["constraints", "--m", "1", "--points", json.dumps(points)], capsys)
+    assert code == 0
+    assert out == golden
+
+
 def test_goldens_are_the_cases():
     # a golden without a case is never compared, a case without one fails
     assert sorted(p.stem for p in DATA.glob("*.json")) == sorted(CASES)

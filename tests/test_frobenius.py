@@ -282,14 +282,14 @@ class TestSeriesOracle:
         assert v.is_apparent
         low = v.solutions[0]
         assert low.exponent == scalar(0)
-        assert low.obstructions == ((2, scalar(0)),)
+        assert low.obstructions == ({"offset": 2, "value": scalar(0)},)
 
     def test_blocked_resonance(self):
         v = frobenius_oracle(OP_BLOCKED, 0)
         assert not v.is_apparent
-        (offset, value), = v.solutions[0].obstructions
-        assert offset == 2
-        assert not value.is_zero()
+        obstruction, = v.solutions[0].obstructions
+        assert obstruction["offset"] == 2
+        assert not obstruction["value"].is_zero()
 
     def test_ordinary_points_always_pass(self):
         rng = random.Random(5)

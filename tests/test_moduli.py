@@ -115,11 +115,11 @@ class TestConstraintMatrix:
         assert kinds.count("top-coefficient") == 2
         assert kinds.count("derivative") == 1
         jet = cs.tags[kinds.index("derivative")]
-        assert jet.k == 2 and jet.point == "2" and jet.derivative_order == 1
+        assert jet.k == 2 and jet.point == scalar(2) and jet.derivative_order == 1
         top = cs.tags[kinds.index("top-coefficient")]
         assert top.point == "infinity"
         # value rows visit real points before apparent ones
-        assert cs.tags[0].kind == "exponent" and cs.tags[0].point == "0"
+        assert cs.tags[0].kind == "exponent" and cs.tags[0].point == scalar(0)
 
     def test_blocks_do_not_interact(self):
         # the padded matrix has the rank of its blocks' direct sum
