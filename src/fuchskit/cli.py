@@ -86,6 +86,21 @@ def _scalar_arg(text: str):
     return scalar(doc)
 
 
+def _base_arg(text: str) -> complex:
+    """Type of --base: a Python complex literal such as -2-3j, or the
+    [re, im] pair of numbers that documents print for a base point."""
+    try:
+        if not text.strip().startswith("["):
+            return complex(text)
+        re, im = json.loads(text)
+        if all(type(x) in (int, float) for x in (re, im)):
+            return complex(re, im)
+    except (ValueError, OverflowError, RecursionError):  # bad JSON, shape or size
+        pass
+    raise argparse.ArgumentTypeError(f"invalid base point {text[:40]!r}: expected "
+                                     "a complex literal such as -2-3j or [re, im]")
+
+
 # --- subcommand bodies -----------------------------------------------------
 
 # Each command imports what it calls on first use, so a cold call loads only
@@ -346,8 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
             parents=[numeric])
     p.add_argument("--point", default=None)
     p.add_argument("--radius", type=float, default=None)
-    p.add_argument("--base", type=complex, default=None,
-                   help="base point as a Python complex literal, e.g. '-2-3j'")
+    p.add_argument("--base", type=_base_arg, default=None,
+                   help="base point as a Python complex literal, e.g. '-2-3j', "
+                        "or as the [re, im] pair that documents print")
     add("sweep", _cmd_sweep, "drift of the loops' trace words over a family",
         input_type=partial(_object_with, "operators"), parents=[numeric])
     return parser

@@ -30,7 +30,7 @@ import math
 import sys
 from collections import namedtuple
 from dataclasses import dataclass
-from operator import mul
+from operator import itemgetter, mul
 
 import numpy as np
 
@@ -51,12 +51,15 @@ class _NumericConnection:
         m = self.size = conn.size
         deg = max(max(a.degree() for row in conn.num.rows for a in row), 0)
         flat = [[0j] * (m * m) for _ in range(deg + 1)]
-        for i, row in enumerate(conn.num.rows):
-            for j, a in enumerate(row):
-                for k, c in enumerate(a.coeffs):
-                    flat[k][j * m + i] = complex(c)
+        try:
+            for i, row in enumerate(conn.num.rows):
+                for j, a in enumerate(row):
+                    for k, c in enumerate(a.coeffs):
+                        flat[k][j * m + i] = complex(c)
+            self._den = [[complex(c)] for c in conn.den.coeffs]
+        except OverflowError:
+            raise DomainError("a connection coefficient is out of double range") from None
         self._num = flat
-        self._den = [[complex(c)] for c in conn.den.coeffs]
         self.poles = [complex(p) for p in conn.pole_points]
 
     def expansion(self, z0: complex, h: complex) -> tuple:
@@ -121,32 +124,47 @@ def solve_ivp(num: _NumericConnection, path, rtol: float, atol: float) -> _Walk:
 
 def _series(expansion: tuple, cols: list, tol: float) -> tuple:
     """The columns of the state at the end of a chord from their values
-    `cols` at its start, and the number of terms.  A column keeps its terms
-    as blocks (y_i, i y_i); row r holds, for j = w-1 down to 0, row r of
-    alpha_j and -delta_(j+1) in place r, so that entry r of (k+1) y_{k+1}
-    is one dot product with the last w blocks."""
+    `cols` at its start, and the number of terms.  The m columns share one
+    state: term i is a block of the m^2 entries y_i, column by column, then
+    the m^2 entries i y_i, after w zero blocks.  Entry r of column c of
+    (k+1) y_(k+1) sums, for j = w-1 down to 0, row r of alpha_j times
+    column c of y_(k-j), then -delta_(j+1) times entry r of (k-j) y_(k-j);
+    each entry keeps only its nonzero coefficients and picks their partners
+    by negative offset from the end of the state.  A product by an exact
+    zero leaves a sum as it was, so every float is that of the sum over
+    all coefficients, taken in the same order."""
     alpha, delta = expansion
     m = len(cols)
-    w = max(len(alpha), len(delta) - 1)
-    alpha = alpha + [[0j] * (m * m)] * (w - len(alpha))
-    gamma = delta[1:] + [0j] * (w + 1 - len(delta))
-    rows = [[x for j in reversed(range(w)) for x in alpha[j][r * m:r * m + m]
-             + [-gamma[j] if c == r else 0j for c in range(m)]] for r in range(m)]
-    span = 2 * m * w
-    terms = [[0j] * span + y + [0j] * m for y in cols]  # w zero blocks first
+    mm, w = m * m, max(len(alpha), len(delta) - 1)
+    alpha = alpha + [[]] * (w - len(alpha))
+    gamma = [-d for d in delta[1:]]
+    # row r: its nonzero coefficients, in the order of that sum, each with
+    # the offset of its partner in column 0 of the state
+    rows = [[(a, i - 2 * mm * (j + 1)) for j in reversed(range(w))
+             for a, i in [*zip(alpha[j][r * m:r * m + m], range(m)),
+                          *zip(gamma[j:j + 1], [mm + r])] if a != 0]
+            for r in range(m)]
+    entries = [([a for a, _ in row], _picker([i + c * m for _, i in row]))
+               for c in range(m) for row in rows]
+    span = 2 * mm * w
+    state = [0j] * span + [x for y in cols for x in y] + [0j] * mm
     last, k = max(abs(x) for y in cols for x in y), 0
     while True:
         k += 1
-        size = 0.0
-        for col in terms:
-            scaled = [sum(map(mul, row, col[-span:])) for row in rows]
-            new = [s / k for s in scaled]
-            col += new
-            col += scaled
-            size = max(size, *map(abs, new))
+        scaled = [sum(map(mul, coef, pick(state)), 0j) for coef, pick in entries]
+        new = [s / k for s in scaled]
+        state += new
+        state += scaled
+        size = max(map(abs, new))
         if last + size <= tol or not math.isfinite(size):
-            return [[sum(col[span + r::2 * m]) for r in range(m)] for col in terms], k
+            return [[sum(state[span + c * m + r::2 * mm]) for r in range(m)]
+                    for c in range(m)], k
         last = size
+
+
+def _picker(offsets: list):
+    """itemgetter(*offsets), a sequence also for one offset or none."""
+    return itemgetter(*offsets) if len(offsets) > 1 else lambda s: [s[i] for i in offsets]
 
 
 def _transport(num: _NumericConnection, path, rtol: float, atol: float) -> np.ndarray:

@@ -6,7 +6,10 @@ the package computed before connections, gauges and cyclic towers became
 polynomials over one denominator, so the tests can hold the package's
 fast paths against them.  `block_diagonal` pads the constraint blocks into
 one matrix, so that its rank can be held against the sum of the block ranks.
+`series_dense` is the Taylor recurrence of the numeric stepper on dense
+rows, one column at a time, for bit-for-bit tests of `monodromy._series`.
 """
+import math
 import operator
 
 from fuchskit.algebra import (
@@ -132,3 +135,32 @@ def subst_reciprocal(rf: RationalFunction) -> RationalFunction:
         return rf
     d = max(rf.num.degree(), rf.den.degree())
     return make(rf.num.reversed_coeffs(d), rf.den.reversed_coeffs(d))
+
+
+def series_dense(expansion: tuple, cols: list, tol: float) -> tuple:
+    """`monodromy._series` on dense rows: each column keeps its terms as
+    blocks (y_i, i y_i); row r holds, for j = w-1 down to 0, row r of
+    alpha_j and -delta_(j+1) in place r, so that entry r of (k+1) y_(k+1)
+    is one dot product with the last w blocks, zero products included."""
+    alpha, delta = expansion
+    m = len(cols)
+    w = max(len(alpha), len(delta) - 1)
+    alpha = alpha + [[0j] * (m * m)] * (w - len(alpha))
+    gamma = delta[1:] + [0j] * (w + 1 - len(delta))
+    rows = [[x for j in reversed(range(w)) for x in alpha[j][r * m:r * m + m]
+             + [-gamma[j] if c == r else 0j for c in range(m)]] for r in range(m)]
+    span = 2 * m * w
+    terms = [[0j] * span + y + [0j] * m for y in cols]  # w zero blocks first
+    last, k = max(abs(x) for y in cols for x in y), 0
+    while True:
+        k += 1
+        size = 0.0
+        for col in terms:
+            scaled = [sum(map(operator.mul, row, col[-span:])) for row in rows]
+            new = [s / k for s in scaled]
+            col += new
+            col += scaled
+            size = max(size, *map(abs, new))
+        if last + size <= tol or not math.isfinite(size):
+            return [[sum(col[span + r::2 * m]) for r in range(m)] for col in terms], k
+        last = size

@@ -30,6 +30,9 @@ TWO_POINT = json.dumps(second_order_with_exponents(
 NEGATIVE_POLE = json.dumps(second_order_with_exponents(
     (0, Fraction(-1, 2)), (Fraction(1, 2), Fraction(1, 3))).to_json())
 
+# the operator of README's CLI section
+README_OP = json.dumps({"order": 2, "real_points": ["0", "1"], "apparent_points": [],
+                        "coeffs": [["1/2", "-7/6"], ["0", "-1/6", "1/6"]]})
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
@@ -112,9 +115,12 @@ class TestExitCodes:
                                                             argv, flag):
         assert main(argv + flag) == 2
 
-    @pytest.mark.parametrize("flag", [["--base", "abc"], ["--radius", "abc"]])
+    @pytest.mark.parametrize("flag", [["--base", "abc"], ["--radius", "abc"],
+                                      ["--base", "[1, 2, 3]"], ["--base", "[true, 0]"],
+                                      ["--base", '["1", "0"]'], ["--base", "[1, 0"]])
     def test_malformed_number_is_a_usage_error(self, capsys, flag):
-        # a --base that is not a complex literal exited 1 with a ValueError
+        # a --base that is not a complex literal exited 1 with a ValueError;
+        # an [re, im] pair must hold exactly two JSON numbers
         assert main(["monodromy", "--input", TWO_POINT, "--point", "0", *flag]) == 2
         assert "invalid" in capsys.readouterr().err
 
@@ -652,6 +658,8 @@ class TestNumericCommands:
         ["--radius", "-1", "--base=-3"],
         ["--base", "nan"],
         ["--base", "inf"],
+        ["--base", "[NaN, 0]"],
+        ["--base", "[0, 1e400]"],
         ["--rtol", "0", "--atol", "0"],
         ["--rtol", "-1"],
         ["--rtol", "nan"],
@@ -663,6 +671,31 @@ class TestNumericCommands:
         assert code == 1
         assert doc["schema"] == "fuchskit/1"
         assert doc["error"]["type"] == "DomainError"
+
+    def test_base_point_reads_back(self, capsys):
+        # the printed [re, im] of the global product gives the loop that the
+        # complex literal of the same point gives
+        code, doc = invoke(capsys, "monodromy", "--input", README_OP)
+        assert code == 0
+        re, im = doc["global"]["base_point"]
+        code, printed = invoke(capsys, "monodromy", "--input", README_OP, "--point", "0",
+                               "--base", json.dumps([re, im]))
+        assert code == 0 and "error" not in printed
+        assert (code, printed) == invoke(capsys, "monodromy", "--input", README_OP,
+                                         "--point", "0", f"--base={re!r}{im:+}j")
+        assert printed["monodromy"]["loop"]["base_point"] == [re, im]
+
+    def test_coefficient_out_of_double_range(self, capsys):
+        # 10^400 is within the digit bound but past the largest double; it
+        # ended in an OverflowError traceback
+        op = {"order": 2, "real_points": ["0", "1"], "apparent_points": [],
+              "coeffs": [["1" + "0" * 400, "0"], ["0", "1/2"]]}
+        for extra in ([], ["--point", "0"]):
+            code, doc = invoke(capsys, "monodromy", "--input", json.dumps(op), *extra)
+            assert code == 1
+            assert doc["schema"] == "fuchskit/1"
+            assert doc["error"]["type"] == "DomainError"
+            assert "double range" in doc["error"]["message"]
 
     def test_rtol_below_integrator_floor(self, capsys):
         code = main(["monodromy", "--input", TWO_POINT, "--point", "0",

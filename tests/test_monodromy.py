@@ -21,12 +21,14 @@ from fuchskit.monodromy import (
     _lollipop,
     _NumericConnection,
     _plan_loops,
+    _series,
     _transport,
     anchored_monodromy,
     global_product,
     is_apparent_numeric,
     isomonodromy_sweep,
     monodromy,
+    solve_ivp,
 )
 from fuchskit.operator import DomainError, FuchsianOperator, validate_fuchsian
 from fuchskit.sampling import (
@@ -35,7 +37,7 @@ from fuchskit.sampling import (
     random_operator,
     second_order_with_exponents,
 )
-from oracles import rf_eval
+from oracles import rf_eval, series_dense
 
 
 def conn_of(op):
@@ -139,6 +141,87 @@ class TestNumericView:
         # the circle of radius 1 about 0 passes through the pole 1
         with pytest.raises(DomainError, match="meets a pole"):
             monodromy(conn_of(TWO_POINT), 0, radius=1.0)
+
+
+class TestSeries:
+    """The chord recurrence on the nonzero coefficients only gives every
+    float of the dense recurrence, and the same number of terms."""
+
+    @staticmethod
+    def expansion(rng, m, w, shape):
+        """(alpha, delta) with w = max(len(alpha), len(delta) - 1), entries
+        shrinking with j like those of a chord inside its disc."""
+        density = {"dense": 1.0, "sparse": 0.4}.get(shape, 0.7)
+
+        def entry(j):
+            if rng.random() >= density:
+                return 0j
+            return complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 0.3 ** j / m
+
+        la, ld = (1, w + 1) if shape == "short alpha" else (w, rng.randint(1, w + 1))
+        alpha = [[entry(j + 1) for _ in range(m * m)] for j in range(la)]
+        delta = [1 + 0j] + [entry(j) for j in range(1, ld)]
+        if shape in ("empty row", "one alpha", "one delta"):
+            # row 0 of every alpha_j is zero, and so is delta past delta_0
+            # but for one entry of one of them
+            for a in alpha:
+                a[:m] = [0j] * m
+            delta[1:] = [0j] * (len(delta) - 1)
+            if shape == "one alpha":
+                alpha[rng.randrange(la)][rng.randrange(m)] = 0.1 - 0.2j
+            elif shape == "one delta":
+                delta += [0j] * (w + 1 - len(delta))
+                delta[rng.randint(1, w)] = -0.05 + 0.1j
+        return alpha, delta
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("shape", ["dense", "sparse", "empty row", "one alpha",
+                                       "one delta", "short alpha"])
+    def test_against_the_dense_recurrence(self, m, shape):
+        rng = random.Random(f"{m} {shape}")
+        for w in (1, 2, 3, 4):
+            for _ in range(5):
+                alpha, delta = self.expansion(rng, m, w, shape)
+                assert max(len(alpha), len(delta) - 1) == w
+                cols = [[complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                         for _ in range(m)] for _ in range(m)]
+                tol = 10.0 ** rng.uniform(-14, -6)
+                got, k = _series((alpha, delta), cols, tol)
+                want, k_dense = series_dense((alpha, delta), cols, tol)
+                assert k == k_dense > 1
+                assert got == want
+                # bit for bit, the signs of zeros included
+                assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_global_product_bit_for_bit(self, monkeypatch):
+        op = second_order_with_exponents(
+            (0, 1, -1), (Fraction(1, 2), Fraction(1, 3), Fraction(-1, 4)),
+            quadratic_part=Fraction(1, 8))
+        g = global_product(conn_of(op))
+        monkeypatch.setattr(fuchskit.monodromy, "_series", series_dense)
+        dense = global_product(conn_of(op))
+        for got, want in zip([*g.loops, g.outer], [*dense.loops, dense.outer]):
+            assert got.matrix.tobytes() == want.matrix.tobytes()
+            assert got.est_error == want.est_error
+        assert g.product.tobytes() == dense.product.tobytes()
+        assert (g.closure_error, g.scale) == (dense.closure_error, dense.scale)
+
+    def test_walk_that_overflows(self):
+        # u' = 10^200 u has no pole, so the chord is the whole segment, and
+        # its second Taylor term is past double range
+        conn = LogConnection(ExactMatrix.from_rows([[Polynomial.constant(10 ** 200)]]),
+                             Polynomial.one(), ())
+        with pytest.raises(DomainError, match=r"overflows at \(1\+0j\)"):
+            solve_ivp(_NumericConnection(conn), _line(0j, 1 + 0j), _RTOL, _ATOL)
+
+    def test_coefficient_out_of_double_range(self):
+        op = FuchsianOperator(order=2, real_points=(0, 1), apparent_points=(),
+                              coeffs=([10 ** 400, 0], [0, Fraction(1, 2)]))
+        conn = conn_of(op)
+        with pytest.raises(DomainError, match="out of double range"):
+            _NumericConnection(conn)
+        with pytest.raises(DomainError, match="out of double range"):
+            global_product(conn)
 
 
 class TestNumericParameters:
