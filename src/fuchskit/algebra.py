@@ -83,6 +83,9 @@ EXCERPT = 40  # characters of a rejected input quoted in an error message
 # The most digits of a number that fuchskit reads or prints, whatever
 # Python's own int-to-text limit is set to; 4300 is that limit's default.
 MAX_DIGITS = 4300
+_PRINT_BOUND = 10 ** MAX_DIGITS
+_UNPRINTABLE = (f"the result has a number of more than {MAX_DIGITS} digits, "
+                "the bound on the numbers that fuchskit reads and prints")
 
 
 def check_digits(text: str, what: str) -> str:
@@ -204,10 +207,13 @@ class GaussianRational:
         return complex(self.a / self.d, self.b / self.d)
 
     def to_json(self):
-        """'p/q' for rational values, {'re':..,'im':..} otherwise."""
-        if not self.b:
-            return str(self.re)
-        return {"re": str(self.re), "im": str(self.im)}
+        """'p/q' for rational values, {'re':..,'im':..} otherwise; a part of
+        more than MAX_DIGITS digits, in any document, is a DomainError."""
+        parts = (self.re, self.im) if self.b else (self.re,)
+        if any(max(abs(f.numerator), f.denominator) >= _PRINT_BOUND for f in parts):
+            raise DomainError(_UNPRINTABLE)
+        re, *im = map(str, parts)
+        return {"re": re, "im": im[0]} if im else re
 
     def __str__(self) -> str:
         re, im = self.re, self.im

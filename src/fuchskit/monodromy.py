@@ -44,8 +44,10 @@ _APPARENT_TOL = 1e-6  # largest distance at which a loop still counts as trivial
 
 
 class _NumericConnection:
-    """Complex view of the connection A/D: the coefficients of A^T, each
-    flattened row-major, and of D, lowest power first, and the poles."""
+    """Complex view of the connection A/D, the one checked conversion of its
+    exact values to floats: the coefficients of A^T (each row-major) and of
+    D, lowest power first, and the poles; with the exact poles and traces
+    of their residue matrices."""
 
     def __init__(self, conn: LogConnection):
         m = self.size = conn.size
@@ -57,10 +59,25 @@ class _NumericConnection:
                     for k, c in enumerate(a.coeffs):
                         flat[k][j * m + i] = complex(c)
             self._den = [[complex(c)] for c in conn.den.coeffs]
+            self.poles = [complex(p) for p in conn.pole_points]
         except OverflowError:
-            raise DomainError("a connection coefficient is out of double range") from None
+            raise DomainError("a coefficient or pole of the connection is out of "
+                              "double range") from None
+        first = {}
+        for p, z in zip(conn.pole_points, self.poles):
+            if first.setdefault(z, p) != p:
+                raise DomainError(f"the distinct poles {first[z]} and {p} are equal "
+                                  "in double precision")
         self._num = flat
-        self.poles = [complex(p) for p in conn.pole_points]
+        self.points = conn.pole_points
+        self.traces = [residue_matrix(conn, p)[0].trace() for p in conn.pole_points]
+
+    def det_reference(self, center: complex, radius: float) -> complex:
+        """exp of the loop integral of tr B around the circle, from the
+        exact residues at every pole strictly inside it."""
+        total = sum((t for z, t in zip(self.poles, self.traces)
+                     if abs(z - center) < radius), scalar(0))
+        return cmath.exp(2j * math.pi * complex(total))
 
     def expansion(self, z0: complex, h: complex) -> tuple:
         """(alpha, delta) with h B^T(z0 + h s) = sum_j alpha_j s^j / sum_j
@@ -216,31 +233,22 @@ class MonodromyResult(Report):
     est_error: float
 
 
-def _det_reference(conn: LogConnection, loop: LoopSpec) -> complex:
-    """exp of the loop integral of tr B, from the exact residues at every
-    pole strictly inside the loop's circle."""
-    total = scalar(0)
-    for p in conn.pole_points:
-        if abs(complex(p) - loop.center) < loop.radius:
-            total = total + residue_matrix(conn, p)[0].trace()
-    return cmath.exp(2j * math.pi * complex(total))
-
-
-def _default_radius(conn: LogConnection, p) -> float:
-    z = complex(p)
-    dists = [abs(z - complex(q)) for q in conn.pole_points if q != p]
+def _default_radius(poles: list, z: complex) -> float:
+    """Half the distance from the pole z to the nearest other one, or 1."""
+    dists = [abs(z - q) for q in poles if q != z]
     return min(dists) / 2.0 if dists else 1.0
 
 
 def _loop_geometry(conn: LogConnection, point, radius) -> tuple:
-    """The complex value of the pole to encircle and the checked radius."""
-    p = scalar(point)
-    if p not in conn.pole_points:
+    """The view, the pole to encircle as a float and the checked radius."""
+    num, p = _NumericConnection(conn), scalar(point)
+    if p not in num.points:
         raise DomainError(f"{p} is not a pole of the connection")
-    r = _default_radius(conn, p) if radius is None else float(radius)
+    z = num.poles[num.points.index(p)]
+    r = _default_radius(num.poles, z) if radius is None else float(radius)
     if not (math.isfinite(r) and r > 0):
         raise DomainError(f"radius must be finite and positive, got {r}")
-    return complex(p), r
+    return num, z, r
 
 
 def _base(base_point) -> complex:
@@ -274,17 +282,15 @@ def _lollipop(center: complex, radius: float, b: complex, poles) -> tuple:
     return _line(b, start), _circle(center, radius, cmath.phase(d))
 
 
-def _loop(conn: LogConnection, center: complex, radius: float,
+def _loop(num: _NumericConnection, center: complex, radius: float,
           base: complex | None, rtol: float, atol: float) -> MonodromyResult:
     """The one loop routine: the circle alone from angle 0 when `base` is
     None, else the anchored loop of `_lollipop`, its leg integrated once
     and the way back, the inverse of the way in, solved for."""
-    num = _NumericConnection(conn)
     if base is None:
         mat = _transport(num, _circle(center, radius, 0.0), rtol, atol)
     else:
-        leg, circle = _lollipop(center, radius, base,
-                                [complex(q) for q in conn.pole_points])
+        leg, circle = _lollipop(center, radius, base, num.poles)
         inward = _transport(num, leg, rtol, atol)
         around = _transport(num, circle, rtol, atol)
         mat = np.linalg.solve(inward, around @ inward)
@@ -292,7 +298,7 @@ def _loop(conn: LogConnection, center: complex, radius: float,
     loop = LoopSpec(center=center, radius=radius, base_point=base)
     eigenvalues = sorted(np.linalg.eigvals(mat),
                          key=lambda w: (round(w.real, 9), round(w.imag, 9)))
-    err = abs(complex(np.linalg.det(mat)) - _det_reference(conn, loop))
+    err = abs(complex(np.linalg.det(mat)) - num.det_reference(center, radius))
     return MonodromyResult(loop=loop, matrix=mat,
                            char_poly=np.poly(mat).astype(complex),
                            eigenvalues=np.array(eigenvalues),
@@ -307,8 +313,8 @@ def monodromy(conn: LogConnection, point, radius: float | None = None,
     the circle encloses nothing else.
     """
     _check_tolerances(rtol, atol)
-    center, r = _loop_geometry(conn, point, radius)
-    return _loop(conn, center, r, None, rtol, atol)
+    num, center, r = _loop_geometry(conn, point, radius)
+    return _loop(num, center, r, None, rtol, atol)
 
 
 def anchored_monodromy(conn: LogConnection, point, base_point: complex,
@@ -316,8 +322,8 @@ def anchored_monodromy(conn: LogConnection, point, base_point: complex,
                        rtol: float = _RTOL, atol: float = _ATOL) -> MonodromyResult:
     """Loop from the base point: straight in, once around, straight back."""
     _check_tolerances(rtol, atol)
-    center, r = _loop_geometry(conn, point, radius)
-    return _loop(conn, center, r, _base(base_point), rtol, atol)
+    num, center, r = _loop_geometry(conn, point, radius)
+    return _loop(num, center, r, _base(base_point), rtol, atol)
 
 
 @dataclass(frozen=True)
@@ -366,10 +372,6 @@ def _plan_loops(poles) -> tuple:
     bot = min(z.imag for z in poles)
     top = max(z.imag for z in poles)
     span = max(hi - lo, top - bot, 1.0)
-    nearest = []
-    for i, p in enumerate(poles):
-        d = [abs(p - q) for j, q in enumerate(poles) if j != i]
-        nearest.append(min(d) if d else 2.0)
     for shift in (0.0, 0.37 * span, -0.29 * span, 0.61 * span, -0.53 * span):
         b = complex((lo + hi) / 2 + shift, bot - 2 * span - 3)
         clearance = [math.inf] * len(poles)
@@ -378,8 +380,8 @@ def _plan_loops(poles) -> tuple:
                 if k != i:
                     clearance[k] = min(clearance[k], _segment_distance(b, p, q))
         if all(c > _CLEARANCE for c in clearance):
-            radii = [min(0.4 * nearest[i], 0.45 * clearance[i])
-                     for i in range(len(poles))]
+            radii = [min(0.8 * _default_radius(poles, p), 0.45 * c)
+                     for p, c in zip(poles, clearance)]
             return b, radii
     raise DomainError("could not place a base point with clear sight lines")
 
@@ -394,12 +396,17 @@ def global_product(conn: LogConnection, base_point: complex | None = None,
     to integration error; `closure_error` reports the gap.
     """
     _check_tolerances(rtol, atol)
-    if not conn.pole_points:
+    return _global(_NumericConnection(conn), base_point, rtol, atol)
+
+
+def _global(num: _NumericConnection, base_point, rtol: float, atol: float) -> GlobalMonodromy:
+    """`global_product` on the view."""
+    poles = num.poles
+    if not poles:
         raise DomainError("connection has no finite poles to encircle")
-    poles = [complex(p) for p in conn.pole_points]
     if base_point is not None:
         b = _base(base_point)
-        radii = [_default_radius(conn, p) for p in conn.pole_points]
+        radii = [_default_radius(poles, z) for z in poles]
     else:
         b, radii = _plan_loops(poles)
     center = complex(sum(poles) / len(poles))
@@ -408,8 +415,7 @@ def global_product(conn: LogConnection, base_point: complex | None = None,
         raise DomainError("base point sits inside the outer loop")
     for p, r in zip(poles, radii):  # every leg is checked before any transport
         _lollipop(p, r, b, poles)
-    results = [anchored_monodromy(conn, p, b, radius=r, rtol=rtol, atol=atol)
-               for p, r in zip(conn.pole_points, radii)]
+    results = [_loop(num, p, r, b, rtol, atol) for p, r in zip(poles, radii)]
     # departure angles are measured from the direction of the outer center:
     # the base sees the whole outer circle, and so every pole, within a
     # quarter turn of it, far from the branch cut of the phase at +-pi
@@ -417,10 +423,10 @@ def global_product(conn: LogConnection, base_point: complex | None = None,
                    key=lambda i: cmath.phase((poles[i] - b) / (center - b)))
     # rows compose left-to-right along the path, so the smallest departure
     # angle sits leftmost and the rightmost factor acts first
-    product = np.eye(conn.size, dtype=complex)
+    product = np.eye(num.size, dtype=complex)
     for i in order:
         product = product @ results[i].matrix
-    outer = _loop(conn, center, outer_radius, b, rtol, atol)
+    outer = _loop(num, center, outer_radius, b, rtol, atol)
     closure = float(np.max(np.abs(product - outer.matrix)))
     scale = max([float(np.max(np.abs(r.matrix))) for r in results]
                 + [float(np.max(np.abs(outer.matrix))), 1.0])
@@ -465,15 +471,15 @@ def isomonodromy_sweep(operators, rtol: float = _RTOL, atol: float = _ATOL) -> S
     points = ops[0].real_points
     if any(set(op.real_points) != set(points) for op in ops):
         raise DomainError("the members of a family must have the same real points")
-    conns = [build_companion(op) for op in ops]
-    poles = {complex(p) for conn in conns for p in conn.pole_points}
+    nums = [_NumericConnection(build_companion(op)) for op in ops]
+    poles = {z for num in nums for z in num.poles}
     if not poles:
         raise DomainError("the family has no finite poles to encircle")
     base = _plan_loops(list(poles))[0]
     traces, closure = [], 0.0
-    for op, conn in zip(ops, conns):
-        g = global_product(conn, base_point=base, rtol=rtol, atol=atol)
-        loops = {p: r.matrix for p, r in zip(conn.pole_points, g.loops)}
+    for op, num in zip(ops, nums):
+        g = _global(num, base, rtol, atol)
+        loops = {p: r.matrix for p, r in zip(num.points, g.loops)}
         for p in op.apparent_points:
             if not is_apparent_numeric(loops[p]).ok:
                 raise DomainError(f"the loop around the apparent point {p} is not trivial")

@@ -58,6 +58,21 @@ class TestDocument:
         assert type(document(np.float64(2.5))) is float
         assert document(np.arange(3)) == [0, 1, 2]
 
+    def test_printed_parts_obey_the_digit_bound(self):
+        # every exact number of a document is printed by to_json, which
+        # refuses a part of more than MAX_DIGITS digits, whatever Python's
+        # own int-to-text limit is
+        bound = 10 ** algebra.MAX_DIGITS
+        assert GaussianRational(Fraction(1, bound - 1), 0).to_json() == (
+            "1/" + "9" * algebra.MAX_DIGITS)
+        assert document([scalar(1), GaussianRational(0, bound - 1)])[1]["im"] == (
+            "9" * algebra.MAX_DIGITS)
+        for past in [GaussianRational(bound, 0), GaussianRational(Fraction(1, bound), 0),
+                     GaussianRational(1, -bound), GaussianRational(1, Fraction(1, bound))]:
+            with pytest.raises(algebra.DomainError,
+                               match=f"more than {algebra.MAX_DIGITS} digits"):
+                document({"value": past})
+
 
 # ------------------------------------------------------------------ scalars
 

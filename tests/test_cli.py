@@ -338,6 +338,25 @@ class TestExitCodes:
         assert f"more than {MAX_DIGITS} digits" in doc["error"]["message"]
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("limit", [4300, 0])
+    def test_printed_residue_past_the_digit_bound_is_refused(self, capsys, limit):
+        # the residue at 1/10^4200 has 8401 digits: Python's default limit
+        # raised a plain ValueError, and with no limit it was printed, in a
+        # document that fuchskit could not read back
+        op = {"order": 2, "real_points": ["0", "1/1" + "0" * 4200], "apparent_points": [],
+              "coeffs": [["0"], ["1"]]}
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this Python has no int-to-text limit to set")
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            code, doc = invoke(capsys, "exponents", "--input", json.dumps(op))
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert code == 1
+        assert doc["error"]["type"] == "DomainError"
+        assert f"more than {MAX_DIGITS} digits" in doc["error"]["message"]
+
     def test_closed_form_beyond_the_digit_limit_is_refused_before_it_is_built(self, capsys):
         # 24 points of 4001 digits: multiplying out the closed form took
         # seconds before it was refused as unprintable
@@ -696,6 +715,27 @@ class TestNumericCommands:
             assert doc["schema"] == "fuchskit/1"
             assert doc["error"]["type"] == "DomainError"
             assert "double range" in doc["error"]["message"]
+
+    # 10^400, written out: within the digit bound, past the largest double
+    FAR_POLE = {"order": 2, "real_points": ["0", "1" + "0" * 400], "apparent_points": [],
+                "coeffs": [["1/2", "-7/6"], ["0", "-1/6", "1/6"]]}
+
+    @pytest.mark.parametrize("argv", [
+        ["monodromy", "--input", json.dumps(FAR_POLE)],
+        ["monodromy", "--input", json.dumps(FAR_POLE), "--point", "0"],
+        ["monodromy", "--input", json.dumps(FAR_POLE), "--point", "0", "--base", "-5-5j"],
+        ["sweep", "--input", json.dumps({"operators": [FAR_POLE] * 2})],
+    ], ids=["global", "point", "anchored", "sweep"])
+    def test_pole_out_of_double_range(self, capsys, argv):
+        # each ended in an OverflowError traceback from converting the pole
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "Traceback" not in captured.err
+        doc = json.loads(captured.out)
+        assert doc["schema"] == "fuchskit/1"
+        assert doc["error"]["type"] == "DomainError"
+        assert "double range" in doc["error"]["message"]
 
     def test_rtol_below_integrator_floor(self, capsys):
         code = main(["monodromy", "--input", TWO_POINT, "--point", "0",

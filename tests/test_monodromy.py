@@ -391,6 +391,38 @@ class TestGlobalProduct:
         # a leg and a circle for each pole loop and for the outer loop
         assert len(calls) == 2 * 3 + 2
 
+    def test_one_view_per_product(self, monkeypatch):
+        # the loops of a product share one numeric view, which takes the
+        # residue at each pole once; each loop used to build a view of its
+        # own, and the determinant references took 2n residues in all
+        op = second_order_with_exponents(
+            (0, 1, -1), (Fraction(1, 2), Fraction(1, 3), Fraction(-1, 4)),
+            quadratic_part=Fraction(1, 8))
+        views, residues = [], []
+        view = fuchskit.monodromy._NumericConnection
+        residue = fuchskit.monodromy.residue_matrix
+        monkeypatch.setattr(fuchskit.monodromy, "_NumericConnection",
+                            lambda conn: views.append(conn) or view(conn))
+        monkeypatch.setattr(fuchskit.monodromy, "residue_matrix",
+                            lambda *args: residues.append(args) or residue(*args))
+        g = global_product(conn_of(op))
+        assert g.closure_error < 1e-8
+        assert (len(views), len(residues)) == (1, 3)
+
+    def test_poles_equal_in_double_precision(self):
+        # 1/10^400 rounds to 0.0: the product could not place its base
+        # point, and the loop at 0 got the radius 0.0
+        tiny = Fraction(1, 10 ** 400)
+        op = second_order_with_exponents(
+            (0, tiny, 1), (Fraction(1, 2), Fraction(1, 3), Fraction(-1, 4)))
+        conn = conn_of(op)
+        for call in (lambda: global_product(conn), lambda: monodromy(conn, 0),
+                     lambda: anchored_monodromy(conn, 1, base_point=-5 - 5j),
+                     lambda: isomonodromy_sweep([op])):
+            with pytest.raises(DomainError, match=f"the distinct poles 0 and {tiny} "
+                                                  "are equal in double precision"):
+                call()
+
     # poles i, -i and 2: from a base to the right of them, the phase of
     # pole - base jumps across the branch cut at +-pi
     STRADDLED = second_order_with_exponents(
