@@ -104,8 +104,8 @@ def _base_arg(text: str) -> complex:
 # --- subcommand bodies -----------------------------------------------------
 
 # Each command imports what it calls on first use, so a cold call loads only
-# the modules it runs; only the numeric commands' .monodromy loads numpy,
-# and they parse every input before they import it.
+# the modules it runs; the numeric commands parse every input before they
+# import .monodromy.
 
 
 def _cmd_validate(args):

@@ -9,10 +9,12 @@ produces the eigenvalue exp(+2 pi i mu).
 
 The series follow from the connection's own form B = A/D, one polynomial
 matrix A over one monic polynomial D: D u' = A^T u is a recurrence in the
-coefficients of A and D, shifted once to each node of the path.  numpy
-only handles the results: per loop one solve, the eigenvalues, the
-characteristic polynomial and the determinant, and the traces of words in
-the loops of a family.  One routine, `_loop`, builds every loop.
+coefficients of A and D, shifted once to each node of the path.  The
+m x m results are handled by small private kernels on tuples of rows of
+complex numbers: per loop one solve, the eigenvalues (Hessenberg reduction
+and shifted QR), the characteristic polynomial and the determinant, and
+the traces of words in the loops of a family.  One routine, `_loop`,
+builds every loop.
 
 Each result carries a self-diagnosed error estimate: the determinant of the
 transport matrix is compared against the exponential of the exact trace
@@ -31,8 +33,6 @@ import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from operator import itemgetter, mul
-
-import numpy as np
 
 from .algebra import Report, document, scalar
 from .connection import LogConnection, build_companion, residue_matrix
@@ -184,9 +184,159 @@ def _picker(offsets: list):
     return itemgetter(*offsets) if len(offsets) > 1 else lambda s: [s[i] for i in offsets]
 
 
-def _transport(num: _NumericConnection, path, rtol: float, atol: float) -> np.ndarray:
-    """Y of `solve_ivp` at the end of the path, as an m x m array."""
-    return np.array(solve_ivp(num, path, rtol, atol).y).T
+# ---------------------------------------------------------------------------
+# m x m kernels on tuples of rows of complex numbers
+
+
+def _rows(mat) -> tuple:
+    """Any square matrix, rows first, as a tuple of rows of complex."""
+    return tuple(tuple(map(complex, row)) for row in mat)
+
+
+def _identity(m: int) -> tuple:
+    return tuple(tuple(complex(i == j) for j in range(m)) for i in range(m))
+
+
+def _matmul(a, b) -> tuple:
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col), 0j) for col in cols) for row in a)
+
+
+def _lu(a) -> tuple:
+    """Row-pivoted LU: L below the diagonal (its unit diagonal implied) and
+    U on and above it in one list of rows, the row order and the sign of
+    the permutation.  A column that is zero from the diagonal down is
+    passed over and leaves a zero pivot."""
+    lu, m, sign = [list(row) for row in _rows(a)], len(a), 1
+    order = list(range(m))
+    for k in range(m):
+        p = max(range(k, m), key=lambda i: abs(lu[i][k]))
+        if p != k:
+            lu[k], lu[p], order[k], order[p], sign = lu[p], lu[k], order[p], order[k], -sign
+        pivot = lu[k][k]
+        if pivot == 0:
+            continue
+        for row in lu[k + 1:]:
+            f = row[k] = row[k] / pivot
+            for j in range(k + 1, m):
+                row[j] -= f * lu[k][j]
+    return lu, order, sign
+
+
+def _det(a) -> complex:
+    lu, _, sign = _lu(a)
+    return functools.reduce(mul, (lu[k][k] for k in range(len(lu))), complex(sign))
+
+
+def _solve(a, b) -> tuple:
+    """X with A X = B; an exactly zero pivot raises DomainError."""
+    lu, order, _ = _lu(a)
+    m = len(lu)
+    if any(lu[k][k] == 0 for k in range(m)):
+        raise DomainError(f"the {m} x {m} matrix to solve with is singular")
+    b = _rows(b)
+    x = [list(b[i]) for i in order]
+    for i in range(m):
+        for k in range(i):
+            x[i] = [s - lu[i][k] * t for s, t in zip(x[i], x[k])]
+    for i in reversed(range(m)):
+        for k in range(i + 1, m):
+            x[i] = [s - lu[i][k] * t for s, t in zip(x[i], x[k])]
+        x[i] = [s / lu[i][i] for s in x[i]]
+    return tuple(map(tuple, x))
+
+
+def _hessenberg(a) -> list:
+    """A unitarily similar upper Hessenberg matrix, by Householder
+    reflections I - 2 v v^H / |v|^2 that clear each column below its
+    subdiagonal."""
+    h = [list(row) for row in _rows(a)]
+    m = len(h)
+    for k in range(m - 2):
+        v = [h[i][k] for i in range(k + 1, m)]
+        norm = math.hypot(*map(abs, v))
+        if norm == 0:
+            continue
+        v[0] += norm * (v[0] / abs(v[0]) if v[0] else 1)
+        scale = 2 / sum(abs(x) ** 2 for x in v)
+        for j in range(k, m):  # from the left, on rows k+1..
+            f = scale * sum(x.conjugate() * h[k + 1 + i][j] for i, x in enumerate(v))
+            for i, x in enumerate(v):
+                h[k + 1 + i][j] -= f * x
+        for row in h:  # from the right, on columns k+1..
+            f = scale * sum(row[k + 1 + i] * x for i, x in enumerate(v))
+            for i, x in enumerate(v):
+                row[k + 1 + i] -= f * x.conjugate()
+        for i in range(k + 2, m):
+            h[i][k] = 0j
+    return h
+
+
+_QR_SWEEPS = 30  # sweeps per eigenvalue before _eigvals gives up
+
+
+def _eigvals(a) -> list:
+    """The eigenvalues of a square matrix: Hessenberg reduction, then
+    complex QR sweeps with the Wilkinson shift on the active block h[lo..hi]
+    (Francis 1961; Golub & Van Loan, Matrix Computations, ch. 7).  A
+    subdiagonal entry below eps times its two diagonal neighbours splits the
+    block; each tenth sweep without a split takes an exceptional shift.
+    No split after _QR_SWEEPS sweeps per eigenvalue raises DomainError."""
+    h, eps = _hessenberg(a), sys.float_info.epsilon
+    out, hi, sweeps = [], len(h) - 1, 0
+    while hi >= 0:
+        lo = hi
+        while lo > 0 and not abs(h[lo][lo - 1]) <= eps * (
+                abs(h[lo - 1][lo - 1]) + abs(h[lo][lo])
+                or max(abs(x) for row in h for x in row)):
+            lo -= 1
+        if lo == hi:
+            out.append(h[hi][hi])
+            hi, sweeps = hi - 1, 0
+            continue
+        sweeps += 1
+        if sweeps > _QR_SWEEPS * len(h):
+            raise DomainError(f"the eigenvalues of a {len(h)} x {len(h)} matrix did "
+                              f"not converge in {_QR_SWEEPS * len(h)} QR sweeps")
+        p, q, r, d = h[hi - 1][hi - 1], h[hi - 1][hi], h[hi][hi - 1], h[hi][hi]
+        if sweeps % 10 == 0:
+            shift = d + 0.75 * abs(r)
+        else:  # the eigenvalue of the trailing 2 x 2 block nearer to d
+            half = (p - d) / 2
+            root = cmath.sqrt(half * half + q * r)
+            den = max(half + root, half - root, key=abs)
+            shift = d - q * r / den if den else d
+        for k in range(lo, hi + 1):
+            h[k][k] -= shift
+        turns = []
+        for k in range(lo, hi):  # H - shift = QR by Givens rotations ...
+            x, y = h[k][k], h[k + 1][k]
+            n = math.hypot(abs(x), abs(y))
+            c, s = (abs(x) / n, (x / abs(x) if x else 1) * y.conjugate() / n) if n else (1.0, 0j)
+            turns.append((c, s))
+            for j in range(k, hi + 1):
+                u, w = h[k][j], h[k + 1][j]
+                h[k][j], h[k + 1][j] = c * u + s * w, c * w - s.conjugate() * u
+        for k, (c, s) in zip(range(lo, hi), turns):  # ... then RQ + shift
+            for i in range(lo, k + 2):
+                u, w = h[i][k], h[i][k + 1]
+                h[i][k], h[i][k + 1] = c * u + s.conjugate() * w, c * w - s * u
+        for k in range(lo, hi + 1):
+            h[k][k] += shift
+    return out
+
+
+def _poly(roots) -> tuple:
+    """The coefficients of prod (x - root), highest power first."""
+    coeffs = [1 + 0j]
+    for root in roots:
+        coeffs = [a - root * b for a, b in zip(coeffs + [0j], [0j] + coeffs)]
+    return tuple(coeffs)
+
+
+def _transport(num: _NumericConnection, path, rtol: float, atol: float) -> tuple:
+    """Y of `solve_ivp` at the end of the path, as a tuple of rows."""
+    return tuple(zip(*solve_ivp(num, path, rtol, atol).y))
 
 
 def _line(z0: complex, z1: complex):
@@ -227,9 +377,9 @@ class LoopSpec:
 @dataclass(frozen=True)
 class MonodromyResult(Report):
     loop: LoopSpec
-    matrix: np.ndarray
-    char_poly: np.ndarray    # complex, highest power first, length size+1
-    eigenvalues: np.ndarray  # sorted by real, then imaginary part (9 places)
+    matrix: tuple       # rows of complex
+    char_poly: tuple    # complex, highest power first, length size+1
+    eigenvalues: tuple  # sorted by real, then imaginary part (9 places)
     est_error: float
 
 
@@ -246,13 +396,23 @@ def _loop_geometry(conn: LogConnection, point, radius) -> tuple:
         raise DomainError(f"{p} is not a pole of the connection")
     z = num.poles[num.points.index(p)]
     r = _default_radius(num.poles, z) if radius is None else float(radius)
+    return num, z, _check_radius(r, z)
+
+
+def _check_radius(r: float, z: complex) -> float:
     if not (math.isfinite(r) and r > 0):
         raise DomainError(f"radius must be finite and positive, got {r}")
-    return num, z, r
+    if r <= _CLEARANCE:
+        raise DomainError(f"the loop radius {r:.3g} around {z} is at or below the "
+                          f"clearance {_CLEARANCE:.3g} that a path keeps from a pole")
+    return r
 
 
 def _base(base_point) -> complex:
-    b = complex(base_point)
+    try:
+        b = complex(base_point)
+    except OverflowError:
+        raise DomainError("base point is out of double range") from None
     if not cmath.isfinite(b):
         raise DomainError(f"base point must be finite, got {b}")
     return b
@@ -293,16 +453,14 @@ def _loop(num: _NumericConnection, center: complex, radius: float,
         leg, circle = _lollipop(center, radius, base, num.poles)
         inward = _transport(num, leg, rtol, atol)
         around = _transport(num, circle, rtol, atol)
-        mat = np.linalg.solve(inward, around @ inward)
-    mat = mat.T  # back from the column form to the row-section action
+        mat = _solve(inward, _matmul(around, inward))
+    mat = tuple(zip(*mat))  # back from the column form to the row-section action
     loop = LoopSpec(center=center, radius=radius, base_point=base)
-    eigenvalues = sorted(np.linalg.eigvals(mat),
-                         key=lambda w: (round(w.real, 9), round(w.imag, 9)))
-    err = abs(complex(np.linalg.det(mat)) - num.det_reference(center, radius))
-    return MonodromyResult(loop=loop, matrix=mat,
-                           char_poly=np.poly(mat).astype(complex),
-                           eigenvalues=np.array(eigenvalues),
-                           est_error=float(err))
+    eigenvalues = tuple(sorted(_eigvals(mat),
+                               key=lambda w: (round(w.real, 9), round(w.imag, 9))))
+    err = abs(_det(mat) - num.det_reference(center, radius))
+    return MonodromyResult(loop=loop, matrix=mat, char_poly=_poly(eigenvalues),
+                           eigenvalues=eigenvalues, est_error=err)
 
 
 def monodromy(conn: LogConnection, point, radius: float | None = None,
@@ -334,16 +492,15 @@ class ApparentNumericReport(Report):
     tol: float = _APPARENT_TOL
 
 
-def is_apparent_numeric(matrix: np.ndarray) -> ApparentNumericReport:
+def is_apparent_numeric(matrix) -> ApparentNumericReport:
     """Trivial-monodromy test: the matrix must be close to the identity AND
     its characteristic polynomial close to (x - 1)^size.  The second check
     alone would also accept unipotent matrices, so both are required."""
-    mat = np.asarray(matrix, dtype=complex)
-    m = mat.shape[0]
-    ident = float(np.max(np.abs(mat - np.eye(m))))
-    want = np.array([math.comb(m, k) * (-1.0) ** k for k in range(m + 1)],
-                    dtype=complex)
-    cp = float(np.max(np.abs(np.poly(mat) - want)))
+    mat = _rows(matrix)
+    m = len(mat)
+    ident = max(abs(x - y) for r, e in zip(mat, _identity(m)) for x, y in zip(r, e))
+    want = [math.comb(m, k) * (-1.0) ** k for k in range(m + 1)]
+    cp = max(abs(x - y) for x, y in zip(_poly(_eigvals(mat)), want))
     return ApparentNumericReport(ok=ident <= _APPARENT_TOL and cp <= _APPARENT_TOL,
                                  identity_distance=ident, char_poly_distance=cp)
 
@@ -357,7 +514,7 @@ class GlobalMonodromy(Report):
     base_point: complex
     order_of_loops: tuple     # pole indices sorted by departure angle
     loops: tuple              # MonodromyResult per pole, same order
-    product: np.ndarray       # right-to-left over the loop order
+    product: tuple            # right-to-left over the loop order
     outer: MonodromyResult    # one loop around everything, same base
     closure_error: float      # max |product - outer matrix|
     scale: float              # largest entry met; judge closure_error against it
@@ -366,7 +523,12 @@ class GlobalMonodromy(Report):
 def _plan_loops(poles) -> tuple:
     """Base point plus one loop radius per pole, with every sight line from
     the base staying clear of every other loop (so the composed lollipops
-    are homotopic to one outer circle)."""
+    are homotopic to one outer circle).  Two poles within twice
+    _CLEARANCE of each other leave no loop room around either."""
+    for p, q in itertools.combinations(poles, 2):
+        if abs(p - q) <= 2 * _CLEARANCE:
+            raise DomainError(f"the poles {p} and {q} are closer than twice the "
+                              f"clearance {_CLEARANCE:.3g} that a path keeps from a pole")
     lo = min(z.real for z in poles)
     hi = max(z.real for z in poles)
     bot = min(z.imag for z in poles)
@@ -413,8 +575,8 @@ def _global(num: _NumericConnection, base_point, rtol: float, atol: float) -> Gl
     outer_radius = max(abs(p - center) for p in poles) + 1.0
     if abs(b - center) <= outer_radius:
         raise DomainError("base point sits inside the outer loop")
-    for p, r in zip(poles, radii):  # every leg is checked before any transport
-        _lollipop(p, r, b, poles)
+    for p, r in zip(poles, radii):  # every loop is checked before any transport
+        _lollipop(p, _check_radius(r, p), b, poles)
     results = [_loop(num, p, r, b, rtol, atol) for p, r in zip(poles, radii)]
     # departure angles are measured from the direction of the outer center:
     # the base sees the whole outer circle, and so every pole, within a
@@ -423,13 +585,13 @@ def _global(num: _NumericConnection, base_point, rtol: float, atol: float) -> Gl
                    key=lambda i: cmath.phase((poles[i] - b) / (center - b)))
     # rows compose left-to-right along the path, so the smallest departure
     # angle sits leftmost and the rightmost factor acts first
-    product = np.eye(num.size, dtype=complex)
+    product = _identity(num.size)
     for i in order:
-        product = product @ results[i].matrix
+        product = _matmul(product, results[i].matrix)
     outer = _loop(num, center, outer_radius, b, rtol, atol)
-    closure = float(np.max(np.abs(product - outer.matrix)))
-    scale = max([float(np.max(np.abs(r.matrix))) for r in results]
-                + [float(np.max(np.abs(outer.matrix))), 1.0])
+    closure = max(abs(x - y) for r, s in zip(product, outer.matrix) for x, y in zip(r, s))
+    scale = max([abs(x) for r in [*results, outer] for row in r.matrix for x in row]
+                + [1.0])
     return GlobalMonodromy(base_point=b, order_of_loops=tuple(order),
                            loops=tuple(results), product=product,
                            outer=outer, closure_error=closure, scale=scale)
@@ -439,13 +601,14 @@ def _global(num: _NumericConnection, base_point, rtol: float, atol: float) -> Gl
 # families
 
 
-def word_traces(matrices) -> np.ndarray:
+def word_traces(matrices) -> tuple:
     """The trace of every word of length 1 to 3 in the letters M_1, M_1^-1,
     M_2, ..., shorter words first; a common conjugation leaves them fixed."""
-    letters = [x for mat in matrices for x in (mat, np.linalg.inv(mat))]
-    return np.array([np.trace(functools.reduce(np.matmul, word))
-                     for length in (1, 2, 3)
-                     for word in itertools.product(letters, repeat=length)], dtype=complex)
+    mats = [_rows(mat) for mat in matrices]
+    letters = [x for mat in mats for x in (mat, _solve(mat, _identity(len(mat))))]
+    return tuple(sum(row[i] for i, row in enumerate(functools.reduce(_matmul, word)))
+                 for length in (1, 2, 3)
+                 for word in itertools.product(letters, repeat=length))
 
 
 @dataclass(frozen=True)
@@ -485,6 +648,7 @@ def isomonodromy_sweep(operators, rtol: float = _RTOL, atol: float = _ATOL) -> S
                 raise DomainError(f"the loop around the apparent point {p} is not trivial")
         traces.append(word_traces([loops[p] for p in points]))
         closure = max(closure, g.closure_error / g.scale)
-    drift = max(float(np.max(np.abs(t - traces[0]), initial=0.0)) for t in traces)
+    drift = max(max((abs(x - y) for x, y in zip(t, traces[0])), default=0.0)
+                for t in traces)
     return SweepResult(count=len(ops), base_point=base, words=len(traces[0]),
                        max_drift=drift, closure_rel_max=closure)

@@ -288,7 +288,7 @@ def test_criterion_10_numeric_monodromy():
         quadratic_part=Fraction(1, 8))
     g = global_product(build_companion(crafted))
     assert g.closure_error < 1e-5
-    outer_vs_product = np.max(np.abs(g.product - g.outer.matrix))
+    outer_vs_product = np.max(np.abs(np.array(g.product) - g.outer.matrix))
     assert outer_vs_product < 1e-5
 
     elapsed = time.monotonic() - start

@@ -80,7 +80,7 @@ def test_global_monodromy_is_the_companion_pair(n, seed):
     want = word_traces([companion(exp_minus(a)), companion(exp_minus(b + [1]))])
     assert len(got) == 84
     bound = TRACE_FACTOR * (g.closure_error + _RTOL * g.scale)
-    assert np.max(np.abs(got - want)) <= bound, (a, b, g.closure_error, g.scale)
+    assert np.max(np.abs(np.array(got) - want)) <= bound, (a, b, g.closure_error, g.scale)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

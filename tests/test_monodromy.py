@@ -17,11 +17,17 @@ from fuchskit.frobenius import annihilator_from_solutions
 from fuchskit.monodromy import (
     _ATOL,
     _RTOL,
+    _det,
+    _eigvals,
+    _identity,
     _line,
     _lollipop,
+    _matmul,
     _NumericConnection,
     _plan_loops,
+    _poly,
     _series,
+    _solve,
     _transport,
     anchored_monodromy,
     global_product,
@@ -201,9 +207,9 @@ class TestSeries:
         monkeypatch.setattr(fuchskit.monodromy, "_series", series_dense)
         dense = global_product(conn_of(op))
         for got, want in zip([*g.loops, g.outer], [*dense.loops, dense.outer]):
-            assert got.matrix.tobytes() == want.matrix.tobytes()
+            assert np.array(got.matrix).tobytes() == np.array(want.matrix).tobytes()
             assert got.est_error == want.est_error
-        assert g.product.tobytes() == dense.product.tobytes()
+        assert np.array(g.product).tobytes() == np.array(dense.product).tobytes()
         assert (g.closure_error, g.scale) == (dense.closure_error, dense.scale)
 
     def test_walk_that_overflows(self):
@@ -222,6 +228,78 @@ class TestSeries:
             _NumericConnection(conn)
         with pytest.raises(DomainError, match="out of double range"):
             global_product(conn)
+
+
+class TestKernels:
+    """The m x m kernels against numpy as an independent oracle."""
+
+    @staticmethod
+    def matrices():
+        """(name, matrix) for seeded m = 1..6: Gaussian entries, the identity
+        plus 1e-12 noise, unit-modulus diagonals (a repeated one included)
+        under a strictly upper triangular part, and one graded matrix."""
+        rng = random.Random(20)
+
+        def gauss(m, s=1.0):
+            return np.array([[complex(rng.gauss(0, s), rng.gauss(0, s)) for _ in range(m)]
+                             for _ in range(m)])
+
+        for m in range(1, 7):
+            for k in range(5):
+                yield f"gaussian {m}.{k}", gauss(m)
+            yield f"near identity {m}", np.eye(m) + gauss(m, 1e-12)
+            phases = [cmath.exp(2j * math.pi * rng.random()) for _ in range(m)]
+            phases[-1] = phases[0]
+            yield f"jordan-like {m}", np.diag(phases) + np.triu(gauss(m), 1)
+        grade = np.diag([1.0, 1e3, 1e6, 1e9])
+        yield "graded", grade @ gauss(4) @ np.linalg.inv(grade)
+
+    @staticmethod
+    def bound(a) -> float:
+        return 1e-12 * max(1.0, float(np.max(np.abs(a))))
+
+    def test_eigenvalues(self):
+        for name, a in self.matrices():
+            got, want = _eigvals(tuple(map(tuple, a))), np.linalg.eigvals(a)
+            err = min(max(abs(g - w) for g, w in zip(got, perm))
+                      for perm in itertools.permutations(want))
+            assert len(got) == len(a) and err <= self.bound(a), (name, err)
+            want_poly = np.poly(got)  # the same roots
+            assert np.max(np.abs(np.array(_poly(got)) - want_poly)) <= self.bound(want_poly), name
+
+    def test_solve_det_and_inverse(self):
+        for name, a in self.matrices():
+            rows, m = tuple(map(tuple, a)), len(a)
+            b = np.array([[complex(i - j, i * j) for j in range(3)] for i in range(m)])
+            x = np.array(_solve(rows, tuple(map(tuple, b))))
+            assert x.shape == (m, 3)
+            assert np.max(np.abs(x - np.linalg.solve(a, b))) <= self.bound(a), name
+            assert np.max(np.abs(a @ x - b)) <= self.bound(a), name
+            assert abs(_det(rows) - np.linalg.det(a)) <= self.bound(a), name
+            inv = _solve(rows, _identity(m))
+            assert np.max(np.abs(np.array(_matmul(rows, inv)) - np.eye(m))) <= self.bound(a), name
+
+    def test_loop_matrices(self):
+        g = global_product(conn_of(TWO_POINT))
+        for loop in [*g.loops, g.outer]:
+            a = np.array(loop.matrix)
+            got, want = loop.eigenvalues, np.linalg.eigvals(a)
+            assert min(max(abs(x - y) for x, y in zip(got, perm))
+                       for perm in itertools.permutations(want)) <= self.bound(a)
+            assert np.max(np.abs(np.array(loop.char_poly) - np.poly(a))) <= 10 * self.bound(a)
+
+    def test_zero_pivot(self):
+        singular = ((1 + 0j, 2 + 0j), (2 + 0j, 4 + 0j))
+        with pytest.raises(DomainError, match="singular"):
+            _solve(singular, _identity(2))
+        with pytest.raises(DomainError, match="singular"):
+            _solve(((0j,),), ((1 + 0j,),))
+        assert _det(singular) == 0
+
+    def test_eigenvalues_that_do_not_converge(self):
+        # no subdiagonal entry of a NaN matrix ever counts as small
+        with pytest.raises(DomainError, match="did not converge in 90 QR sweeps"):
+            _eigvals(((math.nan, 1 + 0j, 0j), (1 + 0j, 0j, 1 + 0j), (0j, 1 + 0j, 0j)))
 
 
 class TestNumericParameters:
@@ -245,6 +323,13 @@ class TestNumericParameters:
             anchored_monodromy(conn, 0, base_point=bad)
         with pytest.raises(DomainError, match="base point"):
             global_product(conn, base_point=bad)
+
+    def test_base_point_out_of_double_range(self):
+        conn = conn_of(TWO_POINT)
+        with pytest.raises(DomainError, match="base point is out of double range"):
+            anchored_monodromy(conn, 0, base_point=10 ** 400)
+        with pytest.raises(DomainError, match="base point is out of double range"):
+            global_product(conn, base_point=10 ** 400)
 
     @pytest.mark.parametrize("bad", BAD)
     @pytest.mark.parametrize("which", ["rtol", "atol"])
@@ -322,7 +407,7 @@ class TestAnchoredLoops:
         conn = conn_of(TWO_POINT)
         plain = monodromy(conn, 0)
         anchored = anchored_monodromy(conn, 0, base_point=-0.7 - 1.3j)
-        assert np.max(np.abs(plain.char_poly - anchored.char_poly)) < 1e-8
+        assert np.max(np.abs(np.array(plain.char_poly) - anchored.char_poly)) < 1e-8
 
     def test_est_error_sums_every_enclosed_pole(self):
         # radius 5 about 0 also encloses the pole 1; the determinant
@@ -351,11 +436,11 @@ class TestAnchoredLoops:
             leg, circle = _lollipop(complex(p), r, b, poles)
             start = leg(1.0)[0]
             # column-form transports compose right to left along the path
-            want = (_transport(num, _line(start, b), _RTOL, _ATOL)
-                    @ _transport(num, circle, _RTOL, _ATOL)
-                    @ _transport(num, leg, _RTOL, _ATOL)).T
+            want = (np.array(_transport(num, _line(start, b), _RTOL, _ATOL))
+                    @ np.array(_transport(num, circle, _RTOL, _ATOL))
+                    @ np.array(_transport(num, leg, _RTOL, _ATOL))).T
             scale = max(float(np.max(np.abs(want))), 1.0)
-            assert np.max(np.abs(got - want)) <= 1e-9 * scale
+            assert np.max(np.abs(np.array(got) - want)) <= 1e-9 * scale
 
     def test_base_inside_loop_rejected(self):
         conn = conn_of(TWO_POINT)
@@ -366,7 +451,7 @@ class TestAnchoredLoops:
 class TestGlobalProduct:
     def test_noncommuting_loops_close_up(self):
         g = global_product(conn_of(TWO_POINT))
-        a, b = g.loops[0].matrix, g.loops[1].matrix
+        a, b = np.array(g.loops[0].matrix), np.array(g.loops[1].matrix)
         assert np.max(np.abs(a @ b - b @ a)) > 1.0  # genuinely noncommutative
         assert g.closure_error < 1e-8
         assert g.scale < 50
@@ -421,6 +506,22 @@ class TestGlobalProduct:
                      lambda: isomonodromy_sweep([op])):
             with pytest.raises(DomainError, match=f"the distinct poles 0 and {tiny} "
                                                   "are equal in double precision"):
+                call()
+
+    def test_poles_closer_than_the_clearance(self):
+        # distinct as floats, but 1e-12 apart: the product used to fail to
+        # place its base point, and the loop at 0 to meet the other pole
+        conn = conn_of(FuchsianOperator(
+            order=2, real_points=(0, Fraction(1, 10 ** 12), 1), apparent_points=(),
+            coeffs=([Fraction(1, 2), Fraction(-7, 6), 0], [0, Fraction(-1, 6), Fraction(1, 6)])))
+        with pytest.raises(DomainError, match=r"the poles 0j and \(1e-12\+0j\) are closer "
+                                              r"than twice the clearance 1e-09"):
+            global_product(conn)
+        for call in (lambda: monodromy(conn, 0),
+                     lambda: anchored_monodromy(conn, 0, base_point=-3 - 3j),
+                     lambda: global_product(conn, base_point=-3 - 3j)):
+            with pytest.raises(DomainError, match=r"the loop radius 5e-13 around 0j is at "
+                                                  r"or below the clearance 1e-09"):
                 call()
 
     # poles i, -i and 2: from a base to the right of them, the phase of
